@@ -124,6 +124,36 @@ def _parse_sweeps(items):
     return sweeps
 
 
+def _json_floats(values) -> list:
+    """Each float as ``json.dumps`` renders it: repr, unless it is not finite."""
+    values = np.asarray(values, dtype=float)
+    fmt = float.__repr__ if np.all(np.isfinite(values)) else json.dumps
+    return list(map(fmt, values.ravel().tolist()))
+
+
+def _grid_json(doc: dict, points, metrics) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` with doc["nodes"] built from
+    points and metrics, without the pure-Python encoder on every node.
+
+    The header comes from json.dumps; each node is one row template filled
+    with the rendered floats.
+    """
+    # "nodes" is the last key, so the header ends in its placeholder
+    head = json.dumps({**doc, "nodes": None}, indent=2).removesuffix("null\n}")
+    keys = [json.dumps(p).replace("%", "%%") for p in doc["parameters"]]
+    m = metrics.shape[-1]
+    point = ",\n".join(f"        {k}: %s" for k in keys)
+    row = "        [\n" + ",\n".join(["          %s"] * m) + "\n        ]"
+    template = ("    {\n      \"point\": {\n" + point + "\n      },\n"
+                "      \"g\": [\n" + ",\n".join([row] * m) + "\n      ]\n    }")
+    fields = np.concatenate([points, metrics.reshape(len(metrics), -1)], axis=1)
+    width = fields.shape[1]
+    text = _json_floats(fields)
+    nodes = ",\n".join(template % tuple(text[k:k + width])
+                        for k in range(0, len(text), width))
+    return head + "[\n" + nodes + "\n  ]\n}\n"
+
+
 def cmd_grid(args) -> int:
     model = manifest.load_model(args.manifest)
     sweeps = _parse_sweeps(args.sweep)
@@ -131,28 +161,25 @@ def cmd_grid(args) -> int:
     fixed = {p: v for p, v in fixed.items() if p not in sweeps}
     field = geometry.metric_field(model, GridSpec(sweeps, fixed))
     names = list(sweeps)
-    dim = field.tensors[0].dim
-    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    metrics = np.stack([t.g for t in field.tensors])
     if args.format == "csv":
-        lines = [",".join(names + [f"g_{i + 1}{j + 1}" for i, j in upper])]
-        for point, tensor in zip(field.grid.points(), field.tensors):
-            row = [repr(point[n]) for n in names]
-            row += [repr(float(tensor.g[i, j])) for i, j in upper]
-            lines.append(",".join(row))
-        payload = "\n".join(lines) + "\n"
+        dim = metrics.shape[-1]
+        upper = np.triu_indices(dim)
+        header = ",".join(names + [f"g_{i + 1}{j + 1}" for i, j in zip(*upper)])
+        points = [[t.point[n] for n in names] for t in field.tensors]
+        fields = np.concatenate([points, metrics[:, upper[0], upper[1]]], axis=1)
+        payload = "".join([header, "\n"] + [",".join(map(repr, row)) + "\n"
+                                             for row in fields.tolist()])
     else:
-        payload = json.dumps({
+        parameters = list(model.parameter_names)
+        points = [[t.point[p] for p in parameters] for t in field.tensors]
+        payload = _grid_json({
             "name": model.name,
             "gamma": model.gamma,
-            "parameters": list(model.parameter_names),
+            "parameters": parameters,
             "sweeps": {n: list(sweeps[n]) for n in names},
             "fixed": fixed,
-            "nodes": [
-                {"point": {p: pt[p] for p in model.parameter_names},
-                 "g": [[float(v) for v in row] for row in tensor.g]}
-                for pt, tensor in zip(field.grid.points(), field.tensors)
-            ],
-        }, indent=2) + "\n"
+        }, np.array(points, dtype=float), metrics)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)

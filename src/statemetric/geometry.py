@@ -10,8 +10,6 @@ symbols.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +20,7 @@ from .errors import (
     InsufficientGrid,
     MissingParameter,
 )
-from .manifold import (
-    MetricTensor,
-    evolve,
-    metric_from_derivatives,
-    state_derivatives,
-)
+from .manifold import MetricTensor, metric_batch
 from .models import Model
 
 CURVATURE_STEP = 1e-3
@@ -40,17 +33,9 @@ SPHERE_K_VARIATION = 1e-4
 def metric_at(model: Model, point, gamma: float | None = None) -> MetricTensor:
     """Analytic metric of a model at one parameter point (derivative path)."""
     g = model.gamma if gamma is None else gamma
-    psi = evolve(model.circuit, point, model.initial_state)
-    derivs = state_derivatives(model.circuit, point, model.initial_state)
-    return metric_from_derivatives(psi, derivs, g, point,
-                                   model.circuit.parameter_names)
-
-
-def _thread_count() -> int:
-    env = os.environ.get("STATEMETRIC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    angles = model.circuit.angles(point)[None]
+    return MetricTensor(metric_batch(model.circuit, angles, model.initial_state, g)[0],
+                        g, point, model.circuit.parameter_names)
 
 
 @dataclass(frozen=True)
@@ -101,13 +86,11 @@ def metric_field(model: Model, grid: GridSpec, gamma: float | None = None) -> Me
                if p not in grid.sweeps and p not in grid.fixed]
     if missing:
         raise MissingParameter(f"parameters {missing} are neither swept nor fixed")
+    names = model.circuit.parameter_names
     points = list(grid.points())
-    workers = min(_thread_count(), len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tensors = tuple(pool.map(lambda p: metric_at(model, p, g), points))
-    else:
-        tensors = tuple(metric_at(model, p, g) for p in points)
+    angles = np.array([[p[n] for n in names] for p in points], dtype=float)
+    metrics = metric_batch(model.circuit, angles, model.initial_state, g)
+    tensors = tuple(MetricTensor(m, g, p, names) for m, p in zip(metrics, points))
     return MetricField(grid, tensors, model, g)
 
 
@@ -121,31 +104,25 @@ def rank_analysis(metric: MetricTensor, tol: float = RANK_TOL):
     return rank, null_directions
 
 
-def _section_metric_fn(model: Model, point, section, gamma):
-    base = dict(point)
-    i, j = (list(model.circuit.parameter_names).index(s) for s in section)
-
-    def fn(u, v):
-        p = dict(base)
-        p[section[0]] = u
-        p[section[1]] = v
-        g = metric_at(model, p, gamma).g
-        return np.array([[g[i, i], g[i, j]], [g[j, i], g[j, j]]])
-
-    return fn, (float(base[section[0]]), float(base[section[1]]))
+def _stencil_metrics(model: Model, nodes: np.ndarray, gamma) -> np.ndarray:
+    """Metrics at a stack of stencil nodes (..., M), all in one kernel call."""
+    m = nodes.shape[-1]
+    g = metric_batch(model.circuit, nodes.reshape(-1, m), model.initial_state, gamma)
+    return g.reshape(nodes.shape[:-1] + (m, m))
 
 
 def gauss_curvature_from_fn(metric_fn, u: float, v: float,
                             step: float = CURVATURE_STEP) -> float:
     """Brioschi formula with second-order central differences of E, F, G."""
-    d = step
-    # m[i+1][j+1] is the 2x2 section metric at (u + i d, v + j d)
-    m = [[metric_fn(u + i * d, v + j * d) for j in (-1, 0, 1)] for i in (-1, 0, 1)]
+    # m[i+1][j+1] is the 2x2 section metric at (u + i step, v + j step)
+    m = np.array([[metric_fn(u + i * step, v + j * step) for j in (-1, 0, 1)]
+                  for i in (-1, 0, 1)])
+    return _brioschi(m, step)
 
-    def comp(sel):
-        return np.array([[m[i][j][sel] for j in range(3)] for i in range(3)])
 
-    E, F, G = comp((0, 0)), comp((0, 1)), comp((1, 1))
+def _brioschi(m: np.ndarray, d: float) -> float:
+    """Gaussian curvature from a (3, 3, 2, 2) stencil of section metrics."""
+    E, F, G = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
 
     def du(c):
         return (c[2, 1] - c[0, 1]) / (2 * d)
@@ -184,8 +161,14 @@ def gauss_curvature(model: Model, point, section, gamma: float | None = None,
     section = tuple(section)
     if len(section) != 2 or section[0] == section[1]:
         raise DegenerateSection(f"section must be two distinct parameters, got {section}")
-    fn, (u, v) = _section_metric_fn(model, point, section, g)
-    return gauss_curvature_from_fn(fn, u, v, step)
+    i, j = (list(model.circuit.parameter_names).index(s) for s in section)
+    x0 = model.circuit.angles(point)
+    nodes = np.tile(x0, (3, 3, 1))
+    for k, a in enumerate((-1, 0, 1)):
+        nodes[k, :, i] = x0[i] + a * step
+        nodes[:, k, j] = x0[j] + a * step
+    m = _stencil_metrics(model, nodes, g)
+    return _brioschi(m[..., [i, j], :][..., [i, j]], step)
 
 
 def scalar_curvature(model: Model, point, gamma: float | None = None,
@@ -199,33 +182,31 @@ def scalar_curvature(model: Model, point, gamma: float | None = None,
     n = len(names)
     x0 = np.array([float(point[p]) for p in names])
 
-    def g_at(x):
-        return metric_at(model, dict(zip(names, x)), g0).g
+    # Christoffel symbols at x0 and x0 +- step e_a, each from the metric at
+    # its own centre and centre +- step e_c
+    offsets = np.zeros((2 * n + 1, n))
+    for a in range(n):
+        offsets[2 * a + 1, a] = step
+        offsets[2 * a + 2, a] = -step
+    centres = x0 + offsets
+    g_all = _stencil_metrics(model, centres[:, None, :] + offsets, g0)
 
-    def christoffel(x):
-        g = g_at(x)
-        ginv = np.linalg.inv(g)
-        dg = np.empty((n, n, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = step
-            dg[a] = (g_at(x + e) - g_at(x - e)) / (2 * step)
+    def christoffel(gs):
+        ginv = np.linalg.inv(gs[0])
+        dg = (gs[1::2] - gs[2::2]) / (2 * step)
         # Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk)
         return 0.5 * np.einsum("il,jlk->ijk", ginv,
                                dg.transpose(0, 1, 2) + dg.transpose(2, 1, 0)
                                - dg.transpose(1, 0, 2))
 
-    gam = christoffel(x0)
-    dgam = np.empty((n, n, n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = step
-        dgam[a] = (christoffel(x0 + e) - christoffel(x0 - e)) / (2 * step)
+    gams = np.array([christoffel(gs) for gs in g_all])
+    gam = gams[0]
+    dgam = (gams[1::2] - gams[2::2]) / (2 * step)
     # Ricci_jl = d_i Gamma^i_jl - d_j Gamma^i_il + G^i_ip G^p_jl - G^i_jp G^p_il
     ricci = (np.einsum("iijl->jl", dgam) - np.einsum("jiil->jl", dgam)
              + np.einsum("iip,pjl->jl", gam, gam)
              - np.einsum("ijp,pil->jl", gam, gam))
-    return float(np.einsum("jl,jl->", np.linalg.inv(g_at(x0)), ricci))
+    return float(np.einsum("jl,jl->", np.linalg.inv(g_all[0, 0]), ricci))
 
 
 @dataclass(frozen=True)

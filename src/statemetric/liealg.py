@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import DependentGenerators, NotClosed, UnknownGenerator
@@ -261,6 +260,9 @@ def tilde_by_adjoint(rep: LieAlgebraRep, circuit, theta):
     exp(i theta_k ad_k) over the downstream factors applied to a basis unit
     vector; the matrix is then reassembled from the generator basis.
     """
+    # the only scipy user: importing it here keeps scipy.linalg off start-up
+    import scipy.linalg
+
     if rep.closure_residual > CLOSURE_TOL:
         raise NotClosed(
             f"closure residual {rep.closure_residual:.3e} exceeds {CLOSURE_TOL:.1e}"
@@ -268,12 +270,13 @@ def tilde_by_adjoint(rep: LieAlgebraRep, circuit, theta):
     factors = _circuit_factors(rep, circuit, theta)
     ad = rep.adjoint_matrices()
     exps = [scipy.linalg.expm(1j * angle * ad[idx]) for idx, angle in factors]
+    gens = np.stack(rep.generators)
     tildes = []
     prod = np.eye(rep.size, dtype=complex)  # product over downstream factors
     for j in range(len(factors) - 1, -1, -1):
         idx, _ = factors[j]
-        v = prod @ np.eye(rep.size, dtype=complex)[:, idx]
-        tildes.append(np.tensordot(v, np.stack(rep.generators), axes=(0, 0)))
+        # prod applied to the unit vector e_idx
+        tildes.append(np.tensordot(prod[:, idx], gens, axes=(0, 0)))
         prod = prod @ exps[j]
     tildes.reverse()
     return tildes

@@ -18,15 +18,17 @@ from .manifold import CircuitSpec
 from .models import Model
 
 
-def _c2pair(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _pair2c(value, path: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ManifestError(f"{path}: expected a [re, im] number pair, got {value!r}")
     return complex(value[0], value[1])
+
+
+def _c2pairs(values) -> list:
+    """Complex array as nested [re, im] lists of Python floats."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def model_to_manifest(model: Model) -> dict:
@@ -36,11 +38,10 @@ def model_to_manifest(model: Model) -> dict:
         "dimension": int(model.rep.dim),
         "gamma": float(model.gamma),
         "generators": {
-            name: [[_c2pair(z) for z in row] for row in np.asarray(G)]
-            for name, G in zip(model.rep.names, model.rep.generators)
+            name: _c2pairs(G) for name, G in zip(model.rep.names, model.rep.generators)
         },
         "circuit": [[g, p] for g, p in model.circuit.factors],
-        "initial_state": [_c2pair(z) for z in model.initial_state],
+        "initial_state": _c2pairs(model.initial_state),
         "active_dim": model.rep.active_dim,
     }
 
@@ -57,6 +58,30 @@ def loads(text: str) -> dict:
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be a JSON object")
     return doc
+
+
+def _generator_matrix(rows: list, dim: int, path: str) -> np.ndarray:
+    """A dim x dim matrix of [re, im] pairs as a complex array.
+
+    Converts in one pass when every row is a list and every number a plain
+    int or float; anything else takes the per-entry walk, which names the
+    offending entry.
+    """
+    try:
+        pairs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if (pairs is not None and pairs.shape == (dim, dim, 2)
+            and all(type(row) is list for row in rows)
+            and {type(v) for row in rows for pair in row for v in pair} <= {int, float}):
+        return pairs.view(complex)[..., 0]
+    M = np.empty((dim, dim), dtype=complex)
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ManifestError(f"{path}[{r}]: expected {dim} entries")
+        for c, entry in enumerate(row):
+            M[r, c] = _pair2c(entry, f"{path}[{r}][{c}]")
+    return M
 
 
 def parse_manifest(doc: dict) -> Model:
@@ -87,14 +112,8 @@ def parse_manifest(doc: dict) -> Model:
         path = f"generators.{gname}"
         if not isinstance(rows, list) or len(rows) != dim:
             raise ManifestError(f"{path}: expected {dim} rows")
-        M = np.empty((dim, dim), dtype=complex)
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != dim:
-                raise ManifestError(f"{path}[{r}]: expected {dim} entries")
-            for c, entry in enumerate(row):
-                M[r, c] = _pair2c(entry, f"{path}[{r}][{c}]")
         names.append(gname)
-        matrices.append(M)
+        matrices.append(_generator_matrix(rows, dim, path))
 
     circuit_doc = doc["circuit"]
     if not isinstance(circuit_doc, list) or not circuit_doc:

@@ -69,8 +69,7 @@ def check_three_way_agreement() -> CheckResult:
     for name, model in catalog().items():
         for pt in _random_points(rng, model.parameter_names, 20):
             g_d = metric_at(model, pt)
-            g_t = metric_from_tilde(model.rep, model.circuit, pt,
-                                    model.initial_state, model.gamma)
+            g_t = metric_from_tilde(model.circuit, pt, model.initial_state, model.gamma)
             g_f = oracle.fd_metric(model.circuit, pt, model.initial_state,
                                    model.gamma, h=1e-4)
             da = float(np.max(np.abs(g_d.g - g_t.g)))

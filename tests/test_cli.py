@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from statemetric import cli, manifest
+from statemetric import cli, geometry, manifest
+from statemetric.geometry import GridSpec
 from statemetric.models import (
     OscillatorModelSpec,
     SpinModelSpec,
     oscillator_model,
     spin_model,
 )
+from statemetric.verify import catalog
 
 
 @pytest.fixture()
@@ -114,6 +116,57 @@ class TestGrid:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["nodes"]) == 6
         assert doc["fixed"] == {"theta_3": 0.0}
+
+    @pytest.mark.parametrize("key", sorted(catalog()))
+    def test_json_equals_json_dumps(self, key, tmp_path, capsys):
+        self._check_json(catalog()[key], tmp_path, capsys)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_json_non_finite_equals_json_dumps(self, tmp_path, capsys):
+        # an infinite gamma is accepted on load; the metric holds inf and nan
+        self._check_json(spin_model(SpinModelSpec(s=1, m=0, gamma=np.inf)), tmp_path, capsys)
+
+    @staticmethod
+    def _check_json(model, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(manifest.dumps(manifest.model_to_manifest(model)), encoding="utf-8")
+        model = manifest.load_model(path)
+        first, second, *rest = model.parameter_names
+        sweeps = {first: (-1.0, 1.25, 4), second: (0.3, 2.0, 3)}
+        argv = ["grid", str(path), "--sweep", f"{first}=-1.0:1.25:4",
+                "--sweep", f"{second}=0.3:2.0:3"]
+        argv += [f"--at={p}=0.7" for p in rest]
+        assert cli.main(argv) == 0
+        fixed = dict.fromkeys(rest, 0.7)
+        field = geometry.metric_field(model, GridSpec(sweeps, fixed))
+        expected = json.dumps({
+            "name": model.name,
+            "gamma": model.gamma,
+            "parameters": list(model.parameter_names),
+            "sweeps": {n: list(v) for n, v in sweeps.items()},
+            "fixed": fixed,
+            "nodes": [
+                {"point": {p: t.point[p] for p in model.parameter_names},
+                 "g": [[float(v) for v in row] for row in t.g]}
+                for t in field.tensors
+            ],
+        }, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def test_csv_header_and_row_order(self, spin_manifest, capsys):
+        sweeps = {"theta_3": (-0.5, 0.5, 3), "theta_1": (0.0, 1.0, 2)}
+        assert cli.main(["grid", spin_manifest, "--sweep", "theta_3=-0.5:0.5:3",
+                         "--sweep", "theta_1=0:1:2", "--at", "theta_2=0.9",
+                         "--format", "csv"]) == 0
+        field = geometry.metric_field(manifest.load_model(spin_manifest),
+                                      GridSpec(sweeps, {"theta_2": 0.9}))
+        upper = [(i, j) for i in range(3) for j in range(i, 3)]
+        expected = ["theta_3,theta_1," + ",".join(f"g_{i + 1}{j + 1}" for i, j in upper)]
+        for t in field.tensors:  # row-major: the last sweep varies fastest
+            expected.append(",".join([repr(t.point["theta_3"]), repr(t.point["theta_1"])]
+                                     + [repr(float(t.g[i, j])) for i, j in upper]))
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        assert [t.point["theta_1"] for t in field.tensors[:2]] == [0.0, 1.0]
 
     def test_bad_sweep_syntax(self, spin_manifest, capsys):
         assert cli.main(["grid", spin_manifest, "--sweep", "theta_2=nope"]) == 2

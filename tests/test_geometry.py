@@ -18,7 +18,7 @@ from statemetric.geometry import (
     rank_analysis,
     scalar_curvature,
 )
-from statemetric.manifold import MetricTensor
+from statemetric.manifold import BLOCK_NODES, MetricTensor
 from statemetric.models import (
     OscillatorModelSpec,
     SpinModelSpec,
@@ -27,6 +27,7 @@ from statemetric.models import (
     spin_model,
     two_spin_model,
 )
+from statemetric.verify import catalog
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +79,23 @@ class TestMetricField:
         with pytest.raises(MissingParameter):
             metric_field(spin1, GridSpec({"theta_2": (0.0, 1.0, 3)}))
 
-    def test_thread_count_env(self, monkeypatch, spin1):
-        monkeypatch.setenv("STATEMETRIC_THREADS", "1")
-        grid = GridSpec({"theta_2": (0.4, 1.2, 3)},
-                        fixed={"theta_1": 0.0, "theta_3": 0.0})
-        serial = metric_field(spin1, grid)
-        monkeypatch.setenv("STATEMETRIC_THREADS", "4")
-        threaded = metric_field(spin1, grid)
-        for a, b in zip(serial.tensors, threaded.tensors):
-            assert np.array_equal(a.g, b.g)
+    @pytest.mark.parametrize("key", sorted(catalog()))
+    def test_batch_matches_pointwise_on_catalog(self, key):
+        model = catalog()[key]
+        first, second, *rest = model.parameter_names
+        grid = GridSpec({first: (-1.0, 1.3, 4), second: (0.2, 2.9, 5)},
+                        fixed=dict.fromkeys(rest, 0.7))
+        for t in metric_field(model, grid).tensors:
+            assert np.max(np.abs(t.g - metric_at(model, t.point).g)) <= 1e-14
+
+    def test_batch_crosses_block_boundary(self, spin1):
+        count = 2 * BLOCK_NODES + 3
+        grid = GridSpec({"theta_1": (-1.0, 1.0, count), "theta_2": (0.3, 2.5, 2)},
+                        fixed={"theta_3": 0.4})
+        field = metric_field(spin1, grid)
+        assert len(field.tensors) > 4 * BLOCK_NODES
+        for t in field.tensors:
+            assert np.max(np.abs(t.g - metric_at(spin1, t.point).g)) <= 1e-14
 
 
 class TestRankAnalysis:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,31 @@ class TestRoundTrip:
         model = manifest.load_model(path)
         assert model.rep.names == ("Sz", "Sx", "Sy")
 
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: spin_model(SpinModelSpec(s=40, m=3)), id="spin40"),
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(truncation=128)), id="osc128"),
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=256)),
+                     id="osc256"),
+    ])
+    def test_large_emit_parse_emit_byte_identical(self, model):
+        # dumps is a fixed function of the document, so equal compact
+        # encodings (which keep -0.0 and int/float apart) mean equal emits
+        model = model()
+        doc = manifest.model_to_manifest(model)
+        parsed = manifest.parse_manifest(manifest.loads(json.dumps(doc)))
+        assert json.dumps(manifest.model_to_manifest(parsed)) == json.dumps(doc)
+        if model.rep.dim <= 128:  # the per-entry loop is slow at d = 256
+            # per-entry rendering, the reference for the vectorized emitter
+            def pairs(values):
+                return [[float(np.real(z)), float(np.imag(z))] for z in values]
+
+            reference = dict(doc)
+            reference["generators"] = {
+                name: [pairs(row) for row in G]
+                for name, G in zip(model.rep.names, model.rep.generators)}
+            reference["initial_state"] = pairs(model.initial_state)
+            assert json.dumps(reference) == json.dumps(doc)
+
     def test_key_order_fixed(self, spin_doc):
         assert list(spin_doc) == ["name", "dimension", "gamma", "generators",
                                   "circuit", "initial_state", "active_dim"]
@@ -84,6 +111,25 @@ class TestParseErrors:
         doc = copy.deepcopy(spin_doc)
         doc["generators"]["Sx"][0][1] = "oops"
         with pytest.raises(ManifestError, match=r"generators\.Sx\[0\]\[1\]"):
+            manifest.parse_manifest(doc)
+
+    # numpy would convert the bools, numeric strings and null to floats
+    @pytest.mark.parametrize("entry", [
+        True, "0.5", [0.0, 0.0, 0.0], [0.0, False], ["0.5", 0.0], [0.0, None],
+    ], ids=["bool", "string", "three_element_pair", "bool_in_pair", "string_in_pair",
+            "null_in_pair"])
+    def test_bad_generator_entry_names_its_path(self, spin_doc, entry):
+        import copy
+        doc = copy.deepcopy(spin_doc)
+        doc["generators"]["Sx"][1][2] = entry
+        with pytest.raises(ManifestError, match=r"generators\.Sx\[1\]\[2\]"):
+            manifest.parse_manifest(doc)
+
+    def test_ragged_generator_row(self, spin_doc):
+        import copy
+        doc = copy.deepcopy(spin_doc)
+        doc["generators"]["Sy"][2].append([0.0, 0.0])
+        with pytest.raises(ManifestError, match=r"generators\.Sy\[2\]: expected 3 entries"):
             manifest.parse_manifest(doc)
 
     def test_row_count_mismatch(self, spin_doc):

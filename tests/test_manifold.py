@@ -141,7 +141,7 @@ class TestMetric:
     def test_fiber_direction_has_zero_length(self, half):
         # theta_3 rotates an S_z eigenstate by a phase only
         for pt in rand_points(half, 5, 31):
-            g = metric_from_tilde(half.rep, half.circuit, pt, half.initial_state).g
+            g = metric_from_tilde(half.circuit, pt, half.initial_state).g
             assert abs(g[2, 2]) <= 1e-12
 
     def test_two_routes_agree(self, one_m0):
@@ -150,30 +150,27 @@ class TestMetric:
             derivs = state_derivatives(one_m0.circuit, pt, one_m0.initial_state)
             g1 = metric_from_derivatives(psi, derivs, point=pt,
                                          parameter_names=one_m0.parameter_names).g
-            g2 = metric_from_tilde(one_m0.rep, one_m0.circuit, pt, one_m0.initial_state).g
+            g2 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state).g
             assert np.max(np.abs(g1 - g2)) <= 1e-12
 
     def test_oscillator_ground_state(self):
         model = oscillator_model(OscillatorModelSpec())
         pt = {"theta": 0.3, "phi": -0.2}
-        g = metric_from_tilde(model.rep, model.circuit, pt, model.initial_state).g
+        g = metric_from_tilde(model.circuit, pt, model.initial_state).g
         # variances of |0>: <x^2> = <p^2> = 1/2 at m = omega = 1
         assert np.allclose(g, np.diag([0.5, 0.5]), atol=1e-10)
 
     def test_gauge_invariance(self, one_m0):
         pt = {"theta_1": 0.8, "theta_2": 1.1, "theta_3": -0.6}
         phase = np.exp(1j * 1.234)
-        g1 = metric_from_tilde(one_m0.rep, one_m0.circuit, pt, one_m0.initial_state).g
-        g2 = metric_from_tilde(one_m0.rep, one_m0.circuit, pt,
-                               phase * one_m0.initial_state).g
+        g1 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state).g
+        g2 = metric_from_tilde(one_m0.circuit, pt, phase * one_m0.initial_state).g
         assert np.max(np.abs(g1 - g2)) <= 1e-12
 
     def test_gamma_scale_law(self, one_m0):
         pt = {"theta_1": 0.2, "theta_2": 0.7, "theta_3": 1.9}
-        g1 = metric_from_tilde(one_m0.rep, one_m0.circuit, pt, one_m0.initial_state,
-                               gamma=1.0).g
-        g2 = metric_from_tilde(one_m0.rep, one_m0.circuit, pt, one_m0.initial_state,
-                               gamma=2.0).g
+        g1 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state, gamma=1.0).g
+        g2 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state, gamma=2.0).g
         assert np.max(np.abs(g2 - 4.0 * g1)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -182,7 +179,7 @@ class TestMetric:
         model = spin_model(SpinModelSpec(s=1, coefficients=(0.6, 0.0, 0.8)))
         rng = np.random.default_rng(seed)
         pt = dict(zip(model.parameter_names, rng.uniform(-np.pi, np.pi, 3)))
-        g = metric_from_tilde(model.rep, model.circuit, pt, model.initial_state).g
+        g = metric_from_tilde(model.circuit, pt, model.initial_state).g
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
     def test_metric_tensor_symmetrized(self):
@@ -194,17 +191,17 @@ class TestMetric:
 class TestLocalBasisVectors:
     def test_orthogonal_to_initial_state(self, one_m0):
         pt = {"theta_1": 0.4, "theta_2": 1.0, "theta_3": -1.1}
-        for v in local_basis_vectors(one_m0.rep, one_m0.circuit, pt, one_m0.initial_state):
+        for v in local_basis_vectors(one_m0.circuit, pt, one_m0.initial_state):
             assert abs(np.vdot(one_m0.initial_state, v).real) <= 1e-12
 
     def test_gram_matrix_real_part_is_metric(self, one_m0):
         pt = {"theta_1": -0.9, "theta_2": 0.6, "theta_3": 0.3}
-        vs = local_basis_vectors(one_m0.rep, one_m0.circuit, pt, one_m0.initial_state)
+        vs = local_basis_vectors(one_m0.circuit, pt, one_m0.initial_state)
         W = np.stack(vs, axis=1)
-        g = metric_from_tilde(one_m0.rep, one_m0.circuit, pt, one_m0.initial_state).g
+        g = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state).g
         assert np.max(np.abs((W.conj().T @ W).real - g)) <= 1e-12
 
     def test_dimension_mismatch(self, one_m0):
         with pytest.raises(DimensionMismatch):
-            local_basis_vectors(one_m0.rep, one_m0.circuit,
+            local_basis_vectors(one_m0.circuit,
                                 dict.fromkeys(one_m0.parameter_names, 0.1), [1.0, 0.0])

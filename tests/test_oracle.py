@@ -15,8 +15,7 @@ from statemetric.models import (
 
 
 def analytic(model, point):
-    return metric_from_tilde(model.rep, model.circuit, point, model.initial_state,
-                             model.gamma)
+    return metric_from_tilde(model.circuit, point, model.initial_state, model.gamma)
 
 
 @pytest.fixture(scope="module")
