@@ -30,12 +30,20 @@ FLAT_GRID_TOL = 1e-8
 SPHERE_K_VARIATION = 1e-4
 
 
+def metric_stack(model: Model, angles, gamma: float | None = None) -> np.ndarray:
+    """Symmetric analytic metrics (B, M, M) at a (B, M) array of angles in
+    circuit-parameter order, from one kernel call."""
+    g = metric_batch(model.circuit, angles, model.initial_state,
+                     model.gamma if gamma is None else gamma)
+    return (g + g.swapaxes(-1, -2)) / 2
+
+
 def metric_at(model: Model, point, gamma: float | None = None) -> MetricTensor:
     """Analytic metric of a model at one parameter point (derivative path)."""
     g = model.gamma if gamma is None else gamma
     angles = model.circuit.angles(point)[None]
-    return MetricTensor(metric_batch(model.circuit, angles, model.initial_state, g)[0],
-                        g, point, model.circuit.parameter_names)
+    return MetricTensor(metric_stack(model, angles, g)[0], g, point,
+                        model.circuit.parameter_names)
 
 
 @dataclass(frozen=True)
@@ -56,52 +64,57 @@ class GridSpec:
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise EmptyGrid(f"sweep {name!r} has non-finite bounds")
 
-    def axes(self):
-        return {name: np.linspace(lo, hi, int(count))
-                for name, (lo, hi, count) in self.sweeps.items()}
+    def angles(self, parameter_names) -> np.ndarray:
+        """Node angles (N, M) with one column per parameter, in the given order.
 
-    def points(self):
-        """Row-major over the sweeps in declaration order."""
-        axes = self.axes()
-        names = list(axes)
-        for combo in itertools.product(*(axes[n] for n in names)):
-            point = dict(self.fixed)
-            point.update({n: float(v) for n, v in zip(names, combo)})
-            yield point
+        Nodes are row-major over the sweeps in declaration order (the last
+        sweep varies fastest); fixed values are broadcast.  Raises
+        MissingParameter if a swept name is not a parameter or a parameter is
+        neither swept nor fixed.
+        """
+        names = tuple(parameter_names)
+        unknown = [n for n in self.sweeps if n not in names]
+        if unknown:
+            raise MissingParameter(f"swept {unknown} are not circuit parameters {list(names)}")
+        missing = [p for p in names if p not in self.sweeps and p not in self.fixed]
+        if missing:
+            raise MissingParameter(f"parameters {missing} are neither swept nor fixed")
+        axes = [np.linspace(lo, hi, int(count)) for lo, hi, count in self.sweeps.values()]
+        mesh = dict(zip(self.sweeps, np.meshgrid(*axes, indexing="ij")))
+        out = np.empty((next(iter(mesh.values())).size, len(names)))
+        for k, p in enumerate(names):
+            out[:, k] = mesh[p].ravel() if p in mesh else self.fixed[p]
+        return out
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Metric tensors over a parameter grid, row-major node order."""
+    """Metrics over a parameter grid: ``angles`` (N, M) and ``g`` (N, M, M),
+    columns in circuit-parameter order, nodes in ``GridSpec.angles`` order."""
 
     grid: GridSpec
-    tensors: tuple
+    angles: np.ndarray
+    g: np.ndarray
     model: Model
     gamma: float
 
 
 def metric_field(model: Model, grid: GridSpec, gamma: float | None = None) -> MetricField:
     g = model.gamma if gamma is None else gamma
-    missing = [p for p in model.circuit.parameter_names
-               if p not in grid.sweeps and p not in grid.fixed]
-    if missing:
-        raise MissingParameter(f"parameters {missing} are neither swept nor fixed")
-    names = model.circuit.parameter_names
-    points = list(grid.points())
-    angles = np.array([[p[n] for n in names] for p in points], dtype=float)
-    metrics = metric_batch(model.circuit, angles, model.initial_state, g)
-    tensors = tuple(MetricTensor(m, g, p, names) for m, p in zip(metrics, points))
-    return MetricField(grid, tensors, model, g)
+    angles = grid.angles(model.circuit.parameter_names)
+    return MetricField(grid, angles, metric_stack(model, angles, g), model, g)
+
+
+def _above_cutoff(w: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Which eigenvalues (ascending along the last axis) count towards the rank."""
+    return w > tol * np.fmax(1.0, w[..., -1:])
 
 
 def rank_analysis(metric: MetricTensor, tol: float = RANK_TOL):
     """(rank, null_directions) via eigendecomposition of the symmetric metric."""
     w, V = np.linalg.eigh(metric.g)
-    cutoff = tol * max(1.0, float(w[-1]) if len(w) else 1.0)
-    keep = w > cutoff
-    rank = int(np.count_nonzero(keep))
-    null_directions = V[:, ~keep]
-    return rank, null_directions
+    keep = _above_cutoff(w, tol)
+    return int(np.count_nonzero(keep)), V[:, ~keep]
 
 
 def _stencil_metrics(model: Model, nodes: np.ndarray, gamma) -> np.ndarray:
@@ -227,17 +240,13 @@ class CurvatureReport:
         return self.classification
 
 
-def _best_section(field: MetricField):
-    """Coordinate pair maximizing the minimal section determinant over nodes."""
-    names = field.model.circuit.parameter_names
-    best, best_det = None, -np.inf
-    for i, j in itertools.combinations(range(len(names)), 2):
-        dets = [t.g[i, i] * t.g[j, j] - t.g[i, j] ** 2 for t in field.tensors]
-        score = min(dets)
-        if score > best_det:
-            best_det = score
-            best = (names[i], names[j])
-    return best, best_det
+def _best_section(g: np.ndarray) -> tuple:
+    """Coordinate pair (i, j) maximizing the minimal section determinant over
+    a (N, M, M) stack of metrics."""
+    pairs = list(itertools.combinations(range(g.shape[-1]), 2))
+    i, j = np.array(pairs).T
+    scores = np.min(g[:, i, i] * g[:, j, j] - g[:, i, j] ** 2, axis=0)
+    return pairs[int(np.argmax(scores))]
 
 
 def classify(field: MetricField, k_samples: int = 5) -> CurvatureReport:
@@ -251,17 +260,16 @@ def classify(field: MetricField, k_samples: int = 5) -> CurvatureReport:
     for name, (_lo, _hi, count) in field.grid.sweeps.items():
         if int(count) < 3:
             raise InsufficientGrid(f"sweep {name!r} needs >= 3 nodes, has {count}")
-    tensors = field.tensors
-    dim = tensors[0].dim
+    g = field.g
+    nodes, dim = g.shape[:2]
 
-    ranks = [rank_analysis(t)[0] for t in tensors]
-    rank = max(ranks)
-    mid = tensors[len(tensors) // 2]
-    _, null_dirs = rank_analysis(mid)
+    w, V = np.linalg.eigh(g)
+    keep = _above_cutoff(w)
+    rank = int(np.max(np.count_nonzero(keep, axis=-1)))
+    null_dirs = V[nodes // 2][:, ~keep[nodes // 2]]
 
-    scale = max(1.0, max(float(np.max(np.abs(t.g))) for t in tensors))
-    stack = np.stack([t.g for t in tensors])
-    grid_variation = float(np.max(stack.max(axis=0) - stack.min(axis=0)))
+    scale = max(1.0, float(np.max(np.abs(g))))
+    grid_variation = float(np.max(g.max(axis=0) - g.min(axis=0)))
 
     if rank < 2:
         if rank == 0:
@@ -269,9 +277,10 @@ def classify(field: MetricField, k_samples: int = 5) -> CurvatureReport:
         cls = "flat" if grid_variation <= FLAT_GRID_TOL else "degenerate"
         return CurvatureReport(cls, rank, null_dirs, None, None, None, None)
 
-    section, sec_det = _best_section(field)
-    step = len(tensors) // k_samples if len(tensors) > k_samples else 1
-    sample_nodes = list(field.grid.points())[::step][:k_samples]
+    names = field.model.circuit.parameter_names
+    section = tuple(names[k] for k in _best_section(g))
+    step = nodes // k_samples if nodes > k_samples else 1
+    sample_nodes = [dict(zip(names, x)) for x in field.angles[::step][:k_samples]]
     curvatures = []
     for node in sample_nodes:
         try:

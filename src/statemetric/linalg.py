@@ -82,12 +82,6 @@ def herm_eig(M, tol: float = HERM_TOL):
     return w, _fix_phases(V)
 
 
-def expm_phase(A, t: float) -> np.ndarray:
-    """exp(-i t A) for Hermitian A, exact to roundoff via eigendecomposition."""
-    w, V = herm_eig(A)
-    return (V * np.exp(-1j * t * w)) @ V.conj().T
-
-
 def expm_phase_eig(w, V, t: float) -> np.ndarray:
     """exp(-i t A) from a precomputed eigendecomposition of A."""
     return (V * np.exp(-1j * t * w)) @ V.conj().T

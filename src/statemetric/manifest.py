@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ManifestError
-from .liealg import detect_kind, extract_structure_constants
+from .liealg import extract_structure_constants
 from .manifold import CircuitSpec
 from .models import Model
 
@@ -153,7 +153,6 @@ def parse_manifest(doc: dict) -> Model:
         circuit=circuit,
         initial_state=linalg.state_vector(psi),
         gamma=float(gamma),
-        kind=detect_kind(rep),
     )
 
 

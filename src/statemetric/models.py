@@ -33,7 +33,6 @@ class Model:
     circuit: CircuitSpec
     initial_state: np.ndarray
     gamma: float = 1.0
-    kind: str = "generic"  # algebra kind for validation/reporting
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -110,7 +109,6 @@ def spin_model(spec: SpinModelSpec) -> Model:
         circuit=circuit,
         initial_state=psi,
         gamma=spec.gamma,
-        kind="so3",
         metadata={"s": s, "m": spec.m, "coefficients": spec.coefficients},
     )
 
@@ -177,7 +175,6 @@ def oscillator_model(spec: OscillatorModelSpec) -> Model:
         circuit=circuit,
         initial_state=psi,
         gamma=spec.gamma,
-        kind="heisenberg",
         metadata={"mass": spec.mass, "omega": spec.omega, "n": n, "truncation": N},
     )
 
@@ -290,7 +287,6 @@ def two_spin_model(spec: TwoSpinModelSpec) -> Model:
         circuit=circuit,
         initial_state=psi,
         gamma=spec.gamma,
-        kind="so3",
         metadata={"variant": spec.variant, "j1": spec.j1, "j2": spec.j2,
                   "hz": spec.hz, "eta": spec.eta, "chi": spec.chi,
                   "initial": spec.initial if isinstance(spec.initial, str) else None},
@@ -323,6 +319,13 @@ def _zxz_angles(B: np.ndarray):
     return _wrap_angle((total + diff) / 2), float(t2), _wrap_angle((total - diff) / 2)
 
 
+def dm_xx_evolution(spec: TwoSpinModelSpec, t: float) -> np.ndarray:
+    """exp(-iHt) for H = hz A1 + J1 A2 + J2 A3 of the dm_xx generators."""
+    a1, a2, a3 = two_spin_generators("dm_xx")
+    H = spec.hz * a1 + spec.j1 * a2 + spec.j2 * a3
+    return linalg.expm_phase_eig(*linalg.herm_eig(H), t)
+
+
 def euler_from_time(spec: TwoSpinModelSpec, t: float):
     """Euler angles reproducing exp(-iHt) of the dm_xx Hamiltonian on the
     invariant |ud>/|du> subspace.
@@ -334,10 +337,7 @@ def euler_from_time(spec: TwoSpinModelSpec, t: float):
     """
     if spec.variant != "dm_xx":
         raise BadVariant("the Euler/time bridge is defined for the dm_xx variant")
-    a1, a2, a3 = two_spin_generators("dm_xx")
-    H = spec.hz * a1 + spec.j1 * a2 + spec.j2 * a3
-    w, V = linalg.herm_eig(H)
-    U = (V * np.exp(-1j * t * w)) @ V.conj().T
+    U = dm_xx_evolution(spec, t)
 
     inside = list(_SUBSPACE)
     outside = [k for k in range(4) if k not in inside]
@@ -350,6 +350,7 @@ def euler_from_time(spec: TwoSpinModelSpec, t: float):
     B = B / np.sqrt(np.linalg.det(B))  # special-unitary up to an overall sign
 
     # rotate the basis so the restricted A2 block becomes sigma_x / 2
+    a2 = two_spin_generators("dm_xx")[1]
     c = a2[np.ix_(inside, inside)][0, 1]
     D = np.diag([1.0, np.conj(c) / abs(c)])
     return _zxz_angles(D.conj().T @ B @ D)
@@ -366,12 +367,8 @@ def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
     model = two_spin_model(spec)
     Ufull = build_unitary(model.circuit, {"theta_1": t1, "theta_2": t2, "theta_3": t3})
 
-    a1, a2, a3 = two_spin_generators("dm_xx")
-    H = spec.hz * a1 + spec.j1 * a2 + spec.j2 * a3
-    w, V = linalg.herm_eig(H)
-    U = (V * np.exp(-1j * t * w)) @ V.conj().T
     inside = list(_SUBSPACE)
-    B = U[np.ix_(inside, inside)]
+    B = dm_xx_evolution(spec, t)[np.ix_(inside, inside)]
     Bc = Ufull[np.ix_(inside, inside)]
     idx = np.unravel_index(np.argmax(np.abs(B)), B.shape)
     phase = B[idx] / Bc[idx]

@@ -115,13 +115,12 @@ def check_oscillator_flat() -> CheckResult:
         c = model.gamma**2 * (2 * n + 1) / 2
         field = geometry.metric_field(
             model, GridSpec({"theta": (-1.0, 1.0, 5), "phi": (-1.0, 1.0, 5)}))
-        stack = np.stack([t.g for t in field.tensors])
+        g = field.g
         worst_diag = max(worst_diag,
-                         float(np.max(np.abs(stack[:, 0, 0] - c))),
-                         float(np.max(np.abs(stack[:, 1, 1] - c))))
-        worst_off = max(worst_off, float(np.max(np.abs(stack[:, 0, 1]))))
-        worst_var = max(worst_var,
-                        float(np.max(stack.max(axis=0) - stack.min(axis=0))))
+                         float(np.max(np.abs(g[:, 0, 0] - c))),
+                         float(np.max(np.abs(g[:, 1, 1] - c))))
+        worst_off = max(worst_off, float(np.max(np.abs(g[:, 0, 1]))))
+        worst_var = max(worst_var, float(np.max(g.max(axis=0) - g.min(axis=0))))
     ok = worst_diag <= 1e-6 and worst_off <= 1e-8 and worst_var <= 1e-6
     return _result("oscillator_flat", ok,
                    f"max diagonal error = {worst_diag:.2e}, max off-diagonal = "
@@ -192,8 +191,9 @@ def check_degeneracy() -> CheckResult:
         for pt in _random_points(rng, model.parameter_names, 10,
                                  low=-np.pi, high=np.pi):
             pt["theta_2"] = float(rng.uniform(0.2, np.pi - 0.2))
-            w = np.linalg.eigvalsh(metric_at(model, pt).g)
-            rank, _ = geometry.rank_analysis(metric_at(model, pt))
+            g = metric_at(model, pt)
+            w = np.linalg.eigvalsh(g.g)
+            rank, _ = geometry.rank_analysis(g)
             worst_null = max(worst_null, abs(float(w[0])))
             if rank != 2:
                 bad_rank.append((s, m, rank))
@@ -215,10 +215,7 @@ def check_euler_bridge() -> CheckResult:
             continue
         count += 1
         spec = TwoSpinModelSpec("dm_xx", j1=j1, j2=j2, hz=hz)
-        a1, a2, a3 = models.two_spin_generators("dm_xx")
-        H = hz * a1 + j1 * a2 + j2 * a3
-        w, V = linalg.herm_eig(H)
-        U = (V * np.exp(-1j * t * w)) @ V.conj().T
+        U = models.dm_xx_evolution(spec, t)
         inside, outside = [1, 2], [0, 3]
         worst_leak = max(worst_leak,
                          float(np.max(np.abs(U[np.ix_(inside, outside)]))),

@@ -146,9 +146,8 @@ class TestGrid:
             "sweeps": {n: list(v) for n, v in sweeps.items()},
             "fixed": fixed,
             "nodes": [
-                {"point": {p: t.point[p] for p in model.parameter_names},
-                 "g": [[float(v) for v in row] for row in t.g]}
-                for t in field.tensors
+                {"point": dict(zip(model.parameter_names, x)), "g": g.tolist()}
+                for x, g in zip(field.angles.tolist(), field.g)
             ],
         }, indent=2) + "\n"
         assert capsys.readouterr().out == expected
@@ -162,14 +161,31 @@ class TestGrid:
                                       GridSpec(sweeps, {"theta_2": 0.9}))
         upper = [(i, j) for i in range(3) for j in range(i, 3)]
         expected = ["theta_3,theta_1," + ",".join(f"g_{i + 1}{j + 1}" for i, j in upper)]
-        for t in field.tensors:  # row-major: the last sweep varies fastest
-            expected.append(",".join([repr(t.point["theta_3"]), repr(t.point["theta_1"])]
-                                     + [repr(float(t.g[i, j])) for i, j in upper]))
+        for x, g in zip(field.angles.tolist(), field.g):  # the last sweep varies fastest
+            expected.append(",".join([repr(x[2]), repr(x[0])]
+                                     + [repr(float(g[i, j])) for i, j in upper]))
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
-        assert [t.point["theta_1"] for t in field.tensors[:2]] == [0.0, 1.0]
+        assert field.angles[:2, 0].tolist() == [0.0, 1.0]
 
     def test_bad_sweep_syntax(self, spin_manifest, capsys):
         assert cli.main(["grid", spin_manifest, "--sweep", "theta_2=nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "{manifest}", "--defaults-zero", "--at", "theta_1=nan"],
+    ["metric", "{manifest}", "--defaults-zero", "--at", "theta_1=inf"],
+    ["grid", "{manifest}", "--sweep", "theta_2=0:1:3", "--at", "theta_1=-inf"],
+    ["curvature", "{manifest}", "--defaults-zero", "--at", "theta_2=nan",
+     "--section", "theta_1,theta_2"],
+    ["validate", "{dir}"],
+    ["metric", "{dir}", "--defaults-zero"],
+    ["grid", "{manifest}", "--sweep", "theta_9=0:1:3"],
+], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
+        "metric-dir", "grid-unknown-sweep"])
+def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):
+    argv = [a.format(manifest=spin_manifest, dir=tmp_path) for a in argv]
+    assert cli.main(argv) == 2  # an exception escaping main fails the test too
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCurvature:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statemetric import geometry
 from statemetric.errors import (
@@ -40,16 +44,28 @@ def osc():
     return oscillator_model(OscillatorModelSpec())
 
 
+def pointwise(model, x, gamma=None):
+    """metric_at at one row of a field's angles."""
+    return metric_at(model, dict(zip(model.parameter_names, x)), gamma).g
+
+
 class TestGridSpec:
     def test_points_row_major(self):
         grid = GridSpec({"a": (0.0, 1.0, 2), "b": (0.0, 2.0, 3)}, fixed={"c": 7.0})
-        pts = list(grid.points())
-        assert len(pts) == 6
-        # last sweep varies fastest
-        assert [p["b"] for p in pts[:3]] == [0.0, 1.0, 2.0]
-        assert [p["a"] for p in pts[:3]] == [0.0, 0.0, 0.0]
-        assert pts[3]["a"] == 1.0
-        assert all(p["c"] == 7.0 for p in pts)
+        angles = grid.angles(("c", "b", "a"))
+        assert angles.shape == (6, 3)
+        # columns follow the requested names; the last sweep varies fastest
+        assert angles[:3, 1].tolist() == [0.0, 1.0, 2.0]
+        assert angles[:3, 2].tolist() == [0.0, 0.0, 0.0]
+        assert angles[3, 2] == 1.0
+        assert np.all(angles[:, 0] == 7.0)
+
+    def test_missing_and_unknown_parameters(self):
+        grid = GridSpec({"a": (0.0, 1.0, 2)}, fixed={"c": 7.0})
+        with pytest.raises(MissingParameter):
+            grid.angles(("a", "b", "c"))  # b is neither swept nor fixed
+        with pytest.raises(MissingParameter):
+            grid.angles(("b", "c"))  # a is swept but not a parameter
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
@@ -65,15 +81,16 @@ class TestMetricField:
         grid = GridSpec({"theta_2": (0.5, 1.5, 3)},
                         fixed={"theta_1": 0.1, "theta_3": 0.2})
         field = metric_field(spin1, grid)
-        assert len(field.tensors) == 3
-        assert [t.point["theta_2"] for t in field.tensors] == [0.5, 1.0, 1.5]
+        assert field.angles.shape == (3, 3) and field.g.shape == (3, 3, 3)
+        assert field.angles.tolist() == [[0.1, 0.5, 0.2], [0.1, 1.0, 0.2], [0.1, 1.5, 0.2]]
+        assert np.array_equal(field.g, field.g.swapaxes(1, 2))
 
     def test_matches_pointwise_metric(self, spin1):
         grid = GridSpec({"theta_2": (0.4, 1.2, 3)},
                         fixed={"theta_1": 0.0, "theta_3": 0.3})
         field = metric_field(spin1, grid)
-        for t in field.tensors:
-            assert np.max(np.abs(t.g - metric_at(spin1, t.point).g)) <= 1e-14
+        for x, g in zip(field.angles, field.g):
+            assert np.max(np.abs(g - pointwise(spin1, x))) <= 1e-14
 
     def test_missing_parameter(self, spin1):
         with pytest.raises(MissingParameter):
@@ -85,17 +102,66 @@ class TestMetricField:
         first, second, *rest = model.parameter_names
         grid = GridSpec({first: (-1.0, 1.3, 4), second: (0.2, 2.9, 5)},
                         fixed=dict.fromkeys(rest, 0.7))
-        for t in metric_field(model, grid).tensors:
-            assert np.max(np.abs(t.g - metric_at(model, t.point).g)) <= 1e-14
+        field = metric_field(model, grid)
+        for x, g in zip(field.angles, field.g):
+            assert np.max(np.abs(g - pointwise(model, x))) <= 1e-14
 
     def test_batch_crosses_block_boundary(self, spin1):
         count = 2 * BLOCK_NODES + 3
         grid = GridSpec({"theta_1": (-1.0, 1.0, count), "theta_2": (0.3, 2.5, 2)},
                         fixed={"theta_3": 0.4})
         field = metric_field(spin1, grid)
-        assert len(field.tensors) > 4 * BLOCK_NODES
-        for t in field.tensors:
-            assert np.max(np.abs(t.g - metric_at(spin1, t.point).g)) <= 1e-14
+        assert len(field.g) > 4 * BLOCK_NODES
+        for x, g in zip(field.angles, field.g):
+            assert np.max(np.abs(g - pointwise(spin1, x))) <= 1e-14
+
+
+CATALOG = catalog()
+
+
+@st.composite
+def catalog_grids(draw):
+    """A catalog model and a grid sweeping 1..M of its parameters in random
+    order, with 1..4 nodes per sweep and the rest fixed."""
+    model = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+    names = draw(st.permutations(model.parameter_names))
+    swept = draw(st.integers(1, len(names)))
+    angle = st.floats(-2.0, 2.0)
+    sweeps = {n: (draw(angle), draw(angle), draw(st.integers(1, 4))) for n in names[:swept]}
+    fixed = {n: draw(angle) for n in names[swept:]}
+    return model, GridSpec(sweeps, fixed)
+
+
+class TestFieldProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(catalog_grids())
+    def test_nodes_match_metric_at(self, case):
+        model, grid = case
+        field = metric_field(model, grid)
+        counts = [int(c) for _lo, _hi, c in grid.sweeps.values()]
+        assert field.angles.shape == (int(np.prod(counts)), len(model.parameter_names))
+        for k, p in enumerate(model.parameter_names):
+            if p in grid.fixed:
+                assert np.all(field.angles[:, k] == grid.fixed[p])
+        for x, g in zip(field.angles, field.g):
+            assert np.max(np.abs(g - pointwise(model, x))) <= 1e-14
+
+    @settings(max_examples=50, deadline=None)
+    @given(catalog_grids(), st.floats(0.1, 10.0))
+    def test_gamma_scales_by_its_square(self, case, gamma):
+        model, grid = case
+        base = metric_field(model, grid, gamma=1.0).g
+        scaled = metric_field(model, grid, gamma=gamma).g
+        scale = gamma**2 * max(1.0, float(np.max(np.abs(base))))
+        assert np.max(np.abs(scaled - gamma**2 * base)) <= 1e-14 * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(catalog_grids(), st.floats(-np.pi, np.pi))
+    def test_global_phase_leaves_metric_unchanged(self, case, phase):
+        model, grid = case
+        shifted = replace(model, initial_state=np.exp(1j * phase) * model.initial_state)
+        diff = metric_field(shifted, grid).g - metric_field(model, grid).g
+        assert np.max(np.abs(diff)) <= 1e-13
 
 
 class TestRankAnalysis:
@@ -115,6 +181,11 @@ class TestRankAnalysis:
         m = MetricTensor(np.zeros((2, 2)), 1.0, {}, ("a", "b"))
         rank, null = rank_analysis(m)
         assert rank == 0 and null.shape[1] == 2
+
+    def test_cutoff_scales_with_largest_eigenvalue(self):
+        m = MetricTensor(np.diag([1e6, 1e-5, 0.0]), 1.0, {}, ("a", "b", "c"))
+        rank, null = rank_analysis(m)
+        assert rank == 1 and null.shape[1] == 2
 
 
 class TestBrioschi:
@@ -241,6 +312,18 @@ class TestClassify:
         report = classify(metric_field(model, self.grid3()))
         assert report.classification == "generic"
         assert report.rank == 3
+
+    def test_rank_matches_pointwise_analysis(self):
+        # the stacked eigendecomposition against rank_analysis node by node
+        for model in CATALOG.values():
+            first, second, *rest = model.parameter_names
+            field = metric_field(model, GridSpec({first: (0.2, 1.0, 3), second: (0.6, 1.4, 3)},
+                                                 fixed=dict.fromkeys(rest, 0.1)))
+            ranks = [rank_analysis(MetricTensor(g, 1.0, {}, model.parameter_names))
+                     for g in field.g]
+            report = classify(field)
+            assert report.rank == max(rank for rank, _ in ranks)
+            assert np.array_equal(report.null_directions, ranks[len(ranks) // 2][1])
 
     def test_insufficient_grid(self, spin1):
         grid = GridSpec({"theta_1": (0.0, 1.0, 2), "theta_2": (0.5, 1.0, 3)},

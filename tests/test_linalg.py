@@ -13,6 +13,11 @@ def random_hermitian(rng, dim):
     return (M + M.conj().T) / 2
 
 
+def expm_phase(A, t):
+    """exp(-i t A) the way the package builds it: eigendecomposition, then phases."""
+    return linalg.expm_phase_eig(*linalg.herm_eig(A), t)
+
+
 class TestHermEig:
     def test_diagonal_input(self):
         w, V = linalg.herm_eig(np.diag([1.0, -1.0]).astype(complex))
@@ -53,30 +58,30 @@ class TestExpmPhase:
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(3)
         A = random_hermitian(rng, 4)
-        assert np.allclose(linalg.expm_phase(A, 0.0), np.eye(4), atol=1e-14)
+        assert np.allclose(expm_phase(A, 0.0), np.eye(4), atol=1e-14)
 
     def test_spin_half_sign_flip(self):
         # full 2*pi rotation of a spin-1/2 flips the sign of the state
         A = np.diag([0.5, -0.5]).astype(complex)
-        assert np.max(np.abs(linalg.expm_phase(A, 2 * np.pi) + np.eye(2))) <= 1e-12
+        assert np.max(np.abs(expm_phase(A, 2 * np.pi) + np.eye(2))) <= 1e-12
 
     def test_pi_rotation_about_y_swaps_basis(self):
         _, sy, _ = spin_operators(0.5)
-        U = linalg.expm_phase(sy, np.pi)
+        U = expm_phase(sy, np.pi)
         # exp(-i pi S_y) = [[0, -1], [1, 0]]: maps up to down with unit weight
         assert np.allclose(U, [[0, -1], [1, 0]], atol=1e-14)
 
     def test_unitarity(self):
         rng = np.random.default_rng(5)
         A = random_hermitian(rng, 6)
-        assert linalg.unitarity_defect(linalg.expm_phase(A, 1.7)) <= 1e-12
+        assert linalg.unitarity_defect(expm_phase(A, 1.7)) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
     def test_additivity(self, seed, s, t):
         A = random_hermitian(np.random.default_rng(seed), 3)
-        left = linalg.expm_phase(A, s) @ linalg.expm_phase(A, t)
-        assert np.max(np.abs(left - linalg.expm_phase(A, s + t))) <= 1e-10
+        left = expm_phase(A, s) @ expm_phase(A, t)
+        assert np.max(np.abs(left - expm_phase(A, s + t))) <= 1e-10
 
 
 class TestCommutators:

@@ -40,9 +40,6 @@ class TestRoundTrip:
         pt = {"theta_1": 0.3, "theta_2": 1.1, "theta_3": -0.4}
         assert np.max(np.abs(metric_at(parsed, pt).g - metric_at(original, pt).g)) <= 1e-12
 
-    def test_detects_kind_on_parse(self, spin_doc):
-        assert manifest.parse_manifest(spin_doc).kind == "so3"
-
     def test_load_model_from_file(self, tmp_path, spin_doc):
         path = tmp_path / "spin.json"
         path.write_text(manifest.dumps(spin_doc), encoding="utf-8")
