@@ -120,10 +120,17 @@ def _parse_sweeps(items):
         try:
             name, _, rng = item.partition("=")
             lo, hi, count = rng.split(":")
-            sweeps[name] = (float(lo), float(hi), int(count))
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
             raise ManifestError(
                 f"--sweep expects name=min:max:count, got {item!r}") from None
+        if name in sweeps:
+            raise ManifestError(f"--sweep {name}: swept more than once")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ManifestError(f"--sweep {name}: bounds must be finite, got {item!r}")
+        if count < 1:
+            raise ManifestError(f"--sweep {name}: count must be at least 1, got {count}")
+        sweeps[name] = (lo, hi, count)
     return sweeps
 
 

@@ -5,6 +5,16 @@ kinds, and computes conjugated ("tilde") generators both by direct matrix
 conjugation and through the adjoint representation.  The two routes are
 independent and must agree; the second is the closed form of the
 nested-commutator expansion of a conjugation by a product of exponentials.
+
+Both routes take a (B, M) array of angles in factor order, as
+``manifold.metric_batch`` does, and return the (B, M, d, d) stack of tilde
+generators; a single point is a batch of one.  Each route makes a fixed
+number of calls per batch, not per point: one stacked ``scipy.linalg.expm``
+for all B M adjoint exponentials, and products of a fixed matrix with the
+whole stack for the conjugation.  The adjoint route assembles its matrices
+with ``einsum``, which needs no BLAS call: a per-point (1, n) x (n, d^2)
+product made OpenBLAS wake its worker threads for a few flops each time,
+and that, not the arithmetic, was the cost of comparing the two routes.
 """
 
 from __future__ import annotations
@@ -65,11 +75,16 @@ class LieAlgebraRep:
         """ad_m with (ad_m)_{k,l} = c_{m,l}^k; exponentiates to conjugation."""
         return np.transpose(self.constants, (0, 2, 1))
 
+    def active_block(self, M: np.ndarray) -> np.ndarray:
+        """The active block of a matrix or a stack of matrices (all of it
+        when no active block is set)."""
+        if self.active_dim is None:
+            return M
+        return M[..., : self.active_dim, : self.active_dim]
+
     def block_norm(self, M: np.ndarray) -> float:
-        """max-abs entry norm, restricted to the active block when set."""
-        if self.active_dim is not None:
-            M = M[: self.active_dim, : self.active_dim]
-        return float(np.max(np.abs(M)))
+        """max-abs entry norm over the active block."""
+        return float(np.max(np.abs(self.active_block(M))))
 
     def jacobi_residual(self) -> float:
         """Max residual of the Jacobi identity on the structure constants."""
@@ -228,37 +243,54 @@ def detect_kind(rep: LieAlgebraRep, tol: float = 1e-9) -> str:
     return "generic"
 
 
-def _circuit_factors(rep: LieAlgebraRep, circuit, theta):
-    """(generator index, angle) per factor, in circuit order."""
-    angles = circuit.angles(theta)
-    return [(rep.index(gname), angles[k])
-            for k, (gname, _pname) in enumerate(circuit.factors)]
+def _factor_indices(rep: LieAlgebraRep, circuit) -> list:
+    """Generator index of each circuit factor, in circuit order."""
+    return [rep.index(gname) for gname, _pname in circuit.factors]
 
 
-def tilde_by_conjugation(rep: LieAlgebraRep, circuit, theta):
+def _sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """L X_n R for every d x d matrix X_n of a stack, as two matrix products.
+
+    A stacked ``matmul`` makes one BLAS call per matrix; folding the stack
+    into the rows of one tall product makes one call per side.
+    """
+    LX = np.tensordot(L, X, axes=(1, -2))  # (d, *stack, d): row a of each L X_n
+    return np.moveaxis((LX.reshape(-1, X.shape[-1]) @ R).reshape(LX.shape), 0, -2)
+
+
+def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     """Conjugate each circuit generator by the downstream factors.
 
-    For factor j with generator A_j the result is W^dagger A_j W where W is
-    the product of the circuit factors after j.
+    ``angles`` is a (B, M) array in factor order; the result is (B, M, d, d)
+    with [b, j] = W^dagger A_j W, W the product of the circuit factors after
+    factor j at point b.  The conjugation is applied one
+    factor at a time, F^dagger X F = V P^* (V^dagger X V) P V^dagger with
+    F = V P V^dagger on the cached eigenbasis, so every matrix product is a
+    fixed matrix times the whole stack.
     """
-    factors = _circuit_factors(rep, circuit, theta)
-    tildes = [None] * len(factors)
-    W = np.eye(rep.dim, dtype=complex)
-    for j in range(len(factors) - 1, -1, -1):
-        idx, angle = factors[j]
-        tildes[j] = W.conj().T @ rep.generators[idx] @ W
-        if j > 0:
-            w, V = rep.generator_eig(rep.names[idx])
-            W = linalg.expm_phase_eig(w, V, angle) @ W
+    angles = circuit.angle_batch(angles)
+    idx = _factor_indices(rep, circuit)
+    b, m, d = angles.shape[0], len(idx), rep.dim
+    tildes = np.empty((b, m, d, d), dtype=complex)
+    tildes[:] = np.stack(rep.generators)[idx]
+    # row j takes factor k for every k > j, innermost (k = j + 1) first
+    for k in range(1, m):
+        w, V = rep.generator_eig(rep.names[idx[k]])
+        p = np.exp(-1j * angles[:, k, None] * w)[:, None]  # (B, 1, d)
+        Z = _sandwich(V.conj().T, tildes[:, :k], V)
+        Z *= p.conj()[..., :, None] * p[..., None, :]
+        tildes[:, :k] = _sandwich(V, Z, V.conj().T)
     return tildes
 
 
-def tilde_by_adjoint(rep: LieAlgebraRep, circuit, theta):
+def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     """Same conjugation computed entirely in the adjoint representation.
 
-    The coefficient vector of each tilde generator is a product of
+    ``angles`` is a (B, M) array in factor order; the result is (B, M, d, d).
+    The coefficient vector of each tilde generator is the product of
     exp(i theta_k ad_k) over the downstream factors applied to a basis unit
-    vector; the matrix is then reassembled from the generator basis.
+    vector; the matrix is then reassembled from the generator basis.  All
+    B M exponentials come from one stacked ``expm`` call.
     """
     # the only scipy user: importing it here keeps scipy.linalg off start-up
     import scipy.linalg
@@ -267,16 +299,15 @@ def tilde_by_adjoint(rep: LieAlgebraRep, circuit, theta):
         raise NotClosed(
             f"closure residual {rep.closure_residual:.3e} exceeds {CLOSURE_TOL:.1e}"
         )
-    factors = _circuit_factors(rep, circuit, theta)
-    ad = rep.adjoint_matrices()
-    exps = [scipy.linalg.expm(1j * angle * ad[idx]) for idx, angle in factors]
-    gens = np.stack(rep.generators)
-    tildes = []
-    prod = np.eye(rep.size, dtype=complex)  # product over downstream factors
-    for j in range(len(factors) - 1, -1, -1):
-        idx, _ = factors[j]
-        # prod applied to the unit vector e_idx
-        tildes.append(np.tensordot(prod[:, idx], gens, axes=(0, 0)))
-        prod = prod @ exps[j]
-    tildes.reverse()
-    return tildes
+    angles = circuit.angle_batch(angles)
+    idx = _factor_indices(rep, circuit)
+    b, m = angles.shape
+    exps = scipy.linalg.expm(1j * angles[:, :, None, None] * rep.adjoint_matrices()[idx])
+    # row j starts as e_{idx_j}; factor k acts on the rows j < k, innermost
+    # (k = j + 1) first, as an (n, n) matrix on row vectors: C @ E^T
+    coeff = np.zeros((b, m, rep.size), dtype=complex)
+    coeff[:, np.arange(m), idx] = 1.0
+    for k in range(1, m):
+        coeff[:, :k] = coeff[:, :k] @ exps[:, k].swapaxes(1, 2)
+    # einsum sums the n terms in its own loop: no BLAS call per point
+    return np.einsum("bmk,kij->bmij", coeff, np.stack(rep.generators))

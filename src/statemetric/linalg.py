@@ -36,6 +36,8 @@ def unitarity_defect(U) -> float:
 
 def require_hermitian(M, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     M = as_matrix(M)
+    if not np.all(np.isfinite(M)):  # a NaN defect would pass "defect > tol"
+        raise NotHermitian(f"{name} has non-finite entries")
     defect = hermiticity_defect(M)
     if defect > tol:
         raise NotHermitian(f"{name} is not Hermitian (defect {defect:.3e} > {tol:.1e})")

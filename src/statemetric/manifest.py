@@ -25,6 +25,18 @@ def _pair2c(value, path: str) -> complex:
     return complex(value[0], value[1])
 
 
+def _require_finite(values, path: str) -> np.ndarray:
+    """A number or array of numbers; a NaN or infinity raises ManifestError
+    naming the entry (JSON parsing lets NaN, Infinity and 1e400 through)."""
+    values = np.asarray(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0])
+        raise ManifestError(f"{path}{''.join(f'[{i}]' for i in bad)}: "
+                            f"expected a finite number, got {values[bad]}")
+    return values
+
+
 def _c2pairs(values) -> list:
     """Complex array as nested [re, im] lists of Python floats."""
     values = np.asarray(values, dtype=complex)
@@ -103,6 +115,7 @@ def parse_manifest(doc: dict) -> Model:
     gamma = doc.get("gamma", 1.0)
     if not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or gamma <= 0:
         raise ManifestError("gamma: expected a positive number")
+    _require_finite(gamma, "gamma")
 
     gens_doc = doc["generators"]
     if not isinstance(gens_doc, dict) or not gens_doc:
@@ -113,7 +126,7 @@ def parse_manifest(doc: dict) -> Model:
         if not isinstance(rows, list) or len(rows) != dim:
             raise ManifestError(f"{path}: expected {dim} rows")
         names.append(gname)
-        matrices.append(_generator_matrix(rows, dim, path))
+        matrices.append(_require_finite(_generator_matrix(rows, dim, path), path))
 
     circuit_doc = doc["circuit"]
     if not isinstance(circuit_doc, list) or not circuit_doc:
@@ -135,7 +148,8 @@ def parse_manifest(doc: dict) -> Model:
     state_doc = doc["initial_state"]
     if not isinstance(state_doc, list) or len(state_doc) != dim:
         raise ManifestError(f"initial_state: expected {dim} amplitudes")
-    psi = np.array([_pair2c(v, f"initial_state[{k}]") for k, v in enumerate(state_doc)])
+    psi = _require_finite([_pair2c(v, f"initial_state[{k}]")
+                           for k, v in enumerate(state_doc)], "initial_state")
     if np.linalg.norm(psi) == 0:
         raise ManifestError("initial_state: amplitudes are all zero")
 

@@ -60,6 +60,17 @@ class CircuitSpec:
             raise ValueError("parameter values must be finite")
         return np.asarray(vals)
 
+    def angle_batch(self, angles) -> np.ndarray:
+        """A (B, M) array of finite angles in factor order, as a float array."""
+        m = len(self.factors)
+        angles = np.asarray(angles, dtype=float)
+        if angles.ndim != 2 or angles.shape[1] != m:
+            raise DimensionMismatch(
+                f"expected a (B, {m}) array of angles, got shape {angles.shape}")
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("parameter values must be finite")
+        return angles
+
     def factor_unitaries(self, point):
         """exp(-i theta_j A_j) for each factor, using cached eigendecompositions."""
         angles = self.angles(point)
@@ -161,11 +172,7 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
     """
     psi_i = _initial_state(circuit, psi_i)
     m = len(circuit.factors)
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 2 or angles.shape[1] != m:
-        raise DimensionMismatch(f"expected a (B, {m}) array of angles, got shape {angles.shape}")
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("parameter values must be finite")
+    angles = circuit.angle_batch(angles)
     out = np.empty((angles.shape[0], m, m))
     for start in range(0, angles.shape[0], BLOCK_NODES):
         X = _tangent_stack(circuit, angles[start:start + BLOCK_NODES], psi_i)
@@ -213,7 +220,8 @@ def metric_from_tilde(circuit: CircuitSpec, point, psi_i,
 def local_basis_vectors(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0):
     """gamma * Delta A~_j |psi_i> per parameter; their real Gram matrix is the metric."""
     psi_i = _initial_state(circuit, psi_i)
-    tildes = liealg.tilde_by_conjugation(circuit.algebra, circuit, point)
+    tildes = liealg.tilde_by_conjugation(circuit.algebra, circuit,
+                                         circuit.angles(point)[None])[0]
     out = []
     for T in tildes:
         mean = linalg.expectation(psi_i, T).real

@@ -10,7 +10,9 @@ and by the test suite.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,11 +30,15 @@ from .models import (
 
 SEED = 20240811
 
+# tilde entries (points x M d^2) per adjoint_equivalence block; bounds the
+# (B, M, d, d) stacks of both routes
+BLOCK_ENTRIES = 2**15
+
 SQ2 = 1 / np.sqrt(2)
 
 
 def catalog():
-    """Models every multi-route agreement criterion runs over."""
+    """Models every multi-route agreement criterion runs over, freshly built."""
     return {
         "spin_half_up": spin_model(SpinModelSpec(s=0.5, m=0.5)),
         "spin_1_m0": spin_model(SpinModelSpec(s=1, m=0)),
@@ -62,11 +68,11 @@ def _random_points(rng, names, count, low=-1.0, high=1.0):
     return [dict(zip(names, rng.uniform(low, high, len(names)))) for _ in range(count)]
 
 
-def check_three_way_agreement() -> CheckResult:
+def check_three_way_agreement(models=None) -> CheckResult:
     """Derivative vs tilde metric to 1e-10, either vs fd oracle to 1e-6."""
     rng = np.random.default_rng(SEED)
     worst_analytic, worst_fd, where = 0.0, 0.0, ""
-    for name, model in catalog().items():
+    for name, model in (models or catalog()).items():
         for pt in _random_points(rng, model.parameter_names, 20):
             g_d = metric_at(model, pt)
             g_t = metric_from_tilde(model.circuit, pt, model.initial_state, model.gamma)
@@ -127,13 +133,14 @@ def check_oscillator_flat() -> CheckResult:
                    f"{worst_off:.2e}, max grid variation = {worst_var:.2e}")
 
 
-def check_two_spin_spheres() -> CheckResult:
+def check_two_spin_spheres(models=None) -> CheckResult:
     """All three two-spin variants classify as sphere(gamma/2)."""
+    models = models or catalog()
     grid = GridSpec({"theta_1": (0.1, 3.0, 5), "theta_2": (0.3, np.pi - 0.3, 5)},
                     {"theta_3": 0.2})
     details, ok = [], True
     for key in ("two_spin_dm_xx", "two_spin_sum", "two_spin_directional"):
-        model = catalog()[key]
+        model = models[key]
         report = geometry.classify(geometry.metric_field(model, grid))
         err = abs((report.radius or np.inf) - model.gamma / 2)
         ok = ok and report.classification == "sphere" and err <= 1e-6
@@ -141,23 +148,38 @@ def check_two_spin_spheres() -> CheckResult:
     return _result("two_spin_spheres", ok, "; ".join(details))
 
 
-def check_adjoint_equivalence() -> CheckResult:
-    """Adjoint-representation tilde operators equal direct conjugation."""
+def check_adjoint_equivalence(models=None) -> CheckResult:
+    """Adjoint-representation tilde operators equal direct conjugation.
+
+    Both routes take the 50 points of each model in blocks of at most
+    BLOCK_ENTRIES // (M d^2) points.  Only the active block of each adjoint
+    result is kept, so each route runs over all blocks in one go: scipy's
+    expm and numpy's matrix products use separate BLAS thread pools, and
+    switching from one to the other stalls on the other pool's threads.
+    """
+    models = models or catalog()
     rng = np.random.default_rng(SEED + 2)
     cases = {
-        "so3": catalog()["spin_1_m0"],
-        "heisenberg": catalog()["oscillator_n0"],
-        "two_spin_dm_xx": catalog()["two_spin_dm_xx"],
-        "two_spin_sum": catalog()["two_spin_sum"],
+        "so3": models["spin_1_m0"],
+        "heisenberg": models["oscillator_n0"],
+        "two_spin_dm_xx": models["two_spin_dm_xx"],
+        "two_spin_sum": models["two_spin_sum"],
     }
-    worst, where = 0.0, ""
+    blocks = []
     for name, model in cases.items():
-        for pt in _random_points(rng, model.parameter_names, 50):
-            ta = liealg.tilde_by_adjoint(model.rep, model.circuit, pt)
-            tc = liealg.tilde_by_conjugation(model.rep, model.circuit, pt)
-            d = max(model.rep.block_norm(a - c) for a, c in zip(ta, tc))
-            if d > worst:
-                worst, where = d, name
+        m = len(model.circuit.factors)
+        angles = rng.uniform(-1.0, 1.0, (50, m))
+        step = max(1, BLOCK_ENTRIES // (m * model.rep.dim**2))
+        blocks += [(name, model.rep, model.circuit, angles[start:start + step])
+                   for start in range(0, len(angles), step)]
+    adjoint = [rep.active_block(liealg.tilde_by_adjoint(rep, circuit, block)).copy()
+               for _name, rep, circuit, block in blocks]
+    worst, where = 0.0, ""
+    for (name, rep, circuit, block), ta in zip(blocks, adjoint):
+        tc = rep.active_block(liealg.tilde_by_conjugation(rep, circuit, block))
+        d = float(np.max(np.abs(ta - tc)))
+        if d > worst:
+            worst, where = d, name
     return _result("adjoint_equivalence", worst <= 1e-10,
                    f"max |adjoint - conjugation| = {worst:.2e} (worst: {where})")
 
@@ -230,10 +252,10 @@ def check_euler_bridge() -> CheckResult:
                    f"{worst_tan:.2e}, max block mismatch = {worst_block:.2e}")
 
 
-def check_spin1_superposition() -> CheckResult:
+def check_spin1_superposition(models=None) -> CheckResult:
     """Variances (1, 1, 0, 0) for (|1> + |-1>)/sqrt(2); metric matches oracle."""
     rng = np.random.default_rng(SEED + 5)
-    model = catalog()["spin_1_superposition"]
+    model = (models or catalog())["spin_1_superposition"]
     psi = model.initial_state
     sz, sx, sy = (model.rep.generator(n) for n in ("Sz", "Sx", "Sy"))
 
@@ -259,9 +281,9 @@ def check_spin1_superposition() -> CheckResult:
                    f"variance error = {var_err:.2e}, max |metric - oracle| = {worst_fd:.2e}")
 
 
-def check_oracle_quality() -> CheckResult:
+def check_oracle_quality(models=None) -> CheckResult:
     """fd oracle converges at order 2; fidelity oracle agrees with it."""
-    model = catalog()["spin_1_superposition"]
+    model = (models or catalog())["spin_1_superposition"]
     pt = {"theta_1": 0.3, "theta_2": 0.7, "theta_3": 1.1}
     g_a = metric_at(model, pt)
     steps = np.array([1e-2, 1e-3, 1e-4])
@@ -296,11 +318,19 @@ CHECK_IDS = tuple(fn.__name__.removeprefix("check_") for fn in ALL_CHECKS)
 
 
 def run_checks(only: str | None = None):
-    """Run the suite, optionally filtered by substring of the check id."""
-    results = []
+    """Run the suite, optionally filtered by substring of the check id.
+
+    The catalog is built at most once per run and handed, read-only, to
+    every check that takes ``models``.
+    """
+    results, models = [], None
     for fn in ALL_CHECKS:
         check_id = fn.__name__.removeprefix("check_")
         if only and only not in check_id:
             continue
-        results.append(fn())
+        if "models" in inspect.signature(fn).parameters:
+            models = models or MappingProxyType(catalog())
+            results.append(fn(models))
+        else:
+            results.append(fn())
     return results

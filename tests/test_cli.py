@@ -121,10 +121,18 @@ class TestGrid:
     def test_json_equals_json_dumps(self, key, tmp_path, capsys):
         self._check_json(catalog()[key], tmp_path, capsys)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_json_non_finite_equals_json_dumps(self, tmp_path, capsys):
-        # an infinite gamma is accepted on load; the metric holds inf and nan
-        self._check_json(spin_model(SpinModelSpec(s=1, m=0, gamma=np.inf)), tmp_path, capsys)
+    def test_json_non_finite_equals_json_dumps(self):
+        # the manifest now rejects the infinite gamma that once put inf and
+        # nan into a metric field, so the writer gets such a field directly
+        doc = {"name": "spin", "gamma": 1.0, "parameters": ["a", "b"],
+               "sweeps": {"a": [0.0, 1.0, 2]}, "fixed": {"b": 0.5}}
+        points = np.array([[0.0, 0.5], [1.0, 0.5]])
+        metrics = np.array([[[np.inf, np.nan], [np.nan, 1.0]],
+                            [[-np.inf, 0.25], [0.25, -0.0]]])
+        expected = json.dumps({**doc, "nodes": [
+            {"point": dict(zip(doc["parameters"], x)), "g": g.tolist()}
+            for x, g in zip(points.tolist(), metrics)]}, indent=2) + "\n"
+        assert cli._grid_json(doc, points, metrics) == expected
 
     @staticmethod
     def _check_json(model, tmp_path, capsys):
@@ -180,12 +188,37 @@ class TestGrid:
     ["validate", "{dir}"],
     ["metric", "{dir}", "--defaults-zero"],
     ["grid", "{manifest}", "--sweep", "theta_9=0:1:3"],
+    ["grid", "{manifest}", "--sweep", "theta_1=nan:1:3"],
+    ["grid", "{manifest}", "--sweep", "theta_1=0:inf:3"],
+    ["grid", "{manifest}", "--sweep", "theta_1=0:1:0"],
+    ["grid", "{manifest}", "--sweep", "theta_1=0:1:-2"],
+    ["grid", "{manifest}", "--sweep", "theta_1=0:1:2", "--sweep", "theta_1=5:6:2"],
 ], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
-        "metric-dir", "grid-unknown-sweep"])
+        "metric-dir", "grid-unknown-sweep", "grid-nan-bound", "grid-inf-bound",
+        "grid-zero-count", "grid-negative-count", "grid-repeated-sweep"])
 def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):
     argv = [a.format(manifest=spin_manifest, dir=tmp_path) for a in argv]
     assert cli.main(argv) == 2  # an exception escaping main fails the test too
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("validate", ("generators", "Sz", 0, 0), [float("nan"), 0.0]),
+    ("validate", ("initial_state", 1), [0.0, float("inf")]),
+    ("metric", ("gamma",), float("inf")),
+], ids=["validate-nan-generator", "validate-inf-state", "metric-inf-gamma"])
+def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest,
+                                            tmp_path, capsys):
+    doc = json.loads(open(spin_manifest).read())
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")  # NaN / Infinity literals
+    argv = [command, str(bad)] + (["--defaults-zero"] if command == "metric" else [])
+    assert cli.main(argv) == 2
+    assert "expected a finite number" in capsys.readouterr().err
 
 
 class TestCurvature:

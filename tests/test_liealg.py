@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from statemetric import liealg
-from statemetric.errors import DependentGenerators, NotClosed, NotHermitian, UnknownGenerator
+from statemetric import liealg, verify
+from statemetric.errors import (
+    DependentGenerators,
+    DimensionMismatch,
+    NotClosed,
+    NotHermitian,
+    UnknownGenerator,
+)
 from statemetric.liealg import (
     extract_structure_constants,
     detect_kind,
@@ -12,6 +20,7 @@ from statemetric.liealg import (
 )
 from statemetric.manifold import CircuitSpec
 from statemetric.models import (
+    OSCILLATOR_PARAM_BOUND,
     OscillatorModelSpec,
     SpinModelSpec,
     oscillator_model,
@@ -19,6 +28,7 @@ from statemetric.models import (
     spin_operators,
     two_spin_generators,
 )
+from statemetric.verify import catalog
 
 
 def spin_rep(s=0.5):
@@ -134,18 +144,23 @@ class TestDetectKind:
             assert detect_kind(rep) == "so3"
 
 
+def at_point(route, model, point, rep=None):
+    """A tilde route at one point: a batch of one, row 0."""
+    return route(rep or model.rep, model.circuit, model.circuit.angles(point)[None])[0]
+
+
 class TestTildeOperators:
     def test_identity_point(self):
         model = spin_model(SpinModelSpec(s=1, m=0))
         point = {"theta_1": 0.0, "theta_2": 0.0, "theta_3": 0.0}
-        tildes = tilde_by_conjugation(model.rep, model.circuit, point)
+        tildes = at_point(tilde_by_conjugation, model, point)
         for T, (gname, _) in zip(tildes, model.circuit.factors):
             assert np.max(np.abs(T - model.rep.generator(gname))) <= 1e-14
 
     def test_last_factor_unconjugated(self):
         model = spin_model(SpinModelSpec(s=0.5, m=0.5))
         point = {"theta_1": 0.4, "theta_2": 1.1, "theta_3": -0.7}
-        tildes = tilde_by_conjugation(model.rep, model.circuit, point)
+        tildes = at_point(tilde_by_conjugation, model, point)
         assert np.max(np.abs(tildes[-1] - model.rep.generator("Sz"))) <= 1e-14
 
     def test_so3_closed_form(self):
@@ -156,7 +171,7 @@ class TestTildeOperators:
         sx, sy, sz = spin_operators(1.5)
         t2, t3 = 0.9, -1.3
         point = {"theta_1": 0.6, "theta_2": t2, "theta_3": t3}
-        t = tilde_by_conjugation(model.rep, model.circuit, point)
+        t = at_point(tilde_by_conjugation, model, point)
         assert np.max(np.abs(t[1] - (np.cos(t3) * sx - np.sin(t3) * sy))) <= 1e-12
         expected1 = (np.cos(t2) * sz + np.sin(t2) * np.sin(t3) * sx
                      + np.sin(t2) * np.cos(t3) * sy)
@@ -167,7 +182,7 @@ class TestTildeOperators:
         model = oscillator_model(OscillatorModelSpec())
         phi = 0.37
         point = {"theta": 0.21, "phi": phi}
-        t = tilde_by_conjugation(model.rep, model.circuit, point)
+        t = at_point(tilde_by_conjugation, model, point)
         x = model.rep.generator("x")
         ident = model.rep.generator("1")
         assert model.rep.block_norm(t[0] - (x + phi * ident)) <= 1e-10
@@ -176,7 +191,7 @@ class TestTildeOperators:
     def test_spectrum_preserved(self):
         model = spin_model(SpinModelSpec(s=2, m=1))
         point = {"theta_1": 1.2, "theta_2": 0.8, "theta_3": 2.1}
-        for T in tilde_by_conjugation(model.rep, model.circuit, point):
+        for T in at_point(tilde_by_conjugation, model, point):
             w = np.linalg.eigvalsh(T)
             assert np.allclose(w, [-2, -1, 0, 1, 2], atol=1e-10)
 
@@ -187,8 +202,8 @@ class TestAdjointRoute:
         rng = np.random.default_rng(17)
         for _ in range(10):
             point = dict(zip(model.parameter_names, rng.uniform(-np.pi, np.pi, 3)))
-            tc = tilde_by_conjugation(model.rep, model.circuit, point)
-            ta = tilde_by_adjoint(model.rep, model.circuit, point)
+            tc = at_point(tilde_by_conjugation, model, point)
+            ta = at_point(tilde_by_adjoint, model, point)
             for a, b in zip(tc, ta):
                 assert model.rep.block_norm(a - b) <= 1e-10
 
@@ -196,15 +211,15 @@ class TestAdjointRoute:
         # nilpotent adjoint: the exponential terminates after the linear term
         model = oscillator_model(OscillatorModelSpec())
         point = {"theta": 0.8, "phi": -0.5}
-        tc = tilde_by_conjugation(model.rep, model.circuit, point)
-        ta = tilde_by_adjoint(model.rep, model.circuit, point)
+        tc = at_point(tilde_by_conjugation, model, point)
+        ta = at_point(tilde_by_adjoint, model, point)
         for a, b in zip(tc, ta):
             assert model.rep.block_norm(a - b) <= 1e-10
 
     def test_adjoint_coefficient_vector_heisenberg(self):
         model = oscillator_model(OscillatorModelSpec())
         phi = 0.37
-        ta = tilde_by_adjoint(model.rep, model.circuit, {"theta": 0.0, "phi": phi})
+        ta = at_point(tilde_by_adjoint, model, {"theta": 0.0, "phi": phi})
         x = model.rep.generator("x")
         ident = model.rep.generator("1")
         assert model.rep.block_norm(ta[0] - (x + phi * ident)) <= 1e-12
@@ -216,7 +231,9 @@ class TestAdjointRoute:
                                       closure_residual=1e-3)
         circuit = CircuitSpec(rep, (("Sz", "a"), ("Sx", "b")))
         with pytest.raises(NotClosed):
-            tilde_by_adjoint(broken, circuit, {"a": 0.1, "b": 0.2})
+            tilde_by_adjoint(broken, circuit, circuit.angles({"a": 0.1, "b": 0.2})[None])
+        with pytest.raises(NotClosed):
+            tilde_by_adjoint(broken, circuit, np.zeros((7, 2)))
 
     def test_adjoint_matrices_antihermitian_structure(self):
         rep = spin_rep(1)
@@ -225,3 +242,87 @@ class TestAdjointRoute:
         for m in range(3):
             assert np.max(np.abs(ad[m] + ad[m].T)) <= 1e-12
             assert np.max(np.abs(ad[m].real)) <= 1e-12
+
+
+CATALOG = catalog()
+ROUTES = {"adjoint": tilde_by_adjoint, "conjugation": tilde_by_conjugation}
+
+
+class TestBatchedRoutes:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_rows_equal_batch_of_one(self, key, route):
+        model, fn = CATALOG[key], ROUTES[route]
+        angles = np.random.default_rng(5).uniform(-1.0, 1.0, (6, len(model.parameter_names)))
+        batch = fn(model.rep, model.circuit, angles)
+        d = model.rep.dim
+        assert batch.shape == (6, len(model.parameter_names), d, d)
+        for row, a in zip(batch, angles):
+            assert np.max(np.abs(row - fn(model.rep, model.circuit, a[None])[0])) <= 1e-14
+
+    def test_batch_crossing_the_check_block_boundary(self):
+        # 3 blocks + 1 point of the adjoint_equivalence check at once and
+        # blockwise give the same worst residual
+        model = CATALOG["oscillator_n0"]
+        rep, circuit = model.rep, model.circuit
+        step = verify.BLOCK_ENTRIES // (len(circuit.factors) * rep.dim**2)
+        angles = np.random.default_rng(9).uniform(-1.0, 1.0, (3 * step + 1, 2))
+
+        def worst(batch):
+            return rep.block_norm(tilde_by_adjoint(rep, circuit, batch)
+                                  - tilde_by_conjugation(rep, circuit, batch))
+
+        whole = worst(angles)
+        blockwise = max(worst(angles[s:s + step]) for s in range(0, len(angles), step))
+        assert whole == pytest.approx(blockwise, rel=0, abs=1e-14)
+        assert whole <= 1e-10
+
+    def test_check_residual_does_not_depend_on_blocking(self, monkeypatch):
+        blocked = verify.check_adjoint_equivalence()
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", 2**30)  # one block per model
+        assert verify.check_adjoint_equivalence() == blocked
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_rejects_bad_angle_arrays(self, route):
+        model = CATALOG["spin_1_m0"]
+        fn = ROUTES[route]
+        with pytest.raises(DimensionMismatch):
+            fn(model.rep, model.circuit, np.zeros((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            fn(model.rep, model.circuit, np.zeros(3))
+        with pytest.raises(ValueError):
+            fn(model.rep, model.circuit, np.array([[0.0, np.nan, 0.0]]))
+
+    def test_check_makes_one_expm_call_per_block(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting_expm(A):
+            calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        result = verify.check_adjoint_equivalence()
+        assert result.passed
+        blocks = 0
+        for key in ("spin_1_m0", "oscillator_n0", "two_spin_dm_xx", "two_spin_sum"):
+            rep, m = CATALOG[key].rep, len(CATALOG[key].circuit.factors)
+            blocks += -(-50 // (verify.BLOCK_ENTRIES // (m * rep.dim**2)))
+        assert len(calls) == blocks
+        assert sum(shape[0] for shape in calls) == 4 * 50
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1),
+           count=st.integers(1, 9))
+    def test_adjoint_equals_conjugation(self, key, seed, count):
+        # every catalog algebra is closed; the oscillator only on its active
+        # block, for angles within the bound its truncation is certified for
+        model = CATALOG[key]
+        bound = OSCILLATOR_PARAM_BOUND if model.rep.active_dim else np.pi
+        angles = np.random.default_rng(seed).uniform(
+            -bound, bound, (count, len(model.parameter_names)))
+        ta = tilde_by_adjoint(model.rep, model.circuit, angles)
+        tc = tilde_by_conjugation(model.rep, model.circuit, angles)
+        assert model.rep.block_norm(ta - tc) <= 1e-10

@@ -53,6 +53,11 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             linalg.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotHermitian, match="non-finite"):
+            linalg.require_hermitian(np.array([[bad, 0], [0, 1]], dtype=complex))
+
 
 class TestExpmPhase:
     def test_zero_angle_is_identity(self):

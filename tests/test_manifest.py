@@ -160,6 +160,32 @@ class TestParseErrors:
         with pytest.raises(ManifestError, match="active_dim"):
             manifest.parse_manifest(self._mutate(spin_doc, active_dim=99))
 
+    @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("inf")],
+                                       [float("-inf"), 0.0]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_generator_entry(self, spin_doc, entry):
+        import copy
+        doc = copy.deepcopy(spin_doc)
+        doc["generators"]["Sx"][1][2] = entry
+        with pytest.raises(ManifestError, match=r"generators\.Sx\[1\]\[2\]: expected a finite"):
+            manifest.parse_manifest(doc)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma(self, spin_doc, gamma):
+        with pytest.raises(ManifestError, match="gamma"):
+            manifest.parse_manifest(self._mutate(spin_doc, gamma=gamma))
+
+    def test_non_finite_state(self, spin_doc):
+        state = [[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]
+        with pytest.raises(ManifestError, match=r"initial_state\[1\]: expected a finite"):
+            manifest.parse_manifest(self._mutate(spin_doc, initial_state=state))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_json_literals(self, spin_doc, literal):
+        # the json module reads all three as floats
+        text = manifest.dumps(spin_doc).replace('"gamma": 1.0', f'"gamma": {literal}')
+        with pytest.raises(ManifestError, match="gamma"):
+            manifest.parse_manifest(manifest.loads(text))
+
 
 class TestDomainErrorsPropagate:
     def test_non_hermitian_generator(self, spin_doc):

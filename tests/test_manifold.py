@@ -105,7 +105,8 @@ class TestStateDerivatives:
         pt = {"theta_1": 0.3, "theta_2": 1.2, "theta_3": -0.4}
         psi = evolve(one_m0.circuit, pt, one_m0.initial_state)
         derivs = state_derivatives(one_m0.circuit, pt, one_m0.initial_state)
-        tildes = tilde_by_conjugation(one_m0.rep, one_m0.circuit, pt)
+        tildes = tilde_by_conjugation(one_m0.rep, one_m0.circuit,
+                                      one_m0.circuit.angles(pt)[None])[0]
         for d, T in zip(derivs, tildes):
             lhs = np.vdot(psi, d)
             rhs = -1j * linalg.expectation(one_m0.initial_state, T)
