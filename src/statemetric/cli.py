@@ -254,6 +254,7 @@ def cmd_models(args) -> int:
         return EXIT_OK
     if not args.model_id:
         raise UnknownModel("models emit requires a model id")
+    manifest.require_gamma(args.gamma)  # the rule parse_manifest applies
     model_id = args.model_id
     if model_id == "spin":
         params = {"s": args.s, "gamma": args.gamma}

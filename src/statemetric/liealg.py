@@ -9,12 +9,12 @@ nested-commutator expansion of a conjugation by a product of exponentials.
 Both routes take a (B, M) array of angles in factor order, as
 ``manifold.metric_batch`` does, and return the (B, M, d, d) stack of tilde
 generators; a single point is a batch of one.  Each route makes a fixed
-number of calls per batch, not per point: one stacked ``scipy.linalg.expm``
-for all B M adjoint exponentials, and products of a fixed matrix with the
-whole stack for the conjugation.  The adjoint route assembles its matrices
-with ``einsum``, which needs no BLAS call: a per-point (1, n) x (n, d^2)
-product made OpenBLAS wake its worker threads for a few flops each time,
-and that, not the arithmetic, was the cost of comparing the two routes.
+number of calls per batch, not per point: one stacked exponential
+(``_expm``, scaling and squaring of a Taylor series in ``einsum``) for all
+B M adjoint exponentials, and products of a fixed matrix with the whole
+stack for the conjugation.  The adjoint matrices are n x n with n the
+number of generators, so the adjoint route assembles and exponentiates them
+with ``einsum`` loops rather than one BLAS call per tiny matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from .errors import DependentGenerators, NotClosed, UnknownGenerator
 CLOSURE_TOL = 1e-9
 JACOBI_TOL = 1e-10
 GRAM_COND_MAX = 1e8
+
+# _expm scales the stack to a 1-norm of at most EXPM_SCALED_NORM, where the
+# Taylor remainder after EXPM_TAYLOR_ORDER terms is far below roundoff
+EXPM_SCALED_NORM = 0.25
+EXPM_TAYLOR_ORDER = 18
 
 
 @dataclass(frozen=True)
@@ -283,6 +288,27 @@ def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     return tildes
 
 
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) for every n x n matrix of a (..., n, n) stack.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
+    2005) with a Taylor series in place of the Pade approximant: the whole
+    stack is scaled by 2^-s, s set by its largest 1-norm, the series is
+    summed to EXPM_TAYLOR_ORDER by Horner's rule, and the result is squared
+    s times.  Every product is one ``einsum`` over the stack.
+    """
+    norm = float(np.max(np.abs(A).sum(axis=-2), initial=0.0))
+    s = max(0, int(np.ceil(np.log2(norm / EXPM_SCALED_NORM)))) if norm > 0 else 0
+    A = A * 2.0**-s
+    eye = np.eye(A.shape[-1], dtype=A.dtype)
+    E = eye + A / EXPM_TAYLOR_ORDER
+    for k in range(EXPM_TAYLOR_ORDER - 1, 0, -1):
+        E = eye + np.einsum("...ij,...jk->...ik", A, E) / k
+    for _ in range(s):
+        E = np.einsum("...ij,...jk->...ik", E, E)
+    return E
+
+
 def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     """Same conjugation computed entirely in the adjoint representation.
 
@@ -290,11 +316,8 @@ def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     The coefficient vector of each tilde generator is the product of
     exp(i theta_k ad_k) over the downstream factors applied to a basis unit
     vector; the matrix is then reassembled from the generator basis.  All
-    B M exponentials come from one stacked ``expm`` call.
+    B M exponentials come from one stacked ``_expm`` call.
     """
-    # the only scipy user: importing it here keeps scipy.linalg off start-up
-    import scipy.linalg
-
     if rep.closure_residual > CLOSURE_TOL:
         raise NotClosed(
             f"closure residual {rep.closure_residual:.3e} exceeds {CLOSURE_TOL:.1e}"
@@ -302,12 +325,11 @@ def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     angles = circuit.angle_batch(angles)
     idx = _factor_indices(rep, circuit)
     b, m = angles.shape
-    exps = scipy.linalg.expm(1j * angles[:, :, None, None] * rep.adjoint_matrices()[idx])
+    exps = _expm(1j * angles[:, :, None, None] * rep.adjoint_matrices()[idx])
     # row j starts as e_{idx_j}; factor k acts on the rows j < k, innermost
     # (k = j + 1) first, as an (n, n) matrix on row vectors: C @ E^T
     coeff = np.zeros((b, m, rep.size), dtype=complex)
     coeff[:, np.arange(m), idx] = 1.0
     for k in range(1, m):
-        coeff[:, :k] = coeff[:, :k] @ exps[:, k].swapaxes(1, 2)
-    # einsum sums the n terms in its own loop: no BLAS call per point
+        coeff[:, :k] = np.einsum("bjl,bkl->bjk", coeff[:, :k], exps[:, k])
     return np.einsum("bmk,kij->bmij", coeff, np.stack(rep.generators))

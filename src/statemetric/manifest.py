@@ -37,6 +37,23 @@ def _require_finite(values, path: str) -> np.ndarray:
     return values
 
 
+def require_gamma(gamma) -> float:
+    """gamma as a float: a positive finite number whose square is finite too,
+    since every metric scales as gamma^2; raises ManifestError naming gamma."""
+    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or gamma <= 0:
+        raise ManifestError("gamma: expected a positive number")
+    try:
+        gamma = float(gamma)
+    except OverflowError:
+        raise ManifestError("gamma: expected a finite number, got an integer "
+                            "beyond the float range") from None
+    _require_finite(gamma, "gamma")
+    if not np.isfinite(gamma * gamma):
+        raise ManifestError(f"gamma: expected a finite number with a finite square, "
+                            f"got {gamma!r}")
+    return gamma
+
+
 def _c2pairs(values) -> list:
     """Complex array as nested [re, im] lists of Python floats."""
     values = np.asarray(values, dtype=complex)
@@ -112,10 +129,7 @@ def parse_manifest(doc: dict) -> Model:
     dim = doc["dimension"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ManifestError("dimension: expected a positive integer")
-    gamma = doc.get("gamma", 1.0)
-    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or gamma <= 0:
-        raise ManifestError("gamma: expected a positive number")
-    _require_finite(gamma, "gamma")
+    gamma = require_gamma(doc.get("gamma", 1.0))
 
     gens_doc = doc["generators"]
     if not isinstance(gens_doc, dict) or not gens_doc:
@@ -166,7 +180,7 @@ def parse_manifest(doc: dict) -> Model:
         rep=rep,
         circuit=circuit,
         initial_state=linalg.state_vector(psi),
-        gamma=float(gamma),
+        gamma=gamma,
     )
 
 

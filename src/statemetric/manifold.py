@@ -3,9 +3,10 @@
 Two independent closed-form routes are provided: one from exact state
 derivatives of the ordered exponential product, one from covariances of the
 conjugated circuit generators.  They must agree to roundoff.  The first is
-the production kernel (``metric_batch``, batched over points); the second,
-like ``evolve``/``build_unitary`` behind the finite-difference oracles, is
-kept as an independent check.
+the production kernel (``metric_batch``, batched over points); the second
+(``tilde_metric_batch``), like ``evolve_batch`` behind the finite-difference
+oracles, is kept as an independent check.  Each takes a (B, M) array of
+angles; the point forms are batches of one.
 """
 
 from __future__ import annotations
@@ -118,8 +119,24 @@ def _initial_state(circuit: CircuitSpec, psi_i) -> np.ndarray:
     return psi_i
 
 
+def evolve_batch(circuit: CircuitSpec, angles, psi_i) -> np.ndarray:
+    """Evolved states (B, d) for a (B, M) array of angles in factor order.
+
+    The factors act right to left as mat-vecs on the cached eigenbases,
+    F = V diag(exp(-i theta w)) V^dagger, each on all B states at once; no
+    d x d unitary is formed.
+    """
+    angles = circuit.angle_batch(angles)
+    X = np.broadcast_to(_initial_state(circuit, psi_i), (angles.shape[0], circuit.dim))
+    for j in range(len(circuit.factors) - 1, -1, -1):
+        w, V = circuit.algebra.generator_eig(circuit.factors[j][0])
+        X = ((X @ V.conj()) * np.exp(-1j * angles[:, j, None] * w)) @ V.T
+    return X
+
+
 def evolve(circuit: CircuitSpec, point, psi_i) -> np.ndarray:
-    return build_unitary(circuit, point) @ _initial_state(circuit, psi_i)
+    """The evolved state at one point: ``evolve_batch`` for a batch of one."""
+    return evolve_batch(circuit, circuit.angles(point)[None], psi_i)[0]
 
 
 def _tangent_stack(circuit: CircuitSpec, angles: np.ndarray, psi_i: np.ndarray) -> np.ndarray:
@@ -184,46 +201,47 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
     return gamma**2 * out
 
 
-def metric_from_derivatives(psi, derivs, gamma: float = 1.0,
-                            point=None, parameter_names=None) -> MetricTensor:
-    """g_mn = gamma^2 Re(<psi_m|psi_n> - <psi_m|psi><psi|psi_n>).
+def projector_metric(psi, derivs, gamma: float = 1.0) -> np.ndarray:
+    """g_mn = gamma^2 Re(<psi_m|psi_n> - <psi_m|psi><psi|psi_n>) for a stack
+    of states psi (..., d) and their derivatives (..., M, d).
 
     Gauge-invariant: a global phase on psi (with derivatives adjusted
     accordingly) leaves the result unchanged.
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
-    D = np.stack([np.asarray(d, dtype=complex).ravel() for d in derivs], axis=1)
-    if D.shape[0] != psi.shape[0]:
-        raise DimensionMismatch("derivative vectors do not match the state dimension")
-    overlaps = D.conj().T @ D
-    proj = D.conj().T @ psi
-    g = gamma**2 * (overlaps - np.outer(proj, proj.conj())).real
-    m = D.shape[1]
-    if parameter_names is None:
-        parameter_names = tuple(f"p{k + 1}" for k in range(m))
-    return MetricTensor(g, gamma, dict(point or {}), parameter_names)
+    proj = np.einsum("...md,...d->...m", derivs.conj(), psi)
+    g = (np.einsum("...md,...nd->...mn", derivs.conj(), derivs)
+         - proj[..., :, None] * proj[..., None, :].conj()).real
+    return gamma**2 * g
+
+
+def _tilde_vectors(circuit: CircuitSpec, angles, psi_i, gamma: float) -> np.ndarray:
+    """gamma * Delta A~_j |psi_i> as a (B, M, d) stack for (B, M) angles."""
+    psi_i = _initial_state(circuit, psi_i)
+    tildes = liealg.tilde_by_conjugation(circuit.algebra, circuit, angles)
+    T_psi = np.einsum("bmij,j->bmi", tildes, psi_i)
+    mean = np.einsum("d,bmd->bm", psi_i.conj(), T_psi).real
+    return gamma * (T_psi - mean[..., None] * psi_i)
+
+
+def tilde_metric_batch(circuit: CircuitSpec, angles, psi_i,
+                       gamma: float = 1.0) -> np.ndarray:
+    """g_ij = (gamma^2/2) <{Delta A~_i, Delta A~_j}> in the initial state, as
+    (B, M, M) for a (B, M) array of angles in factor order.
+
+    A~_j are the conjugated circuit generators and Delta subtracts the
+    expectation value.  Equals ``metric_batch`` to roundoff.
+    """
+    W = _tilde_vectors(circuit, angles, psi_i, gamma)
+    return np.einsum("bmd,bnd->bmn", W.conj(), W).real
 
 
 def metric_from_tilde(circuit: CircuitSpec, point, psi_i,
                       gamma: float = 1.0) -> MetricTensor:
-    """g_ij = (gamma^2/2) <{Delta A~_i, Delta A~_j}> in the initial state.
-
-    A~_j are the conjugated circuit generators and Delta subtracts the
-    expectation value.  Equals metric_from_derivatives to roundoff.
-    """
-    vectors = local_basis_vectors(circuit, point, psi_i, gamma)
-    W = np.stack(vectors, axis=1)
-    g = (W.conj().T @ W).real
+    """``tilde_metric_batch`` at one point."""
+    g = tilde_metric_batch(circuit, circuit.angles(point)[None], psi_i, gamma)[0]
     return MetricTensor(g, gamma, dict(point), circuit.parameter_names)
 
 
 def local_basis_vectors(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0):
     """gamma * Delta A~_j |psi_i> per parameter; their real Gram matrix is the metric."""
-    psi_i = _initial_state(circuit, psi_i)
-    tildes = liealg.tilde_by_conjugation(circuit.algebra, circuit,
-                                         circuit.angles(point)[None])[0]
-    out = []
-    for T in tildes:
-        mean = linalg.expectation(psi_i, T).real
-        out.append(gamma * (T @ psi_i - mean * psi_i))
-    return out
+    return list(_tilde_vectors(circuit, circuit.angles(point)[None], psi_i, gamma)[0])

@@ -326,26 +326,22 @@ def dm_xx_evolution(spec: TwoSpinModelSpec, t: float) -> np.ndarray:
     return linalg.expm_phase_eig(*linalg.herm_eig(H), t)
 
 
-def euler_from_time(spec: TwoSpinModelSpec, t: float):
-    """Euler angles reproducing exp(-iHt) of the dm_xx Hamiltonian on the
-    invariant |ud>/|du> subspace.
-
-    Returns (theta_1, theta_2, theta_3) such that the circuit
-    exp(-i t1 A1) exp(-i t2 A2) exp(-i t3 A1) matches the subspace block of
-    exp(-iHt) up to a global phase.  Raises SubspaceLeak if the evolution
-    couples the subspace to its complement.
-    """
-    if spec.variant != "dm_xx":
-        raise BadVariant("the Euler/time bridge is defined for the dm_xx variant")
-    U = dm_xx_evolution(spec, t)
-
+def _subspace_leak(U: np.ndarray) -> float:
+    """Largest entry of U coupling the |ud>/|du> subspace to its complement."""
     inside = list(_SUBSPACE)
     outside = [k for k in range(4) if k not in inside]
-    leak = max(float(np.max(np.abs(U[np.ix_(inside, outside)]))),
+    return max(float(np.max(np.abs(U[np.ix_(inside, outside)]))),
                float(np.max(np.abs(U[np.ix_(outside, inside)]))))
+
+
+def _euler_angles(U: np.ndarray):
+    """Euler angles of the subspace block of a dm_xx evolution U; raises
+    SubspaceLeak if U couples the subspace to its complement."""
+    leak = _subspace_leak(U)
     if leak > 1e-10:
         raise SubspaceLeak(f"evolution couples the invariant subspace (|elem| = {leak:.3e})")
 
+    inside = list(_SUBSPACE)
     B = U[np.ix_(inside, inside)]
     B = B / np.sqrt(np.linalg.det(B))  # special-unitary up to an overall sign
 
@@ -356,19 +352,44 @@ def euler_from_time(spec: TwoSpinModelSpec, t: float):
     return _zxz_angles(D.conj().T @ B @ D)
 
 
-def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
+def _require_dm_xx(spec: TwoSpinModelSpec):
+    if spec.variant != "dm_xx":
+        raise BadVariant("the Euler/time bridge is defined for the dm_xx variant")
+
+
+def euler_from_time(spec: TwoSpinModelSpec, t: float):
+    """Euler angles reproducing exp(-iHt) of the dm_xx Hamiltonian on the
+    invariant |ud>/|du> subspace.
+
+    Returns (theta_1, theta_2, theta_3) such that the circuit
+    exp(-i t1 A1) exp(-i t2 A2) exp(-i t3 A1) matches the subspace block of
+    exp(-iHt) up to a global phase.  Raises SubspaceLeak if the evolution
+    couples the subspace to its complement.
+    """
+    _require_dm_xx(spec)
+    return _euler_angles(dm_xx_evolution(spec, t))
+
+
+def euler_bridge_report(spec: TwoSpinModelSpec, t: float, circuit=None) -> dict:
     """Angles plus the residuals of the time/angle relations.
 
     ``tan_residual`` checks tan((t1 - t3)/2) = J2/J1; ``block_mismatch`` is
     the max deviation of the circuit's subspace block from exp(-iHt)'s block
-    after aligning global phases.
+    after aligning global phases; ``subspace_leak`` is the largest entry of
+    exp(-iHt) that couples the subspace to its complement.  ``circuit`` is
+    the dm_xx circuit (built from ``spec`` when omitted); it depends on no
+    Hamiltonian coefficient, so a caller sweeping many specs can build it
+    once.
     """
-    t1, t2, t3 = euler_from_time(spec, t)
-    model = two_spin_model(spec)
-    Ufull = build_unitary(model.circuit, {"theta_1": t1, "theta_2": t2, "theta_3": t3})
+    _require_dm_xx(spec)
+    U = dm_xx_evolution(spec, t)
+    t1, t2, t3 = _euler_angles(U)
+    if circuit is None:
+        circuit = two_spin_model(spec).circuit
+    Ufull = build_unitary(circuit, {"theta_1": t1, "theta_2": t2, "theta_3": t3})
 
     inside = list(_SUBSPACE)
-    B = dm_xx_evolution(spec, t)[np.ix_(inside, inside)]
+    B = U[np.ix_(inside, inside)]
     Bc = Ufull[np.ix_(inside, inside)]
     idx = np.unravel_index(np.argmax(np.abs(B)), B.shape)
     phase = B[idx] / Bc[idx]
@@ -382,6 +403,7 @@ def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
         "angles": (t1, t2, t3),
         "tan_residual": tan_residual,
         "block_mismatch": block_mismatch,
+        "subspace_leak": _subspace_leak(U),
     }
 
 

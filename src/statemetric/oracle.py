@@ -2,7 +2,10 @@
 
 Two oracles: central differences of the state fed through the projector
 formula, and a fidelity-based quadratic form that never sees phases at all.
-Both know nothing about tilde operators or structure constants.
+Both know nothing about tilde operators or structure constants.  Each takes
+a (B, M) array of angles, builds every shifted point as one array and
+evolves them all in one ``evolve_batch`` call; the point forms are batches
+of one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PointMismatch, StepOutOfRange
-from .manifold import CircuitSpec, MetricTensor, evolve, metric_from_derivatives
+from .manifold import CircuitSpec, MetricTensor, evolve_batch, projector_metric
 
 STEP_MIN = 1e-6
 STEP_MAX = 1e-2
@@ -26,30 +29,42 @@ def _check_step(h: float) -> float:
     return h
 
 
-def _shifted(point, direction, h):
-    out = dict(point)
-    for name, comp in direction.items():
-        out[name] = out[name] + h * comp
-    return out
+def _evolve_shifted(circuit: CircuitSpec, angles, offsets, psi_i) -> np.ndarray:
+    """States (B, K, d) at angles + each of the K rows of ``offsets`` (K, M)."""
+    angles = circuit.angle_batch(angles)
+    shifted = angles[:, None, :] + offsets
+    psi = evolve_batch(circuit, shifted.reshape(-1, angles.shape[1]), psi_i)
+    return psi.reshape(shifted.shape[:-1] + psi.shape[-1:])
+
+
+def _at_point(batch_fn, circuit: CircuitSpec, point, psi_i, gamma, h) -> MetricTensor:
+    angles = circuit.angles(point)
+    g = batch_fn(circuit, angles[None], psi_i, gamma, h)[0]
+    return MetricTensor(g, gamma, dict(zip(circuit.parameter_names, angles.tolist())),
+                        circuit.parameter_names)
+
+
+def fd_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
+                    h: float = DEFAULT_STEP) -> np.ndarray:
+    """Metrics (B, M, M) from O(h^2) central differences of the evolved state."""
+    h = _check_step(h)
+    m = len(circuit.factors)
+    steps = h * np.eye(m)
+    psi = _evolve_shifted(circuit, angles, np.concatenate([np.zeros((1, m)), steps, -steps]),
+                          psi_i)
+    derivs = (psi[:, 1:m + 1] - psi[:, m + 1:]) / (2 * h)
+    return projector_metric(psi[:, 0], derivs, gamma)
 
 
 def fd_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
               h: float = DEFAULT_STEP) -> MetricTensor:
-    """Metric from O(h^2) central differences of the evolved state."""
-    h = _check_step(h)
-    point = {p: float(point[p]) for p in circuit.parameter_names}
-    psi = evolve(circuit, point, psi_i)
-    derivs = []
-    for name in circuit.parameter_names:
-        plus = evolve(circuit, _shifted(point, {name: 1.0}, h), psi_i)
-        minus = evolve(circuit, _shifted(point, {name: 1.0}, -h), psi_i)
-        derivs.append((plus - minus) / (2 * h))
-    return metric_from_derivatives(psi, derivs, gamma, point, circuit.parameter_names)
+    """``fd_metric_batch`` at one point."""
+    return _at_point(fd_metric_batch, circuit, point, psi_i, gamma, h)
 
 
-def fidelity_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
-                    h: float = DEFAULT_STEP) -> MetricTensor:
-    """Metric from state overlaps only; exactly phase-insensitive.
+def fidelity_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
+                          h: float = DEFAULT_STEP) -> np.ndarray:
+    """Metrics (B, M, M) from state overlaps only; exactly phase-insensitive.
 
     Quadratic form along a direction v:
         q(v) = gamma^2 (1 - |<psi(x - h v)|psi(x + h v)>|^2) / (4 h^2),
@@ -57,24 +72,26 @@ def fidelity_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
     polarization identity q(e_m + e_n) - q(e_m) - q(e_n) over 2.
     """
     h = _check_step(h)
-    point = {p: float(point[p]) for p in circuit.parameter_names}
-    names = circuit.parameter_names
-    m = len(names)
+    m = len(circuit.factors)
+    eye = np.eye(m)
+    upper = np.triu_indices(m, 1)
+    steps = h * np.concatenate([eye, eye[upper[0]] + eye[upper[1]]])
+    psi = _evolve_shifted(circuit, angles, np.concatenate([steps, -steps]), psi_i)
+    k = len(steps)
+    overlap = np.einsum("bkd,bkd->bk", psi[:, k:].conj(), psi[:, :k])
+    q = gamma**2 * (1.0 - np.abs(overlap) ** 2) / (4 * h * h)
+    diag = q[:, :m]
+    g = np.zeros((len(q), m, m))
+    g[:, np.arange(m), np.arange(m)] = diag
+    mixed = (q[:, m:] - diag[:, upper[0]] - diag[:, upper[1]]) / 2
+    g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = mixed
+    return g
 
-    def q(direction):
-        plus = evolve(circuit, _shifted(point, direction, h), psi_i)
-        minus = evolve(circuit, _shifted(point, direction, -h), psi_i)
-        return gamma**2 * (1.0 - abs(np.vdot(minus, plus)) ** 2) / (4 * h * h)
 
-    g = np.zeros((m, m))
-    diag = [q({names[k]: 1.0}) for k in range(m)]
-    for k in range(m):
-        g[k, k] = diag[k]
-    for i in range(m):
-        for j in range(i + 1, m):
-            mixed = q({names[i]: 1.0, names[j]: 1.0})
-            g[i, j] = g[j, i] = (mixed - diag[i] - diag[j]) / 2
-    return MetricTensor(g, gamma, point, names)
+def fidelity_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
+                    h: float = DEFAULT_STEP) -> MetricTensor:
+    """``fidelity_metric_batch`` at one point."""
+    return _at_point(fidelity_metric_batch, circuit, point, psi_i, gamma, h)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import geometry, liealg, linalg, models, oracle
-from .geometry import GridSpec, metric_at
-from .manifold import metric_from_tilde
+from .geometry import GridSpec, metric_at, metric_stack
+from .manifold import tilde_metric_batch
 from .models import (
     OscillatorModelSpec,
     SpinModelSpec,
@@ -64,8 +64,16 @@ def _result(check_id, passed, detail):
     return CheckResult(check_id, bool(passed), detail)
 
 
-def _random_points(rng, names, count, low=-1.0, high=1.0):
-    return [dict(zip(names, rng.uniform(low, high, len(names)))) for _ in range(count)]
+def _sphere_angles(rng, count, m):
+    """(count, m) angles uniform in (-pi, pi), then theta_2 (column 1)
+    redrawn in (0.2, pi - 0.2) away from the coordinate poles."""
+    angles = rng.uniform(-np.pi, np.pi, (count, m))
+    angles[:, 1] = rng.uniform(0.2, np.pi - 0.2, count)
+    return angles
+
+
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def check_three_way_agreement(models=None) -> CheckResult:
@@ -73,17 +81,15 @@ def check_three_way_agreement(models=None) -> CheckResult:
     rng = np.random.default_rng(SEED)
     worst_analytic, worst_fd, where = 0.0, 0.0, ""
     for name, model in (models or catalog()).items():
-        for pt in _random_points(rng, model.parameter_names, 20):
-            g_d = metric_at(model, pt)
-            g_t = metric_from_tilde(model.circuit, pt, model.initial_state, model.gamma)
-            g_f = oracle.fd_metric(model.circuit, pt, model.initial_state,
-                                   model.gamma, h=1e-4)
-            da = float(np.max(np.abs(g_d.g - g_t.g)))
-            df = max(float(np.max(np.abs(g_d.g - g_f.g))),
-                     float(np.max(np.abs(g_t.g - g_f.g))))
-            if da > worst_analytic:
-                worst_analytic, where = da, name
-            worst_fd = max(worst_fd, df)
+        circuit, psi, gamma = model.circuit, model.initial_state, model.gamma
+        angles = rng.uniform(-1.0, 1.0, (20, len(model.parameter_names)))
+        g_d = metric_stack(model, angles)
+        g_t = tilde_metric_batch(circuit, angles, psi, gamma)
+        g_f = oracle.fd_metric_batch(circuit, angles, psi, gamma, h=1e-4)
+        da = _max_abs(g_d - g_t)
+        if da > worst_analytic:
+            worst_analytic, where = da, name
+        worst_fd = max(worst_fd, _max_abs(g_d - g_f), _max_abs(g_t - g_f))
     ok = worst_analytic <= 1e-10 and worst_fd <= 1e-6
     return _result("three_way_agreement", ok,
                    f"max |deriv - tilde| = {worst_analytic:.2e} (worst: {where}), "
@@ -98,12 +104,11 @@ def check_sphere_metrics() -> CheckResult:
         for m in np.arange(-s, s + 0.5, 1.0):
             model = spin_model(SpinModelSpec(s=s, m=float(m)))
             r2 = 0.5 * model.gamma**2 * (s * (s + 1) - m * m)
-            for pt in _random_points(rng, model.parameter_names, 5,
-                                     low=-np.pi, high=np.pi):
-                pt["theta_2"] = float(rng.uniform(0.2, np.pi - 0.2))
-                expected = np.diag([r2 * np.sin(pt["theta_2"]) ** 2, r2, 0.0])
-                worst_metric = max(worst_metric, float(np.max(np.abs(
-                    metric_at(model, pt).g - expected))))
+            angles = _sphere_angles(rng, 5, len(model.parameter_names))
+            expected = np.zeros((5, 3, 3))
+            expected[:, 0, 0] = r2 * np.sin(angles[:, 1]) ** 2
+            expected[:, 1, 1] = r2
+            worst_metric = max(worst_metric, _max_abs(metric_stack(model, angles) - expected))
             point = {"theta_1": 0.4, "theta_2": 1.1, "theta_3": -0.6}
             k = geometry.gauss_curvature(model, point, ("theta_1", "theta_2"))
             worst_k = max(worst_k, abs(k - 1 / r2) * r2)
@@ -152,10 +157,8 @@ def check_adjoint_equivalence(models=None) -> CheckResult:
     """Adjoint-representation tilde operators equal direct conjugation.
 
     Both routes take the 50 points of each model in blocks of at most
-    BLOCK_ENTRIES // (M d^2) points.  Only the active block of each adjoint
-    result is kept, so each route runs over all blocks in one go: scipy's
-    expm and numpy's matrix products use separate BLAS thread pools, and
-    switching from one to the other stalls on the other pool's threads.
+    BLOCK_ENTRIES // (M d^2) points and are compared block by block on the
+    active block of each tilde generator.
     """
     models = models or catalog()
     rng = np.random.default_rng(SEED + 2)
@@ -165,21 +168,18 @@ def check_adjoint_equivalence(models=None) -> CheckResult:
         "two_spin_dm_xx": models["two_spin_dm_xx"],
         "two_spin_sum": models["two_spin_sum"],
     }
-    blocks = []
-    for name, model in cases.items():
-        m = len(model.circuit.factors)
-        angles = rng.uniform(-1.0, 1.0, (50, m))
-        step = max(1, BLOCK_ENTRIES // (m * model.rep.dim**2))
-        blocks += [(name, model.rep, model.circuit, angles[start:start + step])
-                   for start in range(0, len(angles), step)]
-    adjoint = [rep.active_block(liealg.tilde_by_adjoint(rep, circuit, block)).copy()
-               for _name, rep, circuit, block in blocks]
     worst, where = 0.0, ""
-    for (name, rep, circuit, block), ta in zip(blocks, adjoint):
-        tc = rep.active_block(liealg.tilde_by_conjugation(rep, circuit, block))
-        d = float(np.max(np.abs(ta - tc)))
-        if d > worst:
-            worst, where = d, name
+    for name, model in cases.items():
+        rep, circuit = model.rep, model.circuit
+        m = len(circuit.factors)
+        angles = rng.uniform(-1.0, 1.0, (50, m))
+        step = max(1, BLOCK_ENTRIES // (m * rep.dim**2))
+        for start in range(0, len(angles), step):
+            block = angles[start:start + step]
+            d = rep.block_norm(liealg.tilde_by_adjoint(rep, circuit, block)
+                               - liealg.tilde_by_conjugation(rep, circuit, block))
+            if d > worst:
+                worst, where = d, name
     return _result("adjoint_equivalence", worst <= 1e-10,
                    f"max |adjoint - conjugation| = {worst:.2e} (worst: {where})")
 
@@ -210,15 +210,11 @@ def check_degeneracy() -> CheckResult:
     worst_null, bad_rank = 0.0, []
     for s, m in ((0.5, 0.5), (0.5, -0.5), (1.0, 1.0), (1.0, 0.0), (2.0, 1.0)):
         model = spin_model(SpinModelSpec(s=s, m=m))
-        for pt in _random_points(rng, model.parameter_names, 10,
-                                 low=-np.pi, high=np.pi):
-            pt["theta_2"] = float(rng.uniform(0.2, np.pi - 0.2))
-            g = metric_at(model, pt)
-            w = np.linalg.eigvalsh(g.g)
-            rank, _ = geometry.rank_analysis(g)
-            worst_null = max(worst_null, abs(float(w[0])))
-            if rank != 2:
-                bad_rank.append((s, m, rank))
+        w = np.linalg.eigvalsh(metric_stack(
+            model, _sphere_angles(rng, 10, len(model.parameter_names))))
+        ranks = np.count_nonzero(geometry._above_cutoff(w), axis=-1)
+        worst_null = max(worst_null, _max_abs(w[:, 0]))
+        bad_rank += [(s, m, int(rank)) for rank in ranks if rank != 2]
     ok = worst_null <= 1e-10 and not bad_rank
     return _result("degeneracy", ok,
                    f"max null eigenvalue = {worst_null:.2e}, "
@@ -228,6 +224,7 @@ def check_degeneracy() -> CheckResult:
 def check_euler_bridge() -> CheckResult:
     """exp(-iHt) stays on the |ud>/|du> subspace; extracted angles check out."""
     rng = np.random.default_rng(SEED + 4)
+    circuit = two_spin_model(TwoSpinModelSpec("dm_xx")).circuit  # no j1, j2, hz in it
     worst_leak, worst_tan, worst_block = 0.0, 0.0, 0.0
     count = 0
     while count < 20:
@@ -236,13 +233,9 @@ def check_euler_bridge() -> CheckResult:
         if abs(j1) < 0.1:
             continue
         count += 1
-        spec = TwoSpinModelSpec("dm_xx", j1=j1, j2=j2, hz=hz)
-        U = models.dm_xx_evolution(spec, t)
-        inside, outside = [1, 2], [0, 3]
-        worst_leak = max(worst_leak,
-                         float(np.max(np.abs(U[np.ix_(inside, outside)]))),
-                         float(np.max(np.abs(U[np.ix_(outside, inside)]))))
-        report = models.euler_bridge_report(spec, t)
+        report = models.euler_bridge_report(
+            TwoSpinModelSpec("dm_xx", j1=j1, j2=j2, hz=hz), t, circuit)
+        worst_leak = max(worst_leak, report["subspace_leak"])
         if not np.isnan(report["tan_residual"]):
             worst_tan = max(worst_tan, report["tan_residual"])
         worst_block = max(worst_block, report["block_mismatch"])
@@ -271,11 +264,9 @@ def check_spin1_superposition(models=None) -> CheckResult:
     values = np.array([var(sz), var(sx), var(sy), cov(sx, sy)])
     var_err = float(np.max(np.abs(values - np.array([1.0, 1.0, 0.0, 0.0]))))
 
-    worst_fd = 0.0
-    for pt in _random_points(rng, model.parameter_names, 10):
-        g_a = metric_at(model, pt)
-        g_f = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma)
-        worst_fd = max(worst_fd, float(np.max(np.abs(g_a.g - g_f.g))))
+    angles = rng.uniform(-1.0, 1.0, (10, len(model.parameter_names)))
+    worst_fd = _max_abs(metric_stack(model, angles) - oracle.fd_metric_batch(
+        model.circuit, angles, psi, model.gamma))
     ok = var_err <= 1e-10 and worst_fd <= 1e-6
     return _result("spin1_superposition", ok,
                    f"variance error = {var_err:.2e}, max |metric - oracle| = {worst_fd:.2e}")

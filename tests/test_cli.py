@@ -193,20 +193,31 @@ class TestGrid:
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:0"],
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:-2"],
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:2", "--sweep", "theta_1=5:6:2"],
+    ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "nan"],
+    ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "inf"],
+    ["models", "emit", "oscillator", "--gamma", "0"],
+    ["models", "emit", "two_spin_dm_xx", "--gamma", "-2"],
+    ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "1e200"],
 ], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
         "metric-dir", "grid-unknown-sweep", "grid-nan-bound", "grid-inf-bound",
-        "grid-zero-count", "grid-negative-count", "grid-repeated-sweep"])
+        "grid-zero-count", "grid-negative-count", "grid-repeated-sweep",
+        "emit-nan-gamma", "emit-inf-gamma", "emit-zero-gamma", "emit-negative-gamma",
+        "emit-huge-gamma"])
 def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):
     argv = [a.format(manifest=spin_manifest, dir=tmp_path) for a in argv]
     assert cli.main(argv) == 2  # an exception escaping main fails the test too
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
 
 
 @pytest.mark.parametrize("command,field,value", [
     ("validate", ("generators", "Sz", 0, 0), [float("nan"), 0.0]),
     ("validate", ("initial_state", 1), [0.0, float("inf")]),
     ("metric", ("gamma",), float("inf")),
-], ids=["validate-nan-generator", "validate-inf-state", "metric-inf-gamma"])
+    ("metric", ("gamma",), 1e200),
+    ("grid", ("gamma",), 1e200),
+], ids=["validate-nan-generator", "validate-inf-state", "metric-inf-gamma",
+        "metric-huge-gamma", "grid-huge-gamma"])
 def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest,
                                             tmp_path, capsys):
     doc = json.loads(open(spin_manifest).read())
@@ -216,7 +227,8 @@ def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest
     target[field[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")  # NaN / Infinity literals
-    argv = [command, str(bad)] + (["--defaults-zero"] if command == "metric" else [])
+    extra = {"metric": ["--defaults-zero"], "grid": ["--sweep", "theta_1=0:1:2"]}
+    argv = [command, str(bad)] + extra.get(command, [])
     assert cli.main(argv) == 2
     assert "expected a finite number" in capsys.readouterr().err
 

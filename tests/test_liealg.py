@@ -294,16 +294,14 @@ class TestBatchedRoutes:
             fn(model.rep, model.circuit, np.array([[0.0, np.nan, 0.0]]))
 
     def test_check_makes_one_expm_call_per_block(self, monkeypatch):
-        import scipy.linalg
-
         calls = []
-        expm = scipy.linalg.expm
+        expm = liealg._expm
 
         def counting_expm(A):
             calls.append(A.shape)
             return expm(A)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(liealg, "_expm", counting_expm)
         result = verify.check_adjoint_equivalence()
         assert result.passed
         blocks = 0
@@ -326,3 +324,49 @@ class TestBatchedRoutes:
         ta = tilde_by_adjoint(model.rep, model.circuit, angles)
         tc = tilde_by_conjugation(model.rep, model.circuit, angles)
         assert model.rep.block_norm(ta - tc) <= 1e-10
+
+
+def _heisenberg_ad():
+    """Exact adjoint matrices of x, p, 1 with [x, p] = i 1."""
+    ad = np.zeros((3, 3, 3), dtype=complex)
+    ad[0, 2, 1] = 1j   # (ad_x)_{1,p} = c_{x,p}^1
+    ad[1, 2, 0] = -1j  # (ad_p)_{1,x} = c_{p,x}^1
+    return ad
+
+
+class TestExpm:
+    def test_so3_gives_rodrigues_rotation(self):
+        # i theta ad_m = theta K with K real antisymmetric and K^3 = -K, so
+        # exp(theta K) = I + sin(theta) K + (1 - cos(theta)) K^2
+        K = 1j * spin_rep(1).adjoint_matrices()
+        assert np.max(np.abs(K @ K @ K + K)) <= 1e-15
+        theta = np.array([-7.0, -2.5, -0.3, 0.0, 1e-3, 0.9, 3.1, 12.0])
+        t = theta[:, None, None, None]
+        rodrigues = np.eye(3) + np.sin(t) * K + (1 - np.cos(t)) * (K @ K)
+        assert np.max(np.abs(liealg._expm(t * K) - rodrigues)) <= 1e-14
+
+    def test_heisenberg_gives_exactly_identity_plus_generator(self):
+        # nilpotent: ad^2 = 0, so the series stops after the linear term and
+        # squaring (I + X)^2 = I + 2X adds no rounding
+        ad = _heisenberg_ad()
+        a = np.array([0.0, 0.37, -2.0, 11.0, 1e3])[:, None, None, None]
+        b = np.array([1.5, 0.0, -0.7, 40.0, -3.0])[:, None, None, None]
+        X = 1j * (a * ad[0] + b * ad[1] + (a - b) * ad[2])
+        assert np.array_equal(liealg._expm(X), np.eye(3) + X)
+
+    def test_zero_gives_identity(self):
+        zero = 0.0 * spin_rep(1).adjoint_matrices()
+        assert np.array_equal(liealg._expm(zero), np.broadcast_to(np.eye(3), zero.shape))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), n=st.integers(1, 6),
+           norm=st.floats(2.0, 40.0))
+    def test_inverse_is_exponential_of_negative(self, seed, count, n, norm):
+        # anti-Hermitian stack scaled to a largest 1-norm of 2..40, so the
+        # result is squared 3 to 8 times
+        rng = np.random.default_rng(seed)
+        H = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+        Y = 1j * (H + H.conj().swapaxes(-1, -2))
+        Y *= norm / np.max(np.abs(Y).sum(axis=-2))
+        product = liealg._expm(Y) @ liealg._expm(-Y)
+        assert np.max(np.abs(product - np.eye(n))) <= 1e-12

@@ -174,6 +174,17 @@ class TestParseErrors:
         with pytest.raises(ManifestError, match="gamma"):
             manifest.parse_manifest(self._mutate(spin_doc, gamma=gamma))
 
+    @pytest.mark.parametrize("gamma", [1.4e154, 1e200, 10**400],
+                             ids=["1.4e154", "1e200", "int-1e400"])
+    def test_gamma_with_overflowing_square(self, spin_doc, gamma):
+        # every metric scales as gamma^2
+        with pytest.raises(ManifestError, match="gamma: expected a finite number"):
+            manifest.parse_manifest(self._mutate(spin_doc, gamma=gamma))
+
+    def test_largest_gamma_accepted(self, spin_doc):
+        model = manifest.parse_manifest(self._mutate(spin_doc, gamma=1e154))
+        assert model.gamma == 1e154 and np.isfinite(model.gamma**2)
+
     def test_non_finite_state(self, spin_doc):
         state = [[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]
         with pytest.raises(ManifestError, match=r"initial_state\[1\]: expected a finite"):

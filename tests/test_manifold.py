@@ -9,10 +9,12 @@ from statemetric.manifold import (
     CircuitSpec,
     build_unitary,
     evolve,
+    evolve_batch,
     local_basis_vectors,
-    metric_from_derivatives,
     metric_from_tilde,
+    projector_metric,
     state_derivatives,
+    tilde_metric_batch,
 )
 from statemetric.models import (
     OscillatorModelSpec,
@@ -21,7 +23,10 @@ from statemetric.models import (
     spin_model,
 )
 
+from statemetric.verify import catalog
+
 SQ2 = np.sqrt(2)
+CATALOG = catalog()
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +103,38 @@ class TestEvolve:
             evolve(half.circuit, dict.fromkeys(half.parameter_names, 0.0), [1, 0, 0])
 
 
+class TestBatches:
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_evolve_batch_rows_equal_unitary_on_state(self, key):
+        model = CATALOG[key]
+        names = model.parameter_names
+        angles = np.random.default_rng(61).uniform(-1.0, 1.0, (6, len(names)))
+        states = evolve_batch(model.circuit, angles, model.initial_state)
+        assert states.shape == (6, model.rep.dim)
+        for row, a in zip(states, angles):
+            U = build_unitary(model.circuit, dict(zip(names, a)))
+            assert np.max(np.abs(row - U @ model.initial_state)) <= 1e-14
+
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_tilde_metric_rows_equal_point_calls(self, key):
+        model = CATALOG[key]
+        names = model.parameter_names
+        angles = np.random.default_rng(67).uniform(-1.0, 1.0, (5, len(names)))
+        batch = tilde_metric_batch(model.circuit, angles, model.initial_state, model.gamma)
+        for row, a in zip(batch, angles):
+            g = metric_from_tilde(model.circuit, dict(zip(names, a)),
+                                  model.initial_state, model.gamma).g
+            assert np.max(np.abs(row - g)) <= 1e-14
+
+    def test_bad_angle_arrays(self, half):
+        with pytest.raises(DimensionMismatch):
+            evolve_batch(half.circuit, np.zeros((2, 2)), half.initial_state)
+        with pytest.raises(ValueError):
+            evolve_batch(half.circuit, np.array([[0.0, np.inf, 0.0]]), half.initial_state)
+        with pytest.raises(DimensionMismatch):
+            evolve_batch(half.circuit, np.zeros((2, 3)), [1.0, 0.0, 0.0])
+
+
 class TestStateDerivatives:
     def test_overlap_with_state_is_tilde_expectation(self, one_m0):
         # <psi|d_j psi> = -i <psi_i|A~_j|psi_i>
@@ -136,7 +173,7 @@ class TestMetric:
         pt = {"theta_1": 0.0, "theta_2": np.pi / 2, "theta_3": 0.0}
         derivs = state_derivatives(half.circuit, pt, half.initial_state)
         psi = evolve(half.circuit, pt, half.initial_state)
-        g = metric_from_derivatives(psi, derivs).g
+        g = projector_metric(psi, np.stack(derivs))
         assert np.allclose(g, np.diag([0.25, 0.25, 0.0]), atol=1e-12)
 
     def test_fiber_direction_has_zero_length(self, half):
@@ -149,8 +186,7 @@ class TestMetric:
         for pt in rand_points(one_m0, 10, 37):
             psi = evolve(one_m0.circuit, pt, one_m0.initial_state)
             derivs = state_derivatives(one_m0.circuit, pt, one_m0.initial_state)
-            g1 = metric_from_derivatives(psi, derivs, point=pt,
-                                         parameter_names=one_m0.parameter_names).g
+            g1 = projector_metric(psi, np.stack(derivs))
             g2 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state).g
             assert np.max(np.abs(g1 - g2)) <= 1e-12
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statemetric import oracle
 from statemetric.errors import DimensionMismatch, PointMismatch, StepOutOfRange
+from statemetric.geometry import metric_stack
 from statemetric.manifold import MetricTensor, metric_from_tilde
 from statemetric.models import (
+    OSCILLATOR_PARAM_BOUND,
     OscillatorModelSpec,
     SpinModelSpec,
     TwoSpinModelSpec,
@@ -12,6 +16,9 @@ from statemetric.models import (
     spin_model,
     two_spin_model,
 )
+from statemetric.verify import catalog
+
+CATALOG = catalog()
 
 
 def analytic(model, point):
@@ -86,6 +93,48 @@ class TestFidelityMetric:
         pt = dict.fromkeys(superpos.parameter_names, 0.1)
         with pytest.raises(StepOutOfRange):
             oracle.fidelity_metric(superpos.circuit, pt, superpos.initial_state, h=1.0)
+
+
+# a row of a batch may differ from its batch-of-one call only by the rounding
+# of the states, which the oracles amplify by 1/h and 1/h^2
+BATCH_ROW_TOL = {"fd": 1e-12, "fidelity": 1e-7}
+ORACLES = {"fd": (oracle.fd_metric_batch, oracle.fd_metric),
+           "fidelity": (oracle.fidelity_metric_batch, oracle.fidelity_metric)}
+
+
+class TestBatches:
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_rows_equal_batch_of_one(self, key, kind):
+        model = CATALOG[key]
+        batch_fn, point_fn = ORACLES[kind]
+        names = model.parameter_names
+        angles = np.random.default_rng(71).uniform(-1.0, 1.0, (5, len(names)))
+        batch = batch_fn(model.circuit, angles, model.initial_state, model.gamma)
+        assert batch.shape == (5, len(names), len(names))
+        for row, a in zip(batch, angles):
+            g = point_fn(model.circuit, dict(zip(names, a)), model.initial_state,
+                         model.gamma)
+            assert g.point == dict(zip(names, a))
+            assert np.max(np.abs(row - g.g)) <= BATCH_ROW_TOL[kind]
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_step_range_enforced(self, superpos, kind):
+        with pytest.raises(StepOutOfRange):
+            ORACLES[kind][0](superpos.circuit, np.zeros((2, 3)), superpos.initial_state,
+                             h=1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(key=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1),
+           count=st.integers(1, 8))
+    def test_fd_batch_matches_kernel(self, key, seed, count):
+        model = CATALOG[key]
+        bound = OSCILLATOR_PARAM_BOUND if model.rep.active_dim else np.pi
+        angles = np.random.default_rng(seed).uniform(
+            -bound, bound, (count, len(model.parameter_names)))
+        g_fd = oracle.fd_metric_batch(model.circuit, angles, model.initial_state,
+                                      model.gamma)
+        assert np.max(np.abs(g_fd - metric_stack(model, angles))) <= 1e-6
 
 
 class TestCompare:
