@@ -19,7 +19,8 @@ from . import liealg, linalg
 from .errors import DimensionMismatch, MissingParameter
 from .liealg import LieAlgebraRep
 
-# points per metric_batch block; bounds the (M+1, B, d) work stack on large grids
+# points per block of metric_batch and the oracles; bounds their work stacks
+# on large grids
 BLOCK_NODES = 128
 
 

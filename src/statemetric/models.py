@@ -8,6 +8,7 @@ two-qubit systems whose interaction operators close into so(3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -335,8 +336,9 @@ def _subspace_leak(U: np.ndarray) -> float:
 
 
 def _euler_angles(U: np.ndarray):
-    """Euler angles of the subspace block of a dm_xx evolution U; raises
-    SubspaceLeak if U couples the subspace to its complement."""
+    """Euler angles of the subspace block of a dm_xx evolution U and the
+    subspace leak of U; raises SubspaceLeak if U couples the subspace to its
+    complement."""
     leak = _subspace_leak(U)
     if leak > 1e-10:
         raise SubspaceLeak(f"evolution couples the invariant subspace (|elem| = {leak:.3e})")
@@ -349,12 +351,19 @@ def _euler_angles(U: np.ndarray):
     a2 = two_spin_generators("dm_xx")[1]
     c = a2[np.ix_(inside, inside)][0, 1]
     D = np.diag([1.0, np.conj(c) / abs(c)])
-    return _zxz_angles(D.conj().T @ B @ D)
+    return _zxz_angles(D.conj().T @ B @ D), leak
 
 
 def _require_dm_xx(spec: TwoSpinModelSpec):
     if spec.variant != "dm_xx":
         raise BadVariant("the Euler/time bridge is defined for the dm_xx variant")
+
+
+@functools.cache
+def _dm_xx_circuit() -> CircuitSpec:
+    """The dm_xx circuit; it holds no Hamiltonian coefficient, so one serves
+    every spec."""
+    return two_spin_model(TwoSpinModelSpec("dm_xx")).circuit
 
 
 def euler_from_time(spec: TwoSpinModelSpec, t: float):
@@ -367,26 +376,22 @@ def euler_from_time(spec: TwoSpinModelSpec, t: float):
     couples the subspace to its complement.
     """
     _require_dm_xx(spec)
-    return _euler_angles(dm_xx_evolution(spec, t))
+    return _euler_angles(dm_xx_evolution(spec, t))[0]
 
 
-def euler_bridge_report(spec: TwoSpinModelSpec, t: float, circuit=None) -> dict:
+def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
     """Angles plus the residuals of the time/angle relations.
 
     ``tan_residual`` checks tan((t1 - t3)/2) = J2/J1; ``block_mismatch`` is
     the max deviation of the circuit's subspace block from exp(-iHt)'s block
     after aligning global phases; ``subspace_leak`` is the largest entry of
-    exp(-iHt) that couples the subspace to its complement.  ``circuit`` is
-    the dm_xx circuit (built from ``spec`` when omitted); it depends on no
-    Hamiltonian coefficient, so a caller sweeping many specs can build it
-    once.
+    exp(-iHt) that couples the subspace to its complement.
     """
     _require_dm_xx(spec)
     U = dm_xx_evolution(spec, t)
-    t1, t2, t3 = _euler_angles(U)
-    if circuit is None:
-        circuit = two_spin_model(spec).circuit
-    Ufull = build_unitary(circuit, {"theta_1": t1, "theta_2": t2, "theta_3": t3})
+    (t1, t2, t3), leak = _euler_angles(U)
+    Ufull = build_unitary(_dm_xx_circuit(),
+                          {"theta_1": t1, "theta_2": t2, "theta_3": t3})
 
     inside = list(_SUBSPACE)
     B = U[np.ix_(inside, inside)]
@@ -403,7 +408,7 @@ def euler_bridge_report(spec: TwoSpinModelSpec, t: float, circuit=None) -> dict:
         "angles": (t1, t2, t3),
         "tan_residual": tan_residual,
         "block_mismatch": block_mismatch,
-        "subspace_leak": _subspace_leak(U),
+        "subspace_leak": leak,
     }
 
 

@@ -3,9 +3,9 @@
 Two oracles: central differences of the state fed through the projector
 formula, and a fidelity-based quadratic form that never sees phases at all.
 Both know nothing about tilde operators or structure constants.  Each takes
-a (B, M) array of angles, builds every shifted point as one array and
-evolves them all in one ``evolve_batch`` call; the point forms are batches
-of one.
+a (B, M) array of angles, builds the shifted points of BLOCK_NODES points
+at a time as one array and evolves them in one ``evolve_batch`` call; the
+point forms are batches of one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PointMismatch, StepOutOfRange
-from .manifold import CircuitSpec, MetricTensor, evolve_batch, projector_metric
+from .manifold import BLOCK_NODES, CircuitSpec, MetricTensor, evolve_batch, projector_metric
 
 STEP_MIN = 1e-6
 STEP_MAX = 1e-2
@@ -31,10 +31,20 @@ def _check_step(h: float) -> float:
 
 def _evolve_shifted(circuit: CircuitSpec, angles, offsets, psi_i) -> np.ndarray:
     """States (B, K, d) at angles + each of the K rows of ``offsets`` (K, M)."""
-    angles = circuit.angle_batch(angles)
     shifted = angles[:, None, :] + offsets
     psi = evolve_batch(circuit, shifted.reshape(-1, angles.shape[1]), psi_i)
     return psi.reshape(shifted.shape[:-1] + psi.shape[-1:])
+
+
+def _by_block(block_fn, circuit: CircuitSpec, angles) -> np.ndarray:
+    """Metrics (B, M, M) from ``block_fn`` on BLOCK_NODES points at a time, so
+    the (B, K, d) shifted states stay bounded on large batches."""
+    angles = circuit.angle_batch(angles)
+    m = len(circuit.factors)
+    out = np.empty((angles.shape[0], m, m))
+    for start in range(0, angles.shape[0], BLOCK_NODES):
+        out[start:start + BLOCK_NODES] = block_fn(angles[start:start + BLOCK_NODES])
+    return out
 
 
 def _at_point(batch_fn, circuit: CircuitSpec, point, psi_i, gamma, h) -> MetricTensor:
@@ -50,10 +60,14 @@ def fd_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
     h = _check_step(h)
     m = len(circuit.factors)
     steps = h * np.eye(m)
-    psi = _evolve_shifted(circuit, angles, np.concatenate([np.zeros((1, m)), steps, -steps]),
-                          psi_i)
-    derivs = (psi[:, 1:m + 1] - psi[:, m + 1:]) / (2 * h)
-    return projector_metric(psi[:, 0], derivs, gamma)
+    offsets = np.concatenate([np.zeros((1, m)), steps, -steps])
+
+    def block(a):
+        psi = _evolve_shifted(circuit, a, offsets, psi_i)
+        derivs = (psi[:, 1:m + 1] - psi[:, m + 1:]) / (2 * h)
+        return projector_metric(psi[:, 0], derivs, gamma)
+
+    return _by_block(block, circuit, angles)
 
 
 def fd_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
@@ -76,16 +90,21 @@ def fidelity_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.
     eye = np.eye(m)
     upper = np.triu_indices(m, 1)
     steps = h * np.concatenate([eye, eye[upper[0]] + eye[upper[1]]])
-    psi = _evolve_shifted(circuit, angles, np.concatenate([steps, -steps]), psi_i)
+    offsets = np.concatenate([steps, -steps])
     k = len(steps)
-    overlap = np.einsum("bkd,bkd->bk", psi[:, k:].conj(), psi[:, :k])
-    q = gamma**2 * (1.0 - np.abs(overlap) ** 2) / (4 * h * h)
-    diag = q[:, :m]
-    g = np.zeros((len(q), m, m))
-    g[:, np.arange(m), np.arange(m)] = diag
-    mixed = (q[:, m:] - diag[:, upper[0]] - diag[:, upper[1]]) / 2
-    g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = mixed
-    return g
+
+    def block(a):
+        psi = _evolve_shifted(circuit, a, offsets, psi_i)
+        overlap = np.einsum("bkd,bkd->bk", psi[:, k:].conj(), psi[:, :k])
+        q = gamma**2 * (1.0 - np.abs(overlap) ** 2) / (4 * h * h)
+        diag = q[:, :m]
+        g = np.zeros((len(q), m, m))
+        g[:, np.arange(m), np.arange(m)] = diag
+        mixed = (q[:, m:] - diag[:, upper[0]] - diag[:, upper[1]]) / 2
+        g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = mixed
+        return g
+
+    return _by_block(block, circuit, angles)
 
 
 def fidelity_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,

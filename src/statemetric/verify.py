@@ -224,7 +224,6 @@ def check_degeneracy() -> CheckResult:
 def check_euler_bridge() -> CheckResult:
     """exp(-iHt) stays on the |ud>/|du> subspace; extracted angles check out."""
     rng = np.random.default_rng(SEED + 4)
-    circuit = two_spin_model(TwoSpinModelSpec("dm_xx")).circuit  # no j1, j2, hz in it
     worst_leak, worst_tan, worst_block = 0.0, 0.0, 0.0
     count = 0
     while count < 20:
@@ -234,7 +233,7 @@ def check_euler_bridge() -> CheckResult:
             continue
         count += 1
         report = models.euler_bridge_report(
-            TwoSpinModelSpec("dm_xx", j1=j1, j2=j2, hz=hz), t, circuit)
+            TwoSpinModelSpec("dm_xx", j1=j1, j2=j2, hz=hz), t)
         worst_leak = max(worst_leak, report["subspace_leak"])
         if not np.isnan(report["tan_residual"]):
             worst_tan = max(worst_tan, report["tan_residual"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import oracle
+from statemetric import manifold, oracle
 from statemetric.errors import DimensionMismatch, PointMismatch, StepOutOfRange
 from statemetric.geometry import metric_stack
 from statemetric.manifold import MetricTensor, metric_from_tilde
@@ -117,6 +117,26 @@ class TestBatches:
                          model.gamma)
             assert g.point == dict(zip(names, a))
             assert np.max(np.abs(row - g.g)) <= BATCH_ROW_TOL[kind]
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_blocks_bound_the_shifted_states(self, monkeypatch, superpos, kind):
+        # 10 points in blocks of 4: three evolve calls of at most 4 points'
+        # shifted states each, and the same rows as one unblocked call
+        batch_fn = ORACLES[kind][0]
+        angles = np.random.default_rng(5).uniform(-1.0, 1.0, (10, 3))
+        whole = batch_fn(superpos.circuit, angles, superpos.initial_state)
+        sizes = []
+
+        def counting(circuit, shifted, psi_i):
+            sizes.append(len(shifted))
+            return manifold.evolve_batch(circuit, shifted, psi_i)
+
+        monkeypatch.setattr(oracle, "BLOCK_NODES", 4)
+        monkeypatch.setattr(oracle, "evolve_batch", counting)
+        blocked = batch_fn(superpos.circuit, angles, superpos.initial_state)
+        per_point = sizes[-1] // 2
+        assert sizes == [4 * per_point, 4 * per_point, 2 * per_point]
+        assert np.max(np.abs(blocked - whole)) <= BATCH_ROW_TOL[kind]
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
     def test_step_range_enforced(self, superpos, kind):

@@ -14,7 +14,7 @@ import pytest
 from statemetric import geometry, models, oracle, verify
 from statemetric.geometry import metric_at
 from statemetric.manifold import metric_from_tilde
-from statemetric.models import SpinModelSpec, TwoSpinModelSpec, spin_model, two_spin_model
+from statemetric.models import SpinModelSpec, spin_model
 
 CATALOG = verify.catalog()
 
@@ -111,23 +111,20 @@ def test_euler_bridge_sees_a_small_leak(monkeypatch):
         bad[0, 1] = bad[1, 0] = 1e-11
         return a1 + bad, a2, a3
 
+    models._dm_xx_circuit()  # cache the real circuit; the leak is in H only
     monkeypatch.setattr(models, "two_spin_generators", leaky)
     result = verify.check_euler_bridge()
     assert not result.passed
     assert _numbers(result.detail)[0] > 1e-12
 
 
-def test_euler_bridge_report_with_shared_circuit():
-    # the dm_xx circuit holds no Hamiltonian coefficient, so one circuit
-    # serves every spec and gives the report built from the spec itself
-    circuit = two_spin_model(TwoSpinModelSpec("dm_xx")).circuit
-    rng = np.random.default_rng(83)
-    for _ in range(5):
-        j1, j2, hz, t = rng.uniform(-2, 2, 4)
-        spec = TwoSpinModelSpec("dm_xx", j1=j1, j2=j2, hz=hz)
-        shared = models.euler_bridge_report(spec, t, circuit)
-        own = models.euler_bridge_report(spec, t)
-        assert shared.keys() == own.keys()
-        for key in shared:
-            assert np.array_equal(shared[key], own[key], equal_nan=True)
-        assert shared["subspace_leak"] <= 1e-12
+def test_euler_bridge_fits_no_model_per_sample(monkeypatch):
+    # the dm_xx circuit holds no Hamiltonian coefficient: it is fitted once
+    # and every report, whatever its spec, reuses it
+    models._dm_xx_circuit()
+
+    def refit(spec):
+        raise AssertionError("two_spin_model called per sample")
+
+    monkeypatch.setattr(models, "two_spin_model", refit)
+    assert verify.check_euler_bridge().passed
