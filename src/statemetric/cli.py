@@ -17,6 +17,7 @@ import numpy as np
 from . import geometry, liealg, linalg, manifest, models, oracle, verify
 from .errors import (
     DegenerateSection,
+    EmptyGrid,
     ManifestError,
     MissingParameter,
     StatemetricError,
@@ -100,7 +101,8 @@ def cmd_metric(args) -> int:
     shifts = np.random.default_rng(0).uniform(-0.5, 0.5, (3, len(keys)))
     probes = (model.circuit.angles(point)
               + shifts[:, [keys.index(p) for p in model.parameter_names]])
-    flat = bool(np.all(np.abs(geometry.metric_stack(model, probes) - g.g) <= 1e-9))
+    flat = bool(np.all(np.abs(geometry.metric_stack(model, probes) - g.g)
+                       <= geometry.CONSTANT_METRIC_TOL))
     _emit_json({
         "name": model.name,
         "point": {p: point[p] for p in model.parameter_names},
@@ -126,11 +128,7 @@ def _parse_sweeps(items):
                 f"--sweep expects name=min:max:count, got {item!r}") from None
         if name in sweeps:
             raise ManifestError(f"--sweep {name}: swept more than once")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ManifestError(f"--sweep {name}: bounds must be finite, got {item!r}")
-        if count < 1:
-            raise ManifestError(f"--sweep {name}: count must be at least 1, got {count}")
-        sweeps[name] = (lo, hi, count)
+        sweeps[name] = (lo, hi, count)  # GridSpec checks the bounds and count
     return sweeps
 
 
@@ -201,30 +199,19 @@ def cmd_curvature(args) -> int:
     section = tuple(args.section.split(","))
     if len(section) != 2:
         raise ManifestError(f"--section expects two comma-separated parameters, got {args.section!r}")
-    for p in section:
-        if p not in model.parameter_names:
-            raise MissingParameter(f"unknown section parameter {p!r}")
-    k = geometry.gauss_curvature(model, point, section)
-    # constancy probe along the section decides flat/sphere/generic
-    probe = dict(point)
-    probe[section[0]] += 0.3
-    probe[section[1]] -= 0.2
-    try:
-        k2 = geometry.gauss_curvature(model, probe, section)
-    except DegenerateSection:
-        k2 = None
-    if abs(k) <= geometry.FLAT_K_TOL and (k2 is None or abs(k2) <= geometry.FLAT_K_TOL):
-        cls = "flat"
-    elif k > 0 and k2 is not None and abs(k2 - k) <= 1e-3 * abs(k):
-        cls = "sphere"
-    else:
-        cls = "generic"
+    # the point and a probe shifted along the section, in one call
+    x = model.circuit.angles(point)
+    shift = [{section[0]: 0.3, section[1]: -0.2}.get(p, 0.0) for p in model.parameter_names]
+    ks, (g, _, _) = geometry.section_curvatures(model, np.stack([x, x + shift]), section)
+    if np.isnan(ks[0]):
+        raise DegenerateSection(f"section {section} is degenerate at the point")
+    cls = geometry.curvature_label(ks[np.isfinite(ks)], g)
     _emit_json({
         "name": model.name,
         "point": {p: point[p] for p in model.parameter_names},
         "section": list(section),
-        "gaussian_curvature": k,
-        "radius": float(1 / np.sqrt(k)) if cls == "sphere" else None,
+        "gaussian_curvature": float(ks[0]),
+        "radius": float(1 / np.sqrt(ks[0])) if cls == "sphere" else None,
         "classification": cls,
     })
     return EXIT_OK
@@ -244,7 +231,10 @@ def cmd_verify(args) -> int:
 
 
 def _complex_list(text: str):
-    return tuple(complex(tok) for tok in text.split(","))
+    try:
+        return tuple(complex(tok) for tok in text.split(","))
+    except ValueError:
+        raise ManifestError(f"--coeffs: {text!r} is not a list of complex numbers") from None
 
 
 def cmd_models(args) -> int:
@@ -342,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, MissingParameter, OSError) as exc:
+    except (ManifestError, MissingParameter, EmptyGrid, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StatemetricError as exc:

@@ -57,6 +57,10 @@ class InvalidSpin(StatemetricError):
     pass
 
 
+class InvalidOscillator(StatemetricError):
+    """Non-positive or non-finite mass or frequency, or a negative level."""
+
+
 class BadNormalization(StatemetricError):
     pass
 

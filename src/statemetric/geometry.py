@@ -1,10 +1,11 @@
 """Metric fields, curvature diagnostics and manifold classification.
 
-Curvature is obtained by finite differences of the analytically computed
-metric (generators are arbitrary user matrices, so symbolic derivatives are
-unavailable): Gaussian curvature of 2-parameter sections via the Brioschi
-formula, scalar curvature of full-rank 3-parameter metrics via Christoffel
-symbols.
+Curvature is exact: ``manifold.metric_jets`` gives the metric with its
+first and second parameter derivatives from order-3 state jets, one batched
+Christoffel/Ricci contraction of those jets gives the scalar curvature, and
+the Gaussian curvature of a 2-parameter coordinate section is half the
+scalar curvature of its 2x2 sub-jet.  ``classify`` and the CLI ``curvature``
+command label curvature samples with one rule, ``curvature_label``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ from .errors import (
     InsufficientGrid,
     MissingParameter,
 )
-from .manifold import MetricTensor, metric_batch
+from .manifold import MetricTensor, metric_batch, metric_jets
 from .models import Model
 
-CURVATURE_STEP = 1e-3
 RANK_TOL = 1e-10
 FLAT_K_TOL = 1e-5
 FLAT_GRID_TOL = 1e-8
 SPHERE_K_VARIATION = 1e-4
+# a section (or metric) with a smaller metric determinant has no curvature
+SECTION_DET_TOL = 1e-10
+# the metric command's constancy probe: entries this close count as equal
+CONSTANT_METRIC_TOL = 1e-9
 
 
 def metric_stack(model: Model, angles, gamma: float | None = None) -> np.ndarray:
@@ -117,109 +121,83 @@ def rank_analysis(metric: MetricTensor, tol: float = RANK_TOL):
     return int(np.count_nonzero(keep)), V[:, ~keep]
 
 
-def _stencil_metrics(model: Model, nodes: np.ndarray, gamma) -> np.ndarray:
-    """Metrics at a stack of stencil nodes (..., M), all in one kernel call."""
-    m = nodes.shape[-1]
-    g = metric_batch(model.circuit, nodes.reshape(-1, m), model.initial_state, gamma)
-    return g.reshape(nodes.shape[:-1] + (m, m))
+def scalar_from_jets(g, dg, d2g) -> np.ndarray:
+    """Scalar curvature (B,) of metrics g (B, n, n) from their exact
+    derivatives dg[b, i, j, a] = d_a g_ij and d2g[b, i, j, a, c] = d_a d_c g_ij,
+    NaN where det g <= SECTION_DET_TOL; twice the Gaussian curvature if n = 2.
+
+    R = g^jl R_jl, R_jl = d_i Gamma^i_jl - d_j Gamma^i_il + Gamma^i_ip Gamma^p_jl
+    - Gamma^i_jp Gamma^p_il, Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk) / 2.
+    """
+    def first_kind(t):  # t[b, l, k, j, ...] = d_j g_lk  ->  Gamma_ljk
+        return (t.swapaxes(2, 3) + t - np.moveaxis(t, 3, 1)) / 2
+
+    regular = np.linalg.det(g) > SECTION_DET_TOL
+    ginv = np.linalg.inv(np.where(regular[:, None, None], g, np.eye(g.shape[-1])))
+    gam = np.einsum("bil,bljk->bijk", ginv, first_kind(dg))
+    # d_a g^il = -g^ip d_a g_pq g^ql
+    dgam = (np.einsum("bil,bljka->bijka", ginv, first_kind(d2g))
+            - np.einsum("bip,bpqa,bqjk->bijka", ginv, dg, gam))
+    ricci = (np.einsum("bijli->bjl", dgam) - np.einsum("biilj->bjl", dgam)
+             + np.einsum("biip,bpjl->bjl", gam, gam)
+             - np.einsum("bijp,bpil->bjl", gam, gam))
+    return np.where(regular, np.einsum("bjl,bjl->b", ginv, ricci), np.nan)
 
 
-def gauss_curvature_from_fn(metric_fn, u: float, v: float,
-                            step: float = CURVATURE_STEP) -> float:
-    """Brioschi formula with second-order central differences of E, F, G."""
-    # m[i+1][j+1] is the 2x2 section metric at (u + i step, v + j step)
-    m = np.array([[metric_fn(u + i * step, v + j * step) for j in (-1, 0, 1)]
-                  for i in (-1, 0, 1)])
-    return _brioschi(m, step)
-
-
-def _brioschi(m: np.ndarray, d: float) -> float:
-    """Gaussian curvature from a (3, 3, 2, 2) stencil of section metrics."""
-    E, F, G = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
-
-    def du(c):
-        return (c[2, 1] - c[0, 1]) / (2 * d)
-
-    def dv(c):
-        return (c[1, 2] - c[1, 0]) / (2 * d)
-
-    E_u, E_v = du(E), dv(E)
-    F_u, F_v = du(F), dv(F)
-    G_u, G_v = du(G), dv(G)
-    E_vv = (E[1, 2] - 2 * E[1, 1] + E[1, 0]) / d**2
-    G_uu = (G[2, 1] - 2 * G[1, 1] + G[0, 1]) / d**2
-    F_uv = (F[2, 2] - F[2, 0] - F[0, 2] + F[0, 0]) / (4 * d**2)
-
-    e, f, g = E[1, 1], F[1, 1], G[1, 1]
-    det = e * g - f * f
-    if det <= 1e-10:
-        raise DegenerateSection(f"section metric determinant {det:.3e} too small")
-    top = np.array([
-        [-E_vv / 2 + F_uv - G_uu / 2, E_u / 2, F_u - E_v / 2],
-        [F_v - G_u / 2, e, f],
-        [G_v / 2, f, g],
-    ])
-    bottom = np.array([
-        [0.0, E_v / 2, G_u / 2],
-        [E_v / 2, e, f],
-        [G_u / 2, f, g],
-    ])
-    return float((np.linalg.det(top) - np.linalg.det(bottom)) / det**2)
-
-
-def gauss_curvature(model: Model, point, section, gamma: float | None = None,
-                    step: float = CURVATURE_STEP) -> float:
-    """Gaussian curvature of a 2-parameter coordinate section at a point."""
-    g = model.gamma if gamma is None else gamma
+def section_curvatures(model: Model, angles, section, gamma: float | None = None):
+    """(K, jets): Gaussian curvature (B,) of the section of two distinct
+    parameters at each row of a (B, M) array of angles, NaN where it is
+    degenerate, and the full ``metric_jets`` there.  Raises MissingParameter
+    for an unknown name, DegenerateSection for a repeated one."""
+    names = model.circuit.parameter_names
     section = tuple(section)
     if len(section) != 2 or section[0] == section[1]:
         raise DegenerateSection(f"section must be two distinct parameters, got {section}")
-    i, j = (list(model.circuit.parameter_names).index(s) for s in section)
-    x0 = model.circuit.angles(point)
-    nodes = np.tile(x0, (3, 3, 1))
-    for k, a in enumerate((-1, 0, 1)):
-        nodes[k, :, i] = x0[i] + a * step
-        nodes[:, k, j] = x0[j] + a * step
-    m = _stencil_metrics(model, nodes, g)
-    return _brioschi(m[..., [i, j], :][..., [i, j]], step)
+    for p in section:
+        if p not in names:
+            raise MissingParameter(f"unknown section parameter {p!r}")
+    jets = metric_jets(model.circuit, angles, model.initial_state,
+                       model.gamma if gamma is None else gamma)
+    idx = [names.index(p) for p in section]
+    sub = []
+    for j in jets:  # the section's 2 x 2 (x 2 (x 2)) sub-jets
+        for axis in range(1, j.ndim):
+            j = j.take(idx, axis=axis)
+        sub.append(j)
+    return scalar_from_jets(*sub) / 2, jets
 
 
-def scalar_curvature(model: Model, point, gamma: float | None = None,
-                     step: float = CURVATURE_STEP) -> float:
-    """Scalar curvature from Christoffel symbols, all by finite differences.
+def gauss_curvature(model: Model, point, section, gamma: float | None = None) -> float:
+    """Gaussian curvature of a 2-parameter coordinate section at a point."""
+    k, _ = section_curvatures(model, model.circuit.angles(point)[None], section, gamma)
+    if np.isnan(k[0]):
+        raise DegenerateSection(f"section {tuple(section)} is degenerate at {point}")
+    return float(k[0])
 
-    Diagnostic output only; intended for full-rank metrics.
+
+def scalar_curvature(model: Model, point, gamma: float | None = None) -> float:
+    """Scalar curvature of a full-rank metric at a point, from exact jets."""
+    jets = metric_jets(model.circuit, model.circuit.angles(point)[None],
+                       model.initial_state, model.gamma if gamma is None else gamma)
+    return float(scalar_from_jets(*jets)[0])
+
+
+def curvature_label(k, g) -> str:
+    """flat, sphere or generic from finite Gaussian curvature samples k and
+    the metrics g (N, M, M) they were taken among.
+
+    Flat: g varies by at most FLAT_GRID_TOL (relative to max(1, |g|)) and
+    every |k| <= FLAT_K_TOL.  Sphere: two or more samples with a positive
+    mean and a spread within SPHERE_K_VARIATION of it.
     """
-    g0 = model.gamma if gamma is None else gamma
-    names = list(model.circuit.parameter_names)
-    n = len(names)
-    x0 = np.array([float(point[p]) for p in names])
-
-    # Christoffel symbols at x0 and x0 +- step e_a, each from the metric at
-    # its own centre and centre +- step e_c
-    offsets = np.zeros((2 * n + 1, n))
-    for a in range(n):
-        offsets[2 * a + 1, a] = step
-        offsets[2 * a + 2, a] = -step
-    centres = x0 + offsets
-    g_all = _stencil_metrics(model, centres[:, None, :] + offsets, g0)
-
-    def christoffel(gs):
-        ginv = np.linalg.inv(gs[0])
-        dg = (gs[1::2] - gs[2::2]) / (2 * step)
-        # Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk)
-        return 0.5 * np.einsum("il,jlk->ijk", ginv,
-                               dg.transpose(0, 1, 2) + dg.transpose(2, 1, 0)
-                               - dg.transpose(1, 0, 2))
-
-    gams = np.array([christoffel(gs) for gs in g_all])
-    gam = gams[0]
-    dgam = (gams[1::2] - gams[2::2]) / (2 * step)
-    # Ricci_jl = d_i Gamma^i_jl - d_j Gamma^i_il + G^i_ip G^p_jl - G^i_jp G^p_il
-    ricci = (np.einsum("iijl->jl", dgam) - np.einsum("jiil->jl", dgam)
-             + np.einsum("iip,pjl->jl", gam, gam)
-             - np.einsum("ijp,pil->jl", gam, gam))
-    return float(np.einsum("jl,jl->", np.linalg.inv(g_all[0, 0]), ricci))
+    scale = max(1.0, float(np.max(np.abs(g))))
+    if (np.max(g.max(axis=0) - g.min(axis=0)) <= FLAT_GRID_TOL * scale
+            and np.max(np.abs(k)) <= FLAT_K_TOL):
+        return "flat"
+    mean = float(np.mean(k))
+    if len(k) > 1 and mean > 0 and np.max(np.abs(k - mean)) <= SPHERE_K_VARIATION * mean:
+        return "sphere"
+    return "generic"
 
 
 @dataclass(frozen=True)
@@ -268,47 +246,27 @@ def classify(field: MetricField, k_samples: int = 5) -> CurvatureReport:
     rank = int(np.max(np.count_nonzero(keep, axis=-1)))
     null_dirs = V[nodes // 2][:, ~keep[nodes // 2]]
 
-    scale = max(1.0, float(np.max(np.abs(g))))
-    grid_variation = float(np.max(g.max(axis=0) - g.min(axis=0)))
-
-    if rank < 2:
-        if rank == 0:
-            return CurvatureReport("degenerate", 0, null_dirs, None, None, None, None)
-        cls = "flat" if grid_variation <= FLAT_GRID_TOL else "degenerate"
-        return CurvatureReport(cls, rank, null_dirs, None, None, None, None)
+    if rank < 2:  # a line has no intrinsic curvature
+        flat = rank == 1 and curvature_label(np.zeros(1), g) == "flat"
+        return CurvatureReport("flat" if flat else "degenerate", rank, null_dirs,
+                               None, None, None, None)
 
     names = field.model.circuit.parameter_names
     section = tuple(names[k] for k in _best_section(g))
     step = nodes // k_samples if nodes > k_samples else 1
-    sample_nodes = [dict(zip(names, x)) for x in field.angles[::step][:k_samples]]
-    curvatures = []
-    for node in sample_nodes:
-        try:
-            # Richardson-extrapolate the O(step^2) stencil error so the
-            # inferred sphere radius is good to ~1e-8
-            k1 = gauss_curvature(field.model, node, section, field.gamma,
-                                 CURVATURE_STEP)
-            k2 = gauss_curvature(field.model, node, section, field.gamma,
-                                 CURVATURE_STEP / 2)
-            curvatures.append((4 * k2 - k1) / 3)
-        except DegenerateSection:
-            continue
-    if not curvatures:
+    samples = field.angles[::step][:k_samples]
+    k, jets = section_curvatures(field.model, samples, section, field.gamma)
+    curvatures = k[np.isfinite(k)]
+    if not curvatures.size:
         return CurvatureReport("degenerate", rank, null_dirs, None, None, None, section)
-    curvatures = np.array(curvatures)
     k_mean = float(np.mean(curvatures))
-    k_spread = float(np.max(np.abs(curvatures - k_mean)))
 
     scal = None
     if rank == dim and dim == 3:
-        scal = scalar_curvature(field.model, sample_nodes[len(sample_nodes) // 2],
-                                field.gamma)
+        scal = float(scalar_from_jets(*jets)[len(samples) // 2])
 
-    if grid_variation <= FLAT_GRID_TOL * scale and np.max(np.abs(curvatures)) <= FLAT_K_TOL:
-        return CurvatureReport("flat", rank, null_dirs, k_mean, None, scal, section)
-    if k_mean > 0 and k_spread <= SPHERE_K_VARIATION * abs(k_mean):
-        return CurvatureReport("sphere", rank, null_dirs, k_mean,
-                               float(1.0 / np.sqrt(k_mean)), scal, section)
-    if rank < dim:
-        return CurvatureReport("degenerate", rank, null_dirs, k_mean, None, scal, section)
-    return CurvatureReport("generic", rank, null_dirs, k_mean, None, scal, section)
+    cls = curvature_label(curvatures, g)
+    if cls == "generic" and rank < dim:
+        cls = "degenerate"
+    radius = float(1.0 / np.sqrt(k_mean)) if cls == "sphere" else None
+    return CurvatureReport(cls, rank, null_dirs, k_mean, radius, scal, section)

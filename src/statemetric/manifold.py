@@ -1,9 +1,9 @@
 """Circuit unitaries, state evolution and the analytic Fubini-Study metric.
 
-Two independent closed-form routes are provided: one from exact state
-derivatives of the ordered exponential product, one from covariances of the
-conjugated circuit generators.  They must agree to roundoff.  The first is
-the production kernel (``metric_batch``, batched over points); the second
+Two independent closed-form routes: exact state derivatives of the ordered
+exponential product, and covariances of the conjugated circuit generators;
+they agree to roundoff.  The first is the production kernel (``metric_batch``;
+taken to order 3, ``metric_jets`` adds the metric's derivatives); the second
 (``tilde_metric_batch``), like ``evolve_batch`` behind the finite-difference
 oracles, is kept as an independent check.  Each takes a (B, M) array of
 angles; the point forms are batches of one.
@@ -11,6 +11,7 @@ angles; the point forms are batches of one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,15 +74,6 @@ class CircuitSpec:
             raise ValueError("parameter values must be finite")
         return angles
 
-    def factor_unitaries(self, point):
-        """exp(-i theta_j A_j) for each factor, using cached eigendecompositions."""
-        angles = self.angles(point)
-        out = []
-        for (gname, _), t in zip(self.factors, angles):
-            w, V = self.algebra.generator_eig(gname)
-            out.append(linalg.expm_phase_eig(w, V, t))
-        return out
-
 
 @dataclass(frozen=True)
 class MetricTensor:
@@ -106,8 +98,8 @@ class MetricTensor:
 def build_unitary(circuit: CircuitSpec, point) -> np.ndarray:
     """Ordered left-to-right product of the factor exponentials."""
     U = np.eye(circuit.dim, dtype=complex)
-    for F in circuit.factor_unitaries(point):
-        U = U @ F
+    for (gname, _), t in zip(circuit.factors, circuit.angles(point)):
+        U = U @ linalg.expm_phase_eig(*circuit.algebra.generator_eig(gname), t)
     return U
 
 
@@ -140,33 +132,53 @@ def evolve(circuit: CircuitSpec, point, psi_i) -> np.ndarray:
     return evolve_batch(circuit, circuit.angles(point)[None], psi_i)[0]
 
 
-def _tangent_stack(circuit: CircuitSpec, angles: np.ndarray, psi_i: np.ndarray) -> np.ndarray:
+@functools.cache
+def _jet_plan(m: int, order: int):
+    """Row bookkeeping of an order-``order`` ``_tangent_stack`` on m factors.
+
+    spawns[j] = (src, power): right after factor j, carried row src (counted
+    from the top of the carried slab) spawns (-i A_j)^power times itself.
+    up[a, r] is the row of d/d theta_a of row r (0 for rows of top order).
+    """
+    rows, spawns = [(0,) * m], [None] * m
+    for j in range(m - 1, -1, -1):
+        born = [(r, p) for r, alpha in enumerate(rows)
+                for p in range(1, order - sum(alpha) + 1)]
+        spawns[j] = np.array(born).T
+        rows = [rows[r][:j] + (p,) + rows[r][j + 1:] for r, p in born] + rows
+    index = {alpha: r for r, alpha in enumerate(rows)}
+    up = np.array([[index.get(alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:], 0)
+                    for alpha in rows] for a in range(m)])
+    return spawns, up
+
+
+def _tangent_stack(circuit: CircuitSpec, angles: np.ndarray, psi_i: np.ndarray,
+                   order: int = 1) -> np.ndarray:
     """Evolved states and their parameter derivatives for a block of points.
 
-    Returns X of shape (M+1, B, d) with X[j] = d psi/d theta_j for j < M and
-    X[M] = psi, each a row vector, so a factor F acts as X @ F.T.  The row
-    index leads so that every active slab X[j:] is contiguous and each factor
-    is one (k B, d) x (d, d) product.
+    Returns X of shape (R, B, d), one row d^alpha psi per multi-index
+    |alpha| <= order (R = 20 at M = 3, order 3), psi last; at order 1,
+    X[j] = d psi/d theta_j.  Rows are row vectors, so a factor F acts as
+    X @ F.T: two (k B, d) x (d, d) products per factor, for k rows.
 
-    d/d(theta_j) U = F_1 .. F_{j-1} (-i A_j) F_j .. F_M, so the factors are
-    applied right to left on the cached eigenbasis A_j = V diag(w) V^dagger:
-    F_j = V diag(exp(-i theta_j w)) V^dagger, and right after F_j the row
-    -i A_j psi is added, which every factor further left then carries.  This
-    is the reverse-mode O(M^2) mat-vec scheme of Jones & Gacon
-    (arXiv:2009.02823); no d x d product is ever formed.
+    d^p/d theta_j^p F_j = (-i A_j)^p F_j, so the factors are applied right
+    to left on the cached eigenbasis A_j = V diag(w) V^dagger, and right
+    after F_j each carried row of order o < order spawns (-i A_j)^p row for
+    p = 1 .. order - o, in front of the carried rows.  At order 1 this is the
+    reverse-mode O(M^2) mat-vec scheme of Jones & Gacon (arXiv:2009.02823);
+    no d x d product is formed.
     """
-    m = len(circuit.factors)
-    b, d = angles.shape[0], circuit.dim
-    X = np.empty((m + 1, b, d), dtype=complex)
-    X[m] = psi_i
-    for j in range(m - 1, -1, -1):
+    spawns, _ = _jet_plan(len(circuit.factors), order)
+    d = circuit.dim
+    X = np.broadcast_to(psi_i, (1, angles.shape[0], d))
+    for j in range(len(circuit.factors) - 1, -1, -1):
         w, V = circuit.algebra.generator_eig(circuit.factors[j][0])
-        # Y[1:] holds the active rows in the eigenbasis, Y[0] the new row
-        Y = np.empty((m - j + 1, b, d), dtype=complex)
-        np.matmul(X[j + 1:].reshape(-1, d), V.conj(), out=Y[1:].reshape(-1, d))
-        Y[1:] *= np.exp(-1j * angles[:, j, None] * w)
-        np.multiply(Y[-1], -1j * w, out=Y[0])
-        np.matmul(Y.reshape(-1, d), V.T, out=X[j:].reshape(-1, d))
+        src, power = spawns[j]
+        # carried rows in the eigenbasis, with the rows they spawn in front
+        Y = (X.reshape(-1, d) @ V.conj()).reshape(X.shape)
+        Y *= np.exp(-1j * angles[:, j, None] * w)
+        Y = np.concatenate([Y[src] * (-1j * w) ** power[:, None, None], Y])
+        X = (Y.reshape(-1, d) @ V.T).reshape(Y.shape)
     return X
 
 
@@ -200,6 +212,37 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
         out[start:start + BLOCK_NODES] = (overlaps - proj[:, :, None]
                                           * proj[:, None, :].conj()).real
     return gamma**2 * out
+
+
+def metric_jets(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0):
+    """Metrics g (B, M, M) at a (B, M) array of angles in factor order and
+    their exact derivatives dg[b, m, n, a] = d_a g_mn, d2g[b, m, n, a, c] =
+    d_a d_c g_mn, for a handful of points (unblocked).  g_mn = gamma^2
+    Re(G[m, n] - G[m, psi] G[psi, n]) on the Gram matrix G of the order-3
+    rows of ``_tangent_stack``; d_a G[r, t] = G[d_a r, t] + G[r, d_a t].
+    """
+    psi_i = _initial_state(circuit, psi_i)
+    m = len(circuit.factors)
+    X = _tangent_stack(circuit, circuit.angle_batch(angles), psi_i, order=3)
+    G = np.einsum("rbd,sbd->brs", X.conj(), X)
+    up = _jet_plan(m, 3)[1]
+    s = np.append(up[:, -1], len(X) - 1)  # rows of d_0 psi .. d_{m-1} psi, psi
+    u = up[:, s].T  # u[t, a]: row of d_a (slot t)
+    uu = up[:, u].transpose(1, 2, 0)  # uu[t, a, c]: row of d_c d_a (slot t)
+    # J[0], J[1][..., a], J[2][..., a, c]: G[slot t, slot t'], d_a of it, d_c d_a of it
+    J = [G[:, s[:, None], s],
+         G[:, u[:, None], s[:, None]] + G[:, s[:, None, None], u],
+         G[:, uu[:, None], s[:, None, None]] + G[:, u[:, None, :, None], u[:, None]]
+         + G[:, u[:, None, None], u[:, :, None]] + G[:, s[:, None, None, None], uu]]
+    A, P = [j[:, :m, :m] for j in J], [j[:, :m, m] for j in J]
+    Q = [p.conj() for p in P]  # G[psi, n] = conj G[n, psi]
+    g = A[0] - np.einsum("bm,bn->bmn", P[0], Q[0])
+    dg = (A[1] - np.einsum("bma,bn->bmna", P[1], Q[0])
+          - np.einsum("bm,bna->bmna", P[0], Q[1]))
+    cross = np.einsum("bma,bnc->bmnac", P[1], Q[1])
+    d2g = (A[2] - np.einsum("bmac,bn->bmnac", P[2], Q[0]) - cross - cross.swapaxes(-1, -2)
+           - np.einsum("bm,bnac->bmnac", P[0], Q[2]))
+    return tuple(gamma**2 * x.real for x in (g, dg, d2g))
 
 
 def projector_metric(psi, derivs, gamma: float = 1.0) -> np.ndarray:

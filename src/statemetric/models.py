@@ -17,6 +17,7 @@ from . import linalg
 from .errors import (
     BadNormalization,
     BadVariant,
+    InvalidOscillator,
     InvalidSpin,
     SubspaceLeak,
     TruncationTooSmall,
@@ -44,7 +45,7 @@ class Model:
 def _normalized(amps, tol=1e-12) -> np.ndarray:
     psi = np.asarray(amps, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
         raise BadNormalization(f"state norm {norm!r} deviates from 1 by more than {tol:g}")
     return psi / norm
 
@@ -56,7 +57,7 @@ def _normalized(amps, tol=1e-12) -> np.ndarray:
 def spin_operators(s):
     """(S_x, S_y, S_z) for spin s in the S_z eigenbasis ordered m = s..-s."""
     two_s = 2 * s
-    if abs(two_s - round(two_s)) > 1e-12 or s < 0.5:
+    if not (np.isfinite(s) and abs(two_s - round(two_s)) <= 1e-12 and s >= 0.5):
         raise InvalidSpin(f"spin must be a positive half-integer, got {s}")
     s = round(two_s) / 2
     m = np.arange(s, -s - 0.5, -1.0)
@@ -96,7 +97,7 @@ def spin_model(spec: SpinModelSpec) -> Model:
             raise BadNormalization(f"expected {dim} coefficients, got {len(spec.coefficients)}")
         psi = _normalized(np.asarray(spec.coefficients, dtype=complex)[::-1])
     elif spec.m is not None:
-        if abs(spec.m) > s + 1e-12 or abs((s - spec.m) - round(s - spec.m)) > 1e-12:
+        if not abs(spec.m) <= s + 1e-12 or abs((s - spec.m) - round(s - spec.m)) > 1e-12:
             raise InvalidSpin(f"m = {spec.m} is not an eigenvalue of S_z for s = {s}")
         psi = np.zeros(dim, dtype=complex)
         psi[round(s - spec.m)] = 1.0
@@ -139,12 +140,12 @@ def oscillator_model(spec: OscillatorModelSpec) -> Model:
     truncation edge; the representation carries an active block on which all
     operator-level comparisons are performed.
     """
-    if spec.mass <= 0 or spec.omega <= 0:
-        raise ValueError("mass and frequency must be positive")
+    if not (0 < spec.mass < np.inf and 0 < spec.omega < np.inf):
+        raise InvalidOscillator("mass and frequency must be positive and finite")
     N = int(spec.truncation)
     n = int(spec.n)
     if n < 0:
-        raise ValueError("level n must be non-negative")
+        raise InvalidOscillator(f"level n must be non-negative, got {n}")
     if N <= n + 4:
         raise TruncationTooSmall(f"truncation {N} must exceed n + 4 = {n + 4}")
     a = np.zeros((N, N), dtype=complex)
@@ -211,11 +212,15 @@ class TwoSpinModelSpec:
     gamma: float = 1.0
 
 
+@functools.cache
 def _site_ops():
+    """Read-only (S_x, S_y, S_z) of the first and of the second site."""
     sx, sy, sz = spin_operators(0.5)
     eye = np.eye(2, dtype=complex)
-    first = [np.kron(op, eye) for op in (sx, sy, sz)]
-    second = [np.kron(eye, op) for op in (sx, sy, sz)]
+    first = tuple(np.kron(op, eye) for op in (sx, sy, sz))
+    second = tuple(np.kron(eye, op) for op in (sx, sy, sz))
+    for op in first + second:
+        op.flags.writeable = False
     return first, second
 
 

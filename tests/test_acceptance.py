@@ -57,5 +57,5 @@ def test_run_checks_builds_the_catalog_once(monkeypatch):
 def test_catalog_checks_take_the_shared_catalog():
     takes = {fn.__name__.removeprefix("check_") for fn in verify.ALL_CHECKS
              if "models" in inspect.signature(fn).parameters}
-    assert takes == {"three_way_agreement", "two_spin_spheres", "adjoint_equivalence",
-                     "spin1_superposition", "oracle_quality"}
+    assert takes == {"three_way_agreement", "oscillator_flat", "two_spin_spheres",
+                     "adjoint_equivalence", "spin1_superposition", "oracle_quality"}

@@ -210,6 +210,23 @@ def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):
     assert err.startswith("error: ") and out == ""
 
 
+@pytest.mark.parametrize("flag,value", [("--mass", "-1"), ("--omega", "0"), ("--n", "-1")])
+def test_bad_oscillator_is_domain_error(flag, value, capsys):
+    assert cli.main(["models", "emit", "oscillator", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--s", "nan"], 1), (["--s", "inf"], 1), (["--s", "1", "--m", "nan"], 1),
+    (["--s", "1", "--coeffs", "nan,0,1"], 1), (["--s", "1", "--coeffs", "x,0,1"], 2),
+], ids=["nan-s", "inf-s", "nan-m", "nan-coeffs", "malformed-coeffs"])
+def test_bad_spin_exits_cleanly(argv, code, capsys):
+    assert cli.main(["models", "emit", "spin"] + argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,field,value", [
     ("validate", ("generators", "Sz", 0, 0), [float("nan"), 0.0]),
     ("validate", ("initial_state", 1), [0.0, float("inf")]),
@@ -240,8 +257,36 @@ class TestCurvature:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] == "sphere"
-        assert doc["gaussian_curvature"] == pytest.approx(1.0, abs=1e-4)
-        assert doc["radius"] == pytest.approx(1.0, abs=1e-4)
+        assert doc["gaussian_curvature"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["radius"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_generic_classification(self, tmp_path, capsys):
+        # a spin-2 state spread over all levels: the section curvature at
+        # the point and at the probe differ
+        coeffs = (0.3, 0.4, 0.5, 0.6, np.sqrt(1 - 0.86))
+        path = tmp_path / "spin2.json"
+        path.write_text(manifest.dumps(manifest.model_to_manifest(
+            spin_model(SpinModelSpec(s=2, coefficients=coeffs)))), encoding="utf-8")
+        assert cli.main(["curvature", str(path), "--at", "theta_1=0.2", "--at", "theta_2=1.0",
+                         "--at", "theta_3=0.5", "--section", "theta_1,theta_2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"] == "generic" and doc["radius"] is None
+
+    def test_labels_follow_the_shared_rule(self, spin_manifest, osc_manifest, monkeypatch,
+                                           capsys):
+        # the command hands its two samples and metrics to curvature_label
+        seen = []
+
+        def spy(k, g):
+            seen.append((np.array(k), g.shape))
+            return "generic"
+
+        monkeypatch.setattr(geometry, "curvature_label", spy)
+        assert cli.main(["curvature", spin_manifest, "--defaults-zero",
+                         "--at", "theta_2=1.0", "--section", "theta_1,theta_2"]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == "generic"
+        (k, shape), = seen
+        assert k == pytest.approx([1.0, 1.0], abs=1e-12) and shape == (2, 3, 3)
 
     def test_flat_classification(self, osc_manifest, capsys):
         code = cli.main(["curvature", osc_manifest, "--defaults-zero",

@@ -15,14 +15,16 @@ from statemetric.errors import (
 from statemetric.geometry import (
     GridSpec,
     classify,
+    curvature_label,
     gauss_curvature,
-    gauss_curvature_from_fn,
     metric_at,
     metric_field,
     rank_analysis,
     scalar_curvature,
+    scalar_from_jets,
+    section_curvatures,
 )
-from statemetric.manifold import BLOCK_NODES, MetricTensor
+from statemetric.manifold import BLOCK_NODES, MetricTensor, metric_jets
 from statemetric.models import (
     OscillatorModelSpec,
     SpinModelSpec,
@@ -188,39 +190,58 @@ class TestRankAnalysis:
         assert rank == 1 and null.shape[1] == 2
 
 
+def surface(E, F, G):
+    """Jets (g, dg, d2g) of a 2-surface at one point, batch of one, from
+    (value, d_u, d_v, d_uu, d_uv, d_vv) of each of E, F, G."""
+    g, dg, d2g = np.zeros((1, 2, 2)), np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2, 2))
+    for (i, j), (v, du, dv, duu, duv, dvv) in zip(((0, 0), (0, 1), (1, 1)), (E, F, G)):
+        for a, b in ((i, j), (j, i)):
+            g[0, a, b] = v
+            dg[0, a, b] = du, dv
+            d2g[0, a, b] = [[duu, duv], [duv, dvv]]
+    return g, dg, d2g
+
+
+def gauss(E, F, G):
+    """Gaussian curvature of a 2-surface from its jets: half the scalar curvature."""
+    return scalar_from_jets(*surface(E, F, G))[0] / 2
+
+
 class TestBrioschi:
-    """Check the stencil against 2-surfaces with known curvature, supplied as
-    plain metric functions with no quantum model behind them."""
+    """Check the jet curvature against 2-surfaces with known curvature,
+    supplied as exact metric jets with no quantum model behind them."""
 
     def test_round_sphere(self):
-        R = 2.0
-        def fn(u, v):
-            return np.array([[R**2 * np.sin(v) ** 2, 0.0], [0.0, R**2]])
-        K = gauss_curvature_from_fn(fn, 0.4, 1.1)
-        assert K == pytest.approx(1.0 / R**2, abs=1e-4)
+        R, v = 2.0, 1.1  # E = R^2 sin^2 v, F = 0, G = R^2
+        E = (R**2 * np.sin(v) ** 2, 0.0, R**2 * np.sin(2 * v), 0.0, 0.0, 2 * R**2 * np.cos(2 * v))
+        K = gauss(E, (0.0,) * 6, (R**2,) + (0.0,) * 5)
+        assert K == pytest.approx(1.0 / R**2, abs=1e-14)
 
     def test_flat_polar_coordinates(self):
-        def fn(u, v):
-            return np.array([[1.0, 0.0], [0.0, u**2]])
-        assert abs(gauss_curvature_from_fn(fn, 1.3, 0.2)) <= 1e-9
+        u = 1.3  # E = 1, F = 0, G = u^2
+        K = gauss((1.0,) + (0.0,) * 5, (0.0,) * 6, (u**2, 2 * u, 0.0, 2.0, 0.0, 0.0))
+        assert abs(K) <= 1e-15
 
     def test_hyperbolic_plane(self):
-        def fn(u, v):
-            return np.array([[1.0, 0.0], [0.0, np.exp(2 * u)]])
-        assert gauss_curvature_from_fn(fn, 0.1, 0.5) == pytest.approx(-1.0, abs=1e-5)
+        e = np.exp(2 * 0.1)  # E = 1, F = 0, G = exp(2u) at u = 0.1
+        K = gauss((1.0,) + (0.0,) * 5, (0.0,) * 6, (e, 2 * e, 0.0, 4 * e, 0.0, 0.0))
+        assert K == pytest.approx(-1.0, abs=1e-14)
 
     def test_off_diagonal_terms_exercised(self):
-        # E = 1 + v^2, F = v, G = 1 has constant curvature -1 (Brioschi's
-        # bottom determinant is nonzero here, unlike the diagonal cases)
-        def fn(u, v):
-            return np.array([[1.0 + v**2, v], [v, 1.0]])
-        assert gauss_curvature_from_fn(fn, 0.3, 0.7) == pytest.approx(-1.0, abs=1e-5)
+        # E = 1 + v^2, F = v, G = 1 has constant curvature -1 (the
+        # off-diagonal F enters the Christoffel symbols, unlike the diagonal cases)
+        v = 0.7
+        K = gauss((1.0 + v**2, 0.0, 2 * v, 0.0, 0.0, 2.0), (v, 0.0, 1.0, 0.0, 0.0, 0.0),
+                  (1.0,) + (0.0,) * 5)
+        assert K == pytest.approx(-1.0, abs=1e-14)
 
-    def test_degenerate_section(self):
-        def fn(u, v):
-            return np.zeros((2, 2))
+    def test_degenerate_section(self, spin1):
+        # a zero metric has no curvature: NaN in a batch, an error at a point
+        assert np.isnan(gauss(*[(0.0,) * 6] * 3))
+        # at theta_2 = 0 the (theta_1, theta_3) section has zero area
         with pytest.raises(DegenerateSection):
-            gauss_curvature_from_fn(fn, 0.0, 0.0)
+            gauss_curvature(spin1, {"theta_1": 0.3, "theta_2": 0.0, "theta_3": 0.1},
+                            ("theta_1", "theta_3"))
 
 
 class TestGaussCurvature:
@@ -228,7 +249,7 @@ class TestGaussCurvature:
         # R = (1/sqrt2) sqrt(s(s+1) - m^2) = 1 for s=1, m=0, so K = 1
         K = gauss_curvature(spin1, {"theta_1": 0.2, "theta_2": 1.0, "theta_3": 0.5},
                             ("theta_1", "theta_2"))
-        assert K == pytest.approx(1.0, abs=1e-4)
+        assert K == pytest.approx(1.0, abs=1e-12)
 
     def test_oscillator_flat(self, osc):
         K = gauss_curvature(osc, {"theta": 0.1, "phi": -0.2}, ("theta", "phi"))
@@ -238,6 +259,56 @@ class TestGaussCurvature:
         pt = {"theta_1": 0.1, "theta_2": 1.0, "theta_3": 0.0}
         with pytest.raises(DegenerateSection):
             gauss_curvature(spin1, pt, ("theta_1", "theta_1"))
+        with pytest.raises(MissingParameter):
+            gauss_curvature(spin1, pt, ("theta_1", "bogus"))
+
+    def test_batch_skips_degenerate_rows(self, spin1):
+        # theta_2 = 0 is a coordinate pole of the (theta_1, theta_2) sphere;
+        # the other row of the same call keeps its curvature
+        angles = np.array([[0.3, 0.0, 0.1], [0.3, 1.2, 0.1]])
+        k, (g, dg, d2g) = section_curvatures(spin1, angles, ("theta_1", "theta_2"))
+        assert np.isnan(k[0]) and k[1] == pytest.approx(1.0, abs=1e-12)
+        assert g.shape == (2, 3, 3) and dg.shape == (2, 3, 3, 3) and d2g.shape == (2, 3, 3, 3, 3)
+
+
+class TestMetricJets:
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_jets_match_central_differences(self, key):
+        model = CATALOG[key]
+        m = len(model.parameter_names)
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (2, m))
+        g, dg, d2g = metric_jets(model.circuit, x, model.initial_state, model.gamma)
+        assert np.max(np.abs(g - geometry.metric_stack(model, x))) <= 1e-14
+
+        def shifted(*steps):
+            return geometry.metric_stack(model, x + sum(steps, np.zeros(m)))
+
+        h, e = 1e-4, np.eye(m)
+        fd = np.stack([(shifted(h * e[a]) - shifted(-h * e[a])) / (2 * h)
+                       for a in range(m)], axis=-1)
+        assert np.max(np.abs(dg - fd)) <= 1e-7
+        h = 1e-3
+        fd2 = np.stack([np.stack([(shifted(h * e[a], h * e[c]) - shifted(h * e[a], -h * e[c])
+                                   - shifted(-h * e[a], h * e[c])
+                                   + shifted(-h * e[a], -h * e[c])) / (4 * h * h)
+                                  for c in range(m)], axis=-1) for a in range(m)], axis=-2)
+        assert np.max(np.abs(d2g - fd2)) <= 1e-5
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.6, 0.0, 0.8),
+        (0.3, 0.4, 0.5, 0.6, np.sqrt(1 - 0.86)),
+    ], ids=["spin1", "spin2"])
+    def test_scalar_curvature_constant_on_su2_orbit(self, coeffs):
+        # the circuit sweeps the SU(2) orbit of the state, a homogeneous
+        # space: its scalar curvature is the same at every regular point
+        model = spin_model(SpinModelSpec(s=(len(coeffs) - 1) / 2, coefficients=coeffs))
+        points = [{"theta_1": 0.4, "theta_2": 1.1, "theta_3": 0.7},
+                  {"theta_1": -1.3, "theta_2": 0.5, "theta_3": 2.0},
+                  {"theta_1": 2.2, "theta_2": 2.6, "theta_3": -0.4},
+                  {"theta_1": 0.0, "theta_2": 1.6, "theta_3": 0.0}]
+        R = np.array([scalar_curvature(model, p) for p in points])
+        assert np.all(np.isfinite(R))
+        assert np.max(np.abs(R - R[0])) <= 1e-9 * max(1.0, abs(R[0]))
 
 
 def test_scalar_curvature_full_rank_spin1():
@@ -247,6 +318,22 @@ def test_scalar_curvature_full_rank_spin1():
     R = scalar_curvature(model, {"theta_1": 0.4, "theta_2": 1.1, "theta_3": 0.7})
     assert np.isfinite(R)
     assert abs(R) < 50.0
+
+
+class TestCurvatureLabel:
+    g_flat = np.array([np.eye(2), np.eye(2)])
+    g_varying = np.array([np.eye(2), 2 * np.eye(2)])
+
+    def test_flat_needs_a_constant_metric(self):
+        assert curvature_label(np.array([0.0, 1e-6]), self.g_flat) == "flat"
+        assert curvature_label(np.array([0.0, 0.0]), self.g_varying) == "generic"
+
+    def test_sphere_needs_constant_positive_samples(self):
+        assert curvature_label(np.array([4.0, 4.0 * (1 + 0.9e-4)]), self.g_varying) == "sphere"
+        assert curvature_label(np.array([4.0, 4.0 * (1 + 3e-4)]), self.g_varying) == "generic"
+        assert curvature_label(np.array([-1.0, -1.0]), self.g_varying) == "generic"
+        # one sample cannot show that the curvature is constant
+        assert curvature_label(np.array([4.0]), self.g_varying) == "generic"
 
 
 class TestClassify:

@@ -5,6 +5,7 @@ from statemetric import linalg, oracle
 from statemetric.errors import (
     BadNormalization,
     BadVariant,
+    InvalidOscillator,
     InvalidSpin,
     SubspaceLeak,
     TruncationTooSmall,
@@ -126,11 +127,23 @@ class TestOscillatorModel:
             oscillator_model(OscillatorModelSpec(n=10, truncation=14))
 
     def test_invalid_physical_constants(self):
-        with pytest.raises(ValueError):
-            oscillator_model(OscillatorModelSpec(mass=-1.0))
+        for spec in (OscillatorModelSpec(mass=-1.0), OscillatorModelSpec(omega=0.0),
+                     OscillatorModelSpec(mass=float("nan")),
+                     OscillatorModelSpec(omega=float("inf")), OscillatorModelSpec(n=-1)):
+            with pytest.raises(InvalidOscillator):
+                oscillator_model(spec)
 
 
 class TestTwoSpinGenerators:
+    def test_site_operators_built_once_and_read_only(self):
+        from statemetric.models import _site_ops
+        first, second = _site_ops()
+        assert _site_ops() is _site_ops()
+        for op in first + second:
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+
     @pytest.mark.parametrize("variant", ["dm_xx", "sum"])
     def test_so3_brackets(self, variant):
         a1, a2, a3 = two_spin_generators(variant)

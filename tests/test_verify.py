@@ -128,3 +128,17 @@ def test_euler_bridge_fits_no_model_per_sample(monkeypatch):
 
     monkeypatch.setattr(models, "two_spin_model", refit)
     assert verify.check_euler_bridge().passed
+
+
+def test_oscillator_flat_builds_only_n2(monkeypatch):
+    # n = 0 and n = 1 come from the shared catalog; only n = 2 is built
+    built = []
+    orig = verify.oscillator_model
+
+    def counting(spec):
+        built.append(spec.n)
+        return orig(spec)
+
+    monkeypatch.setattr(verify, "oscillator_model", counting)
+    result = verify.check_oscillator_flat(CATALOG)
+    assert result.passed and built == [2]
