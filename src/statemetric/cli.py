@@ -59,7 +59,8 @@ def _parse_at(pairs, parameter_names, defaults_zero=False):
 
 
 def cmd_validate(args) -> int:
-    doc = manifest.loads(open(args.manifest, encoding="utf-8").read())
+    with open(args.manifest, encoding="utf-8") as fh:
+        doc = manifest.loads(fh.read())
     # structural pass first so Hermiticity failures come out as domain errors
     for key in ("name", "dimension", "generators"):
         if key not in doc:
@@ -132,13 +133,6 @@ def _parse_sweeps(items):
     return sweeps
 
 
-def _json_floats(values) -> list:
-    """Each float as ``json.dumps`` renders it: repr, unless it is not finite."""
-    values = np.asarray(values, dtype=float)
-    fmt = float.__repr__ if np.all(np.isfinite(values)) else json.dumps
-    return list(map(fmt, values.ravel().tolist()))
-
-
 def _grid_json(doc: dict, points, metrics) -> str:
     """``json.dumps(doc, indent=2) + "\n"`` with doc["nodes"] built from
     points and metrics, without the pure-Python encoder on every node.
@@ -148,15 +142,12 @@ def _grid_json(doc: dict, points, metrics) -> str:
     """
     # "nodes" is the last key, so the header ends in its placeholder
     head = json.dumps({**doc, "nodes": None}, indent=2).removesuffix("null\n}")
-    keys = [json.dumps(p).replace("%", "%%") for p in doc["parameters"]]
-    m = metrics.shape[-1]
-    point = ",\n".join(f"        {k}: %s" for k in keys)
-    row = "        [\n" + ",\n".join(["          %s"] * m) + "\n        ]"
-    template = ("    {\n      \"point\": {\n" + point + "\n      },\n"
-                "      \"g\": [\n" + ",\n".join([row] * m) + "\n      ]\n    }")
+    point = manifest.json_object([(p.replace("%", "%%"), "%s") for p in doc["parameters"]], 3)
+    template = "    " + manifest.json_object(
+        [("point", point), ("g", manifest.array_template(metrics.shape[1:], 3))], 2)
     fields = np.concatenate([points, metrics.reshape(len(metrics), -1)], axis=1)
     width = fields.shape[1]
-    text = _json_floats(fields)
+    text = manifest.json_floats(fields)
     nodes = ",\n".join(template % tuple(text[k:k + width])
                         for k in range(0, len(text), width))
     return head + "[\n" + nodes + "\n  ]\n}\n"
@@ -262,7 +253,7 @@ def cmd_models(args) -> int:
                                    initial=args.initial, gamma=args.gamma)
     else:
         raise UnknownModel(f"unknown model id {model_id!r}; known: {models.MODEL_IDS}")
-    sys.stdout.write(manifest.dumps(manifest.model_to_manifest(model)))
+    sys.stdout.write(manifest.emit(model))
     return EXIT_OK
 
 

@@ -29,6 +29,15 @@ class MissingParameter(StatemetricError):
     pass
 
 
+class DuplicateParameter(StatemetricError):
+    """A parameter drives more than one circuit factor; ``factor`` is the
+    index of the second factor it drives."""
+
+    def __init__(self, message: str, factor: int):
+        super().__init__(message)
+        self.factor = factor
+
+
 class StepOutOfRange(StatemetricError):
     pass
 

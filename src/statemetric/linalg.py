@@ -62,13 +62,10 @@ def state_vector(amplitudes) -> np.ndarray:
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
+    pivot = V[np.argmax(np.abs(V) > 1e-8, axis=0), np.arange(V.shape[1])]
+    turn = pivot != 0  # a zero column has a zero pivot and stays as it is
     V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        pivot = col[idx]
-        if pivot != 0:
-            V[:, k] = col * (abs(pivot) / pivot)
+    V[:, turn] *= np.abs(pivot[turn]) / pivot[turn]
     return V
 
 

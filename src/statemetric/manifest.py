@@ -2,7 +2,10 @@
 
 Complex numbers are [re, im] pairs; emission is deterministic (fixed key
 order, shortest round-trip float rendering) so emit -> parse -> re-emit is
-byte-identical.
+byte-identical.  The bytes are those of ``json.dumps(doc, indent=2)``, but
+the number blocks (each generator and the initial state) fill one row
+template with ``float.__repr__`` strings instead of going through the
+pure-Python encoder, which ``json.dumps`` takes whenever it indents.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import numpy as np
 
 from . import linalg
-from .errors import ManifestError
+from .errors import DuplicateParameter, ManifestError
 from .liealg import extract_structure_constants
 from .manifold import CircuitSpec
 from .models import Model
@@ -22,7 +25,11 @@ def _pair2c(value, path: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ManifestError(f"{path}: expected a [re, im] number pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise ManifestError(f"{path}: expected a finite number, got an integer "
+                            "beyond the float range") from None
 
 
 def _require_finite(values, path: str) -> np.ndarray:
@@ -54,35 +61,102 @@ def require_gamma(gamma) -> float:
     return gamma
 
 
-def _c2pairs(values) -> list:
-    """Complex array as nested [re, im] lists of Python floats."""
+def json_floats(values) -> list:
+    """Each float as ``json.dumps`` renders it: repr, unless it is not finite."""
+    values = np.asarray(values, dtype=float)
+    fmt = float.__repr__ if np.all(np.isfinite(values)) else json.dumps
+    return list(map(fmt, values.ravel().tolist()))
+
+
+def array_template(shape, level: int) -> str:
+    """The layout ``json.dumps(indent=2)`` gives a nested list of this shape
+    (no zero length) at nesting depth ``level``, one ``%s`` per entry."""
+    if not shape:
+        return "%s"
+    pad = "\n" + "  " * (level + 1)
+    inner = array_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def json_object(items, level: int) -> str:
+    """A non-empty JSON object of (key, rendered value) items at nesting
+    depth ``level``, laid out as ``json.dumps(indent=2)`` lays it out."""
+    pad = "\n" + "  " * (level + 1)
+    return ("{" + pad + ("," + pad).join(f"{json.dumps(k)}: {v}" for k, v in items)
+            + "\n" + "  " * level + "}")
+
+
+def _float_array(block):
+    """A block as a float array if it is a float array or a rectangular,
+    non-empty nested list of floats, which the template renders; else None."""
+    if isinstance(block, np.ndarray):
+        return block if block.dtype == float and block.size else None
+    try:
+        values = np.array(block, dtype=object)
+    except ValueError:  # ragged below the first level
+        return None
+    if (values.ndim == 0 or not values.size
+            or set(map(type, values.ravel().tolist())) != {float}):
+        return None
+    return values.astype(float)
+
+
+def _render(value, level: int) -> str:
+    """``json.dumps(value, indent=2)`` as laid out at nesting depth ``level``."""
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        return json_object([(k, _render(v, level + 1)) for k, v in value.items()], level)
+    values = _float_array(value)
+    if values is None:
+        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+    return array_template(values.shape, level) % tuple(json_floats(values))
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` for any document.
+
+    Objects are laid out key by key; float arrays (the generators and the
+    initial state as [re, im] pairs) and rectangular nested lists of floats
+    fill ``array_template``; any other value is ``json.dumps`` re-indented
+    to its depth, which gives the same bytes.
+    """
+    return _render(doc, 0) + "\n"
+
+
+def _pairs(values) -> np.ndarray:
+    """Complex array as a float array of [re, im] pairs (last axis)."""
     values = np.asarray(values, dtype=complex)
-    return np.stack([values.real, values.imag], axis=-1).tolist()
+    return np.stack([values.real, values.imag], axis=-1)
 
 
-def model_to_manifest(model: Model) -> dict:
-    """Serializable manifest dict for a model, fixed key order."""
+def _manifest(model: Model, block) -> dict:
     return {
         "name": model.name,
         "dimension": int(model.rep.dim),
         "gamma": float(model.gamma),
         "generators": {
-            name: _c2pairs(G) for name, G in zip(model.rep.names, model.rep.generators)
+            name: block(G) for name, G in zip(model.rep.names, model.rep.generators)
         },
         "circuit": [[g, p] for g, p in model.circuit.factors],
-        "initial_state": _c2pairs(model.initial_state),
+        "initial_state": block(model.initial_state),
         "active_dim": model.rep.active_dim,
     }
 
 
-def dumps(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2) + "\n"
+def model_to_manifest(model: Model) -> dict:
+    """Serializable manifest dict for a model, fixed key order."""
+    return _manifest(model, lambda values: _pairs(values).tolist())
+
+
+def emit(model: Model) -> str:
+    """``dumps(model_to_manifest(model))``, rendered from the model's arrays
+    without building the nested lists."""
+    return dumps(_manifest(model, _pairs))
 
 
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise ManifestError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be a JSON object")
@@ -153,11 +227,6 @@ def parse_manifest(doc: dict) -> Model:
         if pair[0] not in names:
             raise ManifestError(f"circuit[{k}]: unknown generator {pair[0]!r}")
         factors.append((pair[0], pair[1]))
-    seen = set()
-    for k, (_g, p) in enumerate(factors):
-        if p in seen:
-            raise ManifestError(f"circuit[{k}]: parameter {p!r} drives more than one factor")
-        seen.add(p)
 
     state_doc = doc["initial_state"]
     if not isinstance(state_doc, list) or len(state_doc) != dim:
@@ -174,7 +243,10 @@ def parse_manifest(doc: dict) -> Model:
         raise ManifestError("active_dim: expected an integer in [1, dimension] or null")
 
     rep = extract_structure_constants(matrices, names=names, active_dim=active_dim)
-    circuit = CircuitSpec(rep, tuple(factors))
+    try:
+        circuit = CircuitSpec(rep, tuple(factors))
+    except DuplicateParameter as exc:
+        raise ManifestError(f"circuit[{exc.factor}]: {exc}") from None
     return Model(
         name=name,
         rep=rep,

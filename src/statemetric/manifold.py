@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, linalg
-from .errors import DimensionMismatch, MissingParameter
+from .errors import DimensionMismatch, DuplicateParameter, MissingParameter
 from .liealg import LieAlgebraRep
 
 # points per block of metric_batch and the oracles; bounds their work stacks
@@ -39,10 +39,11 @@ class CircuitSpec:
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple((g, p) for g, p in self.factors))
         seen = set()
-        for gname, pname in self.factors:
+        for k, (gname, pname) in enumerate(self.factors):
             self.algebra.index(gname)  # raises UnknownGenerator
             if pname in seen:
-                raise ValueError(f"parameter {pname!r} drives more than one factor")
+                raise DuplicateParameter(
+                    f"parameter {pname!r} drives more than one factor", factor=k)
             seen.add(pname)
 
     @property

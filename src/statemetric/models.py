@@ -50,6 +50,10 @@ def _normalized(amps, tol=1e-12) -> np.ndarray:
     return psi / norm
 
 
+# Largest Hilbert dimension a catalog model is built at (spin 2s + 1,
+# oscillator truncation); each dense generator then takes 16 MiB.
+MAX_HILBERT_DIM = 1024
+
 # ---------------------------------------------------------------------------
 # spin-s rotations
 
@@ -59,6 +63,9 @@ def spin_operators(s):
     two_s = 2 * s
     if not (np.isfinite(s) and abs(two_s - round(two_s)) <= 1e-12 and s >= 0.5):
         raise InvalidSpin(f"spin must be a positive half-integer, got {s}")
+    if round(two_s) + 1 > MAX_HILBERT_DIM:
+        raise InvalidSpin(f"spin {s} needs dimension 2s + 1 = {round(two_s) + 1}, "
+                          f"above the maximum {MAX_HILBERT_DIM}")
     s = round(two_s) / 2
     m = np.arange(s, -s - 0.5, -1.0)
     sz = np.diag(m).astype(complex)
@@ -146,6 +153,9 @@ def oscillator_model(spec: OscillatorModelSpec) -> Model:
     n = int(spec.n)
     if n < 0:
         raise InvalidOscillator(f"level n must be non-negative, got {n}")
+    if N > MAX_HILBERT_DIM:
+        raise InvalidOscillator(f"truncation {N} is above the maximum dimension "
+                                f"{MAX_HILBERT_DIM}")
     if N <= n + 4:
         raise TruncationTooSmall(f"truncation {N} must exceed n + 4 = {n + 4}")
     a = np.zeros((N, N), dtype=complex)

@@ -6,6 +6,7 @@ import pytest
 from statemetric import cli, geometry, manifest
 from statemetric.geometry import GridSpec
 from statemetric.models import (
+    MAX_HILBERT_DIM,
     OscillatorModelSpec,
     SpinModelSpec,
     oscillator_model,
@@ -215,6 +216,18 @@ def test_bad_oscillator_is_domain_error(flag, value, capsys):
     assert cli.main(["models", "emit", "oscillator", flag, value]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spin", "--s", str(MAX_HILBERT_DIM / 2)], ["spin", "--s", "1e9", "--m", "0"],
+    ["oscillator", "--trunc", str(MAX_HILBERT_DIM + 1)],
+    ["oscillator", "--trunc", "1000000000"],
+], ids=["spin-max", "spin-1e9", "trunc-max", "trunc-1e9"])
+def test_oversized_emit_is_domain_error(argv, capsys):
+    # refused before any matrix is allocated
+    assert cli.main(["models", "emit"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "maximum" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,code", [

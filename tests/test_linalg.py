@@ -49,6 +49,26 @@ class TestHermEig:
         w2, V2 = linalg.herm_eig(M.copy())
         assert np.array_equal(V1, V2)
 
+    def test_fix_phases_matches_loop_reference(self):
+        def reference(V):
+            V = V.copy()
+            for k in range(V.shape[1]):
+                col = V[:, k]
+                pivot = col[np.argmax(np.abs(col) > 1e-8)]
+                if pivot != 0:
+                    V[:, k] = col * (abs(pivot) / pivot)
+            return V
+
+        rng = np.random.default_rng(11)
+        blocks = [np.linalg.eigh(random_hermitian(rng, d))[1] for d in (3, 64, 256)]
+        blocks += [np.linalg.eigh(op)[1] for s in (0.5, 1, 7.5, 40) for op in spin_operators(s)]
+        V = blocks[0].copy()
+        V[0, 0] = 0.0  # a leading zero entry moves the pivot down
+        V[:, 1] = complex(-0.0, -0.0)  # a zero pivot: the column is left alone
+        V[:2, 2] = 1e-9  # entries below the threshold are skipped
+        for V in blocks + [V]:
+            assert linalg._fix_phases(V).tobytes() == reference(V).tobytes()
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             linalg.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statemetric import manifest
 from statemetric.errors import ManifestError, NotClosed, NotHermitian
@@ -12,6 +15,9 @@ from statemetric.models import (
     oscillator_model,
     spin_model,
 )
+from statemetric.verify import catalog
+
+CATALOG = catalog()
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +82,114 @@ class TestRoundTrip:
                                   "circuit", "initial_state", "active_dim"]
 
 
+def indented(doc) -> str:
+    """The reference layout dumps must reproduce."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
+                  1.0, -3.0, 2.0**53, 1e16, 0.1]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())  # NaN and inf too
+
+
+@st.composite
+def complex_arrays(draw, ndim):
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
+    parts = draw(st.lists(FLOATS, min_size=2 * int(np.prod(shape)),
+                          max_size=2 * int(np.prod(shape))))
+    return np.array(parts).view(complex).reshape(shape)
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, st.text(max_size=4))
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=3),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_complex_blocks_match_json_dumps(self, data):
+        gens = {name: data.draw(complex_arrays(2)) for name in ("A", "B")}
+        state = data.draw(complex_arrays(1))
+        doc = {"name": "m", "dimension": len(state), "gamma": 1.0,
+               "generators": {k: manifest._pairs(G).tolist() for k, G in gens.items()},
+               "circuit": [["A", "a"]], "initial_state": manifest._pairs(state).tolist(),
+               "active_dim": None}
+        text = manifest.dumps(doc)
+        assert text == indented(doc)
+        # the same blocks as float arrays, as emit hands them over
+        arrays = {**doc, "generators": {k: manifest._pairs(G) for k, G in gens.items()},
+                  "initial_state": manifest._pairs(state)}
+        assert manifest.dumps(arrays) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_any_document_matches_json_dumps(self, doc):
+        assert manifest.dumps(doc) == indented(doc)
+
+    @pytest.mark.parametrize("path,value", [
+        (("generators", "Sx", 0, 1), "oops"), (("generators", "Sx", 1, 2), True),
+        (("generators", "Sx", 1, 2, 0), 1), (("generators", "Sy", 2), []),
+        (("initial_state", 0), [0.5, 0.5, 0.5]), (("initial_state", 1, 1), None),
+        (("generators", "Sz"), {"x": [1.0, 2.0]}), (("dimension",), 10**400),
+    ], ids=["string-entry", "bool-entry", "int-part", "empty-row", "triple",
+            "null-part", "object-block", "huge-dimension"])
+    def test_malformed_documents_match_json_dumps(self, spin_doc, path, value):
+        doc = copy.deepcopy(spin_doc)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert manifest.dumps(doc) == indented(doc)
+
+    def test_keys_are_escaped(self):
+        doc = {'a"b': 1.0, "\u00e9": [[1.0, 2.0]], "%s": {"\n\\": [0.5], "": {}}, "x": {1: 2}}
+        assert manifest.dumps(doc) == indented(doc)
+
+    def test_ragged_block_matches_json_dumps(self, spin_doc):
+        doc = copy.deepcopy(spin_doc)
+        doc["generators"]["Sy"][2].append([0.0, 0.0])
+        doc["initial_state"] = doc["initial_state"][:2] + [[[0.0, 1.0]]]
+        assert manifest.dumps(doc) == indented(doc)
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: spin_model(SpinModelSpec(s=40, m=3)), id="spin40"),
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(truncation=128)), id="osc128"),
+    ] + [pytest.param(lambda key=key: CATALOG[key], id=key) for key in sorted(CATALOG)])
+    def test_emit_matches_json_dumps(self, model):
+        model = model()
+        doc = manifest.model_to_manifest(model)
+        assert manifest.emit(model) == manifest.dumps(doc) == indented(doc)
+
+    def test_number_blocks_skip_the_python_encoder(self, monkeypatch):
+        model = oscillator_model(OscillatorModelSpec(n=1, truncation=256))
+        doc = manifest.model_to_manifest(model)
+        encoded = []
+        make_iterencode = json.encoder._make_iterencode
+
+        def counting(markers, default, encoder, indent, floatstr, *args):
+            def counted(value, *rest):
+                encoded.append(value)
+                return floatstr(value, *rest)
+            return make_iterencode(markers, default, encoder, indent, counted, *args)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+        json.dumps([[0.5, -0.0]], indent=2)
+        assert encoded == [0.5, -0.0]  # the counter sees what the encoder renders
+        encoded.clear()
+        text = manifest.dumps(doc)
+        assert encoded == [model.gamma]  # only the header float
+        encoded.clear()
+        assert manifest.emit(model) == text
+        assert encoded == [model.gamma]
+        assert len(text) > 9_000_000
+
+
 class TestParseErrors:
     def _mutate(self, doc, **overrides):
         out = dict(doc)
@@ -85,6 +199,13 @@ class TestParseErrors:
     def test_invalid_json(self):
         with pytest.raises(ManifestError, match="invalid JSON"):
             manifest.loads("{not json")
+
+    @pytest.mark.parametrize("text", ['{"gamma": 1' + "0" * 5000 + "}", "[" * 100_000],
+                             ids=["5001-digit-integer", "nested-too-deep"])
+    def test_json_the_parser_refuses(self, text):
+        # json.loads raises a plain ValueError and a RecursionError here
+        with pytest.raises(ManifestError, match="invalid JSON"):
+            manifest.loads(text)
 
     def test_non_object_root(self):
         with pytest.raises(ManifestError, match="root"):
@@ -141,9 +262,18 @@ class TestParseErrors:
         with pytest.raises(ManifestError, match=r"circuit\[0\].*'Sw'"):
             manifest.parse_manifest(doc)
 
+    @pytest.mark.parametrize("where", ["generators", "initial_state"])
+    def test_integer_beyond_float_range(self, spin_doc, where):
+        doc = copy.deepcopy(spin_doc)
+        block = doc["generators"]["Sx"][1] if where == "generators" else doc["initial_state"]
+        block[2] = [10**400, 0]
+        with pytest.raises(ManifestError, match=r"\[2\]: expected a finite number"):
+            manifest.parse_manifest(doc)
+
     def test_duplicate_parameter(self, spin_doc):
         doc = self._mutate(spin_doc, circuit=[["Sz", "a"], ["Sx", "a"]])
-        with pytest.raises(ManifestError, match="more than one factor"):
+        with pytest.raises(ManifestError,
+                           match=r"^circuit\[1\]: parameter 'a' drives more than one factor$"):
             manifest.parse_manifest(doc)
 
     def test_state_length(self, spin_doc):

@@ -1,0 +1,124 @@
+"""Manifest fuzzing: a small emitted document with one mutation that makes
+it invalid is refused with a StatemetricError, and the CLI reading it ends
+in exit code 1 or 2, never in a traceback.
+
+The document is the spin-1 (m = 0) manifest, dimension 3, so every example
+stays small.
+"""
+
+import contextlib
+import copy
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from statemetric import cli, manifest
+from statemetric.errors import StatemetricError
+from statemetric.models import SpinModelSpec, spin_model
+
+DOC = manifest.model_to_manifest(spin_model(SpinModelSpec(s=1, m=0)))
+REQUIRED = ("name", "dimension", "generators", "circuit", "initial_state")
+NESTED = [[0.0, 0.0]]
+# replacement leaves; one of the same JSON kind as the leaf it replaces may
+# be valid (an int amplitude, another name), so those are not drawn
+REPLACEMENTS = {
+    "bool": True, "null": None, "string": "0.5", "int": 7, "huge": 10**400,
+    "nan": float("nan"), "nested": NESTED,
+}
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from leaf_paths(value, path + (k,))
+    else:
+        yield path
+
+
+LEAVES = list(leaf_paths(DOC))
+
+
+def kind(value) -> str:
+    """The REPLACEMENTS key of a leaf's JSON kind; any number counts as an
+    int, since an int in place of a float may be valid."""
+    if isinstance(value, bool):
+        return "bool"
+    if value is None:
+        return "null"
+    return "string" if isinstance(value, str) else "int"
+
+
+def parent_of(doc, path):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    return node
+
+
+@st.composite
+def broken_documents(draw):
+    """DOC with one mutation that makes it invalid."""
+    doc = copy.deepcopy(DOC)
+    mutation = draw(st.sampled_from(["leaf", "drop", "ragged", "dimension"]))
+    if mutation == "leaf":
+        path = draw(st.sampled_from(LEAVES))
+        parent = parent_of(doc, path)
+        allowed = [k for k in REPLACEMENTS if k != kind(parent[path[-1]])]
+        parent[path[-1]] = copy.deepcopy(REPLACEMENTS[draw(st.sampled_from(allowed))])
+    elif mutation == "drop":
+        # a required field, or a generator: the circuit then names an
+        # unknown one or the rest no longer closes
+        where = draw(st.sampled_from([doc] + [doc["generators"]]))
+        key = draw(st.sampled_from([k for k in where if where is not doc or k in REQUIRED]))
+        del where[key]
+    elif mutation == "ragged":
+        # a generator row, or the state's list of amplitudes
+        rows = [row for G in doc["generators"].values() for row in G] + [doc["initial_state"]]
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append([0.0, 0.0])
+        else:
+            row.pop()
+    else:
+        doc["dimension"] = draw(st.sampled_from([-1, 0, 1, 2, 4, 9]))
+    return doc
+
+
+def run(argv):
+    """(exit code, stderr) of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "manifest.json"
+
+
+def test_document_is_valid():
+    manifest.parse_manifest(copy.deepcopy(DOC))
+
+
+@SETTINGS
+@given(doc=broken_documents())
+def test_parse_refuses_broken_documents(doc):
+    with pytest.raises(StatemetricError):
+        manifest.parse_manifest(doc)
+
+
+@SETTINGS
+@given(doc=broken_documents())
+def test_cli_exits_cleanly_on_broken_documents(doc, path):
+    path.write_text(manifest.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(path)], ["metric", str(path), "--defaults-zero"]):
+        code, err = run(argv)
+        assert code in (1, 2), (argv, code)
+        assert "Traceback" not in err

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statemetric import linalg
-from statemetric.errors import DimensionMismatch, MissingParameter
+from statemetric.errors import DimensionMismatch, DuplicateParameter, MissingParameter
 from statemetric.manifold import (
     CircuitSpec,
     build_unitary,
@@ -54,7 +54,7 @@ class TestCircuitSpec:
             half.circuit.angles({"theta_1": 0.0, "theta_2": 0.0})
 
     def test_duplicate_parameter_rejected(self, half):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateParameter, match="'a' drives more than one factor"):
             CircuitSpec(half.rep, (("Sz", "a"), ("Sx", "a")))
 
     def test_nonfinite_angle_rejected(self, half):

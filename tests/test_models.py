@@ -14,6 +14,7 @@ from statemetric.errors import (
 from statemetric.geometry import metric_at
 from statemetric.manifold import build_unitary
 from statemetric.models import (
+    MAX_HILBERT_DIM,
     MODEL_IDS,
     OscillatorModelSpec,
     SpinModelSpec,
@@ -53,6 +54,13 @@ class TestSpinOperators:
             spin_operators(0.7)
         with pytest.raises(InvalidSpin):
             spin_operators(0)
+
+    @pytest.mark.parametrize("s", [MAX_HILBERT_DIM / 2, 1e9, 1e300])
+    def test_dimension_above_maximum(self, s):
+        with pytest.raises(InvalidSpin, match="maximum"):
+            spin_operators(s)
+        with pytest.raises(InvalidSpin, match="maximum"):
+            spin_model(SpinModelSpec(s=s, m=0.5))
 
 
 class TestSpinModel:
@@ -125,6 +133,11 @@ class TestOscillatorModel:
     def test_truncation_too_small(self):
         with pytest.raises(TruncationTooSmall):
             oscillator_model(OscillatorModelSpec(n=10, truncation=14))
+
+    @pytest.mark.parametrize("truncation", [MAX_HILBERT_DIM + 1, 10**9])
+    def test_truncation_above_maximum(self, truncation):
+        with pytest.raises(InvalidOscillator, match="maximum"):
+            oscillator_model(OscillatorModelSpec(truncation=truncation))
 
     def test_invalid_physical_constants(self):
         for spec in (OscillatorModelSpec(mass=-1.0), OscillatorModelSpec(omega=0.0),
