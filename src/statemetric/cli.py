@@ -59,8 +59,7 @@ def _parse_at(pairs, parameter_names, defaults_zero=False):
 
 
 def cmd_validate(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        doc = manifest.loads(fh.read())
+    doc = manifest.read(args.manifest)
     # structural pass first so Hermiticity failures come out as domain errors
     for key in ("name", "dimension", "generators"):
         if key not in doc:

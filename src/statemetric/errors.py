@@ -38,6 +38,10 @@ class DuplicateParameter(StatemetricError):
         self.factor = factor
 
 
+class NonFiniteAngle(StatemetricError, ValueError):
+    """A circuit angle is NaN or infinite."""
+
+
 class StepOutOfRange(StatemetricError):
     pass
 

@@ -10,6 +10,7 @@ pure-Python encoder, which ``json.dumps`` takes whenever it indents.
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -68,13 +69,13 @@ def json_floats(values) -> list:
     return list(map(fmt, values.ravel().tolist()))
 
 
-def array_template(shape, level: int) -> str:
+def array_template(shape, level: int, slot: str = "%s") -> str:
     """The layout ``json.dumps(indent=2)`` gives a nested list of this shape
-    (no zero length) at nesting depth ``level``, one ``%s`` per entry."""
+    (no zero length) at nesting depth ``level``, ``slot`` for each entry."""
     if not shape:
-        return "%s"
+        return slot
     pad = "\n" + "  " * (level + 1)
-    inner = array_template(shape[1:], level + 1)
+    inner = array_template(shape[1:], level + 1, slot)
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
 
 
@@ -163,13 +164,153 @@ def loads(text: str) -> dict:
     return doc
 
 
+def decode(data: bytes) -> dict:
+    """The manifest document in ``data``, UTF-8 encoded JSON.
+
+    Generator blocks in the writer's layout come back as (dim, dim, 2) float
+    arrays, read in one numpy pass; any other document is ``loads`` of the
+    decoded text, which names what is wrong with it.
+    """
+    doc = _read_blocks(data) if len(data) >= _FAST_MIN_BYTES else None
+    if doc is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"manifest is not UTF-8 text: {exc}") from None
+        doc = loads(text)
+    return doc
+
+
+# The numpy pass.  A generator block is read without json.loads only when
+# its bytes are array_template((dim, dim, 2), 2) with one JSON number that
+# has a fraction or an exponent in each slot (json.loads reads those as
+# floats, and an integer such as -0 as an int); the rest of the document,
+# with a placeholder string in each block's place, goes through json.loads.
+# Any doubt reads the whole document through loads instead.
+
+# Below this many bytes json.loads reads a manifest faster than the numpy
+# pass, whose numpy calls cost ~0.15 ms whatever the size: read and parsed,
+# spin s = 5 (20 KB) took 0.44 ms by json.loads and 0.48 ms by the numpy
+# pass, spin s = 8 (46 KB) 0.73 ms and 0.65 ms.
+_FAST_MIN_BYTES = 32 * 1024
+_BLOCK_HEAD = array_template((1, 1, 1), 2).partition("%s")[0].encode()
+_PLACEHOLDER = b'"\\u0000%d"'  # JSON escapes NUL, so no other string holds it
+_NUMBER_BYTES = b"0123456789+-.eE"
+_IS_NUMBER = bytes(c in _NUMBER_BYTES for c in range(256))
+# byte classes for JSON number syntax: 0 token boundary, 1 nonzero digit,
+# 2 zero, 3 minus, 4 plus, 5 point, 6 exponent, 7 any other byte
+_CLASSES = (b",\n", b"123456789", b"0", b"-", b"+", b".", b"eE")
+_CLASS = bytes(next((k for k, chars in enumerate(_CLASSES) if c in chars), 7)
+               for c in range(256))
+# the class pairs (previous << 3 | next) that may meet inside a number token
+_NEXT = {0: (1, 2, 3), 1: (0, 1, 2, 5, 6), 2: (0, 1, 2, 5, 6), 3: (1, 2), 4: (1, 2),
+         5: (1, 2), 6: (1, 2, 3, 4)}
+_VALID_PAIRS = bytes(a << 3 | b for a, nxt in _NEXT.items() for b in nxt)
+
+
+def _fills_slots(block: bytes, slots: int) -> bool:
+    """Whether the block's number bytes form ``slots`` runs, each with a
+    space before it and a comma or a newline after it.
+
+    In the writer's layout only a slot has those neighbours, so once the
+    bytes between the runs match the layout, each run fills one slot.
+    """
+    number = np.frombuffer(block.translate(_IS_NUMBER), np.bool_)
+    # the block starts with "[" and ends with "]", so runs start at even edges
+    edges = np.flatnonzero(number[1:] != number[:-1]) + 1
+    if len(edges) != 2 * slots:
+        return False
+    raw = np.frombuffer(block, np.uint8)
+    after = raw[edges[1::2]]
+    return bool(np.all(raw[edges[0::2] - 1] == ord(" "))
+                and np.all((after == ord(",")) | (after == ord("\n"))))
+
+
+def _json_floats_ok(text: bytes) -> bool:
+    """Whether every token of ``text``, split at commas and newlines, is a
+    JSON number with a fraction or an exponent."""
+    text = b"," + text + b","
+    c = np.frombuffer(text.translate(_CLASS), np.uint8)
+    if ((c[:-1] << 3) | c[1:]).tobytes().translate(None, _VALID_PAIRS):
+        return False
+    # no leading zero: a first digit (after any minus) that is 0 ends the
+    # integer part
+    first = np.flatnonzero(c[:-1] == 0) + 1
+    first += c[first] == 3
+    follow = c[first + 1]
+    if np.any((c[first] == 2) & ((follow == 1) | (follow == 2))):
+        return False
+    # per token at most one point and one exponent, the point first, and
+    # at least one of them
+    marks = np.frombuffer(text.translate(_CLASS, b"0123456789+-"), np.uint8)
+    return not np.any((marks[:-1] == marks[1:]) | ((marks[:-1] == 6) & (marks[1:] == 5)))
+
+
+def _read_blocks(data: bytes):
+    """The document in ``data`` with each generator block in the writer's
+    layout as a (dim, dim, 2) float array, or None on any doubt."""
+    spans = []
+    start = data.find(_BLOCK_HEAD)
+    while start >= 0:
+        # a block holds no quote or brace: it ends at its last bracket
+        # before the next key or the end of the generators object
+        stop = data.find(b'"', start)
+        stop = len(data) if stop < 0 else stop
+        brace = data.find(b"}", start, stop)
+        end = data.rfind(b"]", start, stop if brace < 0 else brace) + 1
+        if end <= start:
+            return None
+        spans.append((start, end))
+        start = data.find(_BLOCK_HEAD, end)
+    if not spans:
+        return None
+    bounds = [0, *(i for span in spans for i in span), len(data)]
+    pieces = [data[a:b] for a, b in zip(bounds[0::2], bounds[1::2])]
+    if any(b"\\u0000" in piece for piece in pieces):
+        return None
+    skeleton = pieces[0] + b"".join(_PLACEHOLDER % k + piece
+                                    for k, piece in enumerate(pieces[1:]))
+    try:
+        doc = json.loads(skeleton.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
+    gens = doc.get("generators") if isinstance(doc, dict) else None
+    dim = doc.get("dimension") if isinstance(doc, dict) else None
+    if not isinstance(gens, dict) or type(dim) is not int or dim < 1:
+        return None
+    names = {value: name for name, value in gens.items()
+             if isinstance(value, str) and value.startswith("\0")}
+    if len(names) != len(spans):  # a placeholder outside the generators
+        return None
+    blocks = [data[a:b] for a, b in spans]
+    # runs first: they refuse a dimension the blocks do not have before the
+    # layout, of about a block's size, is built
+    if not all(_fills_slots(block, 2 * dim * dim) for block in blocks):
+        return None
+    layout = array_template((dim, dim, 2), 2, "").encode()
+    if any(block.translate(None, _NUMBER_BYTES) != layout for block in blocks):
+        return None
+    # one line per block, one comma between slots
+    text = b"\n".join(block.translate(None, b"[] \n") for block in blocks)
+    if not _json_floats_ok(text):
+        return None
+    # 1e400 reads as inf here as in json.loads; parse_manifest names its entry
+    values = np.loadtxt(io.BytesIO(text), delimiter=",", ndmin=2)
+    for k, block in enumerate(values.reshape(len(spans), dim, dim, 2)):
+        gens[names[f"\0{k}"]] = block
+    return doc
+
+
 def _generator_matrix(rows: list, dim: int, path: str) -> np.ndarray:
     """A dim x dim matrix of [re, im] pairs as a complex array.
 
-    Converts in one pass when every row is a list and every number a plain
-    int or float; anything else takes the per-entry walk, which names the
-    offending entry.
+    Takes a (dim, dim, 2) float array, as ``decode`` reads a block in the
+    writer's layout, as it is.  Converts a nested list in one pass when every
+    row is a list and every number a plain int or float; anything else takes
+    the per-entry walk, which names the offending entry.
     """
+    if isinstance(rows, np.ndarray) and rows.dtype == float and rows.shape == (dim, dim, 2):
+        return rows.view(complex)[..., 0]
     try:
         pairs = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -211,7 +352,7 @@ def parse_manifest(doc: dict) -> Model:
     names, matrices = [], []
     for gname, rows in gens_doc.items():
         path = f"generators.{gname}"
-        if not isinstance(rows, list) or len(rows) != dim:
+        if not isinstance(rows, (list, np.ndarray)) or len(rows) != dim:
             raise ManifestError(f"{path}: expected {dim} rows")
         names.append(gname)
         matrices.append(_require_finite(_generator_matrix(rows, dim, path), path))
@@ -256,6 +397,11 @@ def parse_manifest(doc: dict) -> Model:
     )
 
 
+def read(path) -> dict:
+    """The manifest document in the file at ``path``; see ``decode``."""
+    with open(path, "rb") as fh:
+        return decode(fh.read())
+
+
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        return parse_manifest(loads(fh.read()))
+    return parse_manifest(read(path))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, linalg
-from .errors import DimensionMismatch, DuplicateParameter, MissingParameter
+from .errors import DimensionMismatch, DuplicateParameter, MissingParameter, NonFiniteAngle
 from .liealg import LieAlgebraRep
 
 # points per block of metric_batch and the oracles; bounds their work stacks
@@ -61,7 +61,7 @@ class CircuitSpec:
         except KeyError as exc:
             raise MissingParameter(f"no value for parameter {exc.args[0]!r}") from None
         if not all(np.isfinite(vals)):
-            raise ValueError("parameter values must be finite")
+            raise NonFiniteAngle("parameter values must be finite")
         return np.asarray(vals)
 
     def angle_batch(self, angles) -> np.ndarray:
@@ -72,7 +72,7 @@ class CircuitSpec:
             raise DimensionMismatch(
                 f"expected a (B, {m}) array of angles, got shape {angles.shape}")
         if not np.all(np.isfinite(angles)):
-            raise ValueError("parameter values must be finite")
+            raise NonFiniteAngle("parameter values must be finite")
         return angles
 
 

@@ -46,7 +46,7 @@ def _normalized(amps, tol=1e-12) -> np.ndarray:
     psi = np.asarray(amps, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
-        raise BadNormalization(f"state norm {norm!r} deviates from 1 by more than {tol:g}")
+        raise BadNormalization(f"state norm {float(norm)!r} deviates from 1 by more than {tol:g}")
     return psi / norm
 
 

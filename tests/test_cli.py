@@ -263,6 +263,21 @@ def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest
     assert "expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "metric", "grid", "curvature"])
+@pytest.mark.parametrize("data,message", [
+    (b"\xff{}", "manifest is not UTF-8 text"),
+    (b"\xef\xbb\xbf{}", "invalid JSON: Unexpected UTF-8 BOM"),  # as json.loads(str) says
+], ids=["not-utf8", "bom"])
+def test_undecodable_manifest_is_usage_error(command, data, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    extra = {"metric": ["--defaults-zero"], "grid": ["--sweep", "theta_1=0:1:2"],
+             "curvature": ["--defaults-zero", "--section", "theta_1,theta_2"]}
+    assert cli.main([command, str(bad)] + extra.get(command, [])) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
 class TestCurvature:
     def test_sphere_classification(self, spin_manifest, capsys):
         code = cli.main(["curvature", spin_manifest, "--defaults-zero",

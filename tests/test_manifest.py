@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statemetric import manifest
-from statemetric.errors import ManifestError, NotClosed, NotHermitian
+from statemetric.errors import ManifestError, NotClosed, NotHermitian, StatemetricError
 from statemetric.geometry import metric_at
 from statemetric.models import (
     OscillatorModelSpec,
@@ -343,3 +344,171 @@ class TestDomainErrorsPropagate:
         doc["circuit"] = [["Sx", "theta_1"], ["Sy", "theta_2"]]
         with pytest.raises(NotClosed):
             manifest.parse_manifest(doc)
+
+
+# ---------------------------------------------------------------------------
+# Reading: the numpy pass over generator blocks against json.loads
+
+SPIN_DOC = manifest.model_to_manifest(spin_model(SpinModelSpec(s=1, m=0)))
+SPIN_TEXT = manifest.dumps(SPIN_DOC)
+GENERATORS = slice(SPIN_TEXT.index('"generators"'), SPIN_TEXT.index('"circuit"'))
+TOKENS = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", SPIN_TEXT[GENERATORS])]
+# tokens json.loads reads differently from np.loadtxt or refuses
+TRICKY = ["+1", "01", "-01", "00.5", "-01.5", "1.", ".5", "-.5", "1.e5", "1E+05", "2.5e-3",
+          "0e0", "-0", "-0.0", "-0e-0", "0", "7", "1e400", "-1e400", "1e-400", "5e-324",
+          "1" + "0" * 400, "1 2", "1,2", "[1.0]", "1e", "1e+", "--1", "1.2.3", "1e5e5",
+          "1e5.5", "-", "", "true", "null", '"0.5"', "NaN", "Infinity", "-Infinity", "1_0",
+          "0x1", " 1.0", "1.0 ", "\t1.0"]
+NUMBER_TEXT = st.text(alphabet="0123456789+-.eE", max_size=6)
+
+
+def forced(read):
+    """``read`` with the size gate open, so that small documents take the
+    numpy pass."""
+    def call(data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(manifest, "_FAST_MIN_BYTES", 0)
+            return read(data)
+    return call
+
+
+def json_path(data: bytes) -> dict:
+    return manifest.loads(data.decode("utf-8"))
+
+
+def model_bytes(model):
+    rep = model.rep
+    return (model.name, rep.names, [G.tobytes() for G in rep.generators],
+            rep.constants.tobytes(), model.initial_state.tobytes(), rep.active_dim,
+            model.gamma, model.circuit.factors)
+
+
+def outcome(read, data: bytes):
+    """The model a document gives, as bytes, or its error's type and text."""
+    try:
+        return model_bytes(manifest.parse_manifest(read(data)))
+    except StatemetricError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_reads_as_json(data: bytes):
+    assert outcome(forced(manifest.decode), data) == outcome(json_path, data)
+    try:
+        doc = forced(manifest.decode)(data)
+    except ManifestError:
+        return
+    reference = json_path(data)["generators"]
+    for name, block in doc["generators"].items():
+        if isinstance(block, np.ndarray):  # signbit included
+            assert block.tobytes() == np.array(reference[name], dtype=float).tobytes()
+
+
+def with_token(index: int, token: str) -> bytes:
+    start, stop = TOKENS[index]
+    text = SPIN_TEXT[GENERATORS]
+    return (SPIN_TEXT[:GENERATORS.start] + text[:start] + token + text[stop:]
+            + SPIN_TEXT[GENERATORS.stop:]).encode()
+
+
+def moved(index: int, offset: int) -> bytes:
+    """The document with one token moved ``offset`` bytes, over a bracket."""
+    start, stop = TOKENS[index]
+    text = SPIN_TEXT[GENERATORS]
+    token, rest = text[start:stop], text[:start] + text[stop:]
+    return (SPIN_TEXT[:GENERATORS.start] + rest[:start + offset] + token
+            + rest[start + offset:] + SPIN_TEXT[GENERATORS.stop:]).encode()
+
+
+def restructured(**changes) -> bytes:
+    doc = copy.deepcopy(SPIN_DOC)
+    for key, change in changes.items():
+        doc[key] = change(doc[key])
+    return manifest.dumps(doc).encode()
+
+
+class TestByteReader:
+    def test_emitted_blocks_take_the_numpy_pass(self):
+        doc = forced(manifest.decode)(SPIN_TEXT.encode())
+        assert all(isinstance(block, np.ndarray) and block.shape == (3, 3, 2)
+                   for block in doc["generators"].values())
+        assert_reads_as_json(SPIN_TEXT.encode())
+
+    @pytest.mark.parametrize("token", ["1E+05", "2.5e-3", "-0.0", "0e0", "-0e-0", "5e-324",
+                                       "1e-400"])
+    def test_other_json_floats_take_the_numpy_pass(self, token):
+        data = with_token(0, token)
+        assert isinstance(forced(manifest.decode)(data)["generators"]["Sz"], np.ndarray)
+        assert_reads_as_json(data)
+
+    @pytest.mark.parametrize("token", TRICKY)
+    def test_tricky_token_reads_as_json(self, token):
+        assert_reads_as_json(with_token(4, token))
+
+    @settings(max_examples=100, deadline=None)
+    @given(index=st.integers(0, len(TOKENS) - 1),
+           token=st.one_of(st.sampled_from(TRICKY), NUMBER_TEXT, st.floats().map(repr)))
+    def test_one_token_reads_as_json(self, index, token):
+        assert_reads_as_json(with_token(index, token))
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(restructured(generators=lambda g: {**g, "Sy": g["Sy"][:2]}),
+                     id="short-block"),
+        pytest.param(restructured(generators=lambda g: {
+            **g, "Sy": [*g["Sy"][:2], g["Sy"][2] + [[0.0, 0.0]]]}), id="ragged-row"),
+        pytest.param(restructured(generators=lambda g: {**g, "Sy": "\u00000"}),
+                     id="placeholder-string"),
+        pytest.param(restructured(generators=lambda g: {**g, "Sy": [[[0.5, 0.0]] * 3] * 3}),
+                     id="shared-rows"),
+        pytest.param(restructured(generators=lambda g: {
+            **g, "Sy": [[[[v] for v in pair] for pair in row] for row in g["Sy"]]}),
+            id="pairs-split"),
+        pytest.param(restructured(dimension=lambda d: d + 1), id="dimension-mismatch"),
+        pytest.param(restructured(dimension=float), id="float-dimension"),
+        pytest.param(restructured(name=lambda n: "\u0000"), id="nul-name"),
+        pytest.param(restructured(circuit=lambda c: c + [{"Q": SPIN_DOC["generators"]["Sz"]}]),
+                     id="block-outside-generators"),
+        pytest.param(moved(2, -len("[\n          ")), id="before-bracket"),
+        pytest.param(moved(3, len("\n        ]")), id="after-bracket"),
+        pytest.param(SPIN_TEXT.replace("\n          ", "\n         ", 1).encode(),
+                     id="reindented"),
+        pytest.param(SPIN_TEXT.replace("\n          ", "\n\t", 1).encode(), id="tab"),
+        pytest.param(SPIN_TEXT.replace("\n", "\r\n").encode(), id="crlf"),
+        pytest.param(SPIN_TEXT.replace('"Sx": [', '"Sz": [').encode(), id="duplicate-key"),
+        pytest.param(SPIN_TEXT.replace("0.0\n", "0.0 \n", 1).encode(), id="trailing-space"),
+        pytest.param(SPIN_TEXT.replace('"spin"', '"sp\\u00e9n"').encode(), id="escaped-name"),
+        pytest.param(SPIN_TEXT.replace('"spin"', '"sp\u00e9n"').encode(), id="utf8-name"),
+        pytest.param(SPIN_TEXT.replace('"spin"', '"sp\\"n"').encode(), id="quote-in-name"),
+        pytest.param(json.dumps(SPIN_DOC).encode(), id="compact"),
+        pytest.param(SPIN_TEXT.encode()[:-30], id="truncated"),
+        pytest.param(b"\xef\xbb\xbf" + SPIN_TEXT.encode(), id="bom"),
+    ])
+    def test_other_layouts_read_as_json(self, data):
+        assert_reads_as_json(data)
+
+    def test_bytes_that_are_not_utf8(self):
+        # after the blocks, so the position counts the blocks' bytes
+        data = SPIN_TEXT.replace('"theta_3"', '"theta\udcff3"').encode("utf-8",
+                                                                      "surrogateescape")
+        for read in (forced(manifest.decode), manifest.decode):
+            with pytest.raises(ManifestError, match=f"not UTF-8 text: .* position "
+                                                    f"{data.index(0xff)}:"):
+                read(data)
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: spin_model(SpinModelSpec(s=20, m=3)), id="spin20"),
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=64)),
+                     id="osc64"),
+    ])
+    def test_same_model_on_both_sides_of_the_gate(self, model, tmp_path, monkeypatch):
+        data = manifest.emit(model()).encode()
+        assert len(data) > manifest._FAST_MIN_BYTES
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        fast = manifest.load_model(path)
+        assert all(isinstance(block, np.ndarray)
+                   for block in manifest.read(path)["generators"].values())
+        monkeypatch.setattr(manifest, "_FAST_MIN_BYTES", len(data) + 1)
+        slow = manifest.load_model(path)
+        assert not any(isinstance(block, np.ndarray)
+                       for block in manifest.read(path)["generators"].values())
+        assert model_bytes(fast) == model_bytes(slow)

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statemetric import linalg
-from statemetric.errors import DimensionMismatch, DuplicateParameter, MissingParameter
+from statemetric.errors import (
+    DimensionMismatch,
+    DuplicateParameter,
+    MissingParameter,
+    StatemetricError,
+)
 from statemetric.manifold import (
     CircuitSpec,
     build_unitary,
@@ -60,6 +65,12 @@ class TestCircuitSpec:
     def test_nonfinite_angle_rejected(self, half):
         with pytest.raises(ValueError):
             half.circuit.angles({"theta_1": np.nan, "theta_2": 0.0, "theta_3": 0.0})
+
+    def test_nonfinite_angle_is_a_domain_error(self, half):
+        with pytest.raises(StatemetricError, match="finite"):
+            half.circuit.angles({"theta_1": 0.0, "theta_2": np.inf, "theta_3": 0.0})
+        with pytest.raises(StatemetricError, match="finite"):
+            half.circuit.angle_batch([[0.0, 0.0, np.nan]])
 
 
 class TestBuildUnitary:

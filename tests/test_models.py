@@ -100,6 +100,13 @@ class TestSpinModel:
         with pytest.raises(BadNormalization):
             spin_model(SpinModelSpec(s=0.5, coefficients=(1.0, 1.0)))
 
+    def test_norm_message_shows_a_plain_float(self):
+        coeffs = (0.1, 0.2j, 0.3, -0.4, 0.5 + 0.1j)
+        with pytest.raises(BadNormalization) as exc:
+            spin_model(SpinModelSpec(s=2, coefficients=coeffs))
+        assert str(exc.value) == ("state norm 0.7483314773547883 deviates from 1 "
+                                  "by more than 1e-12")
+
     def test_missing_initial_state(self):
         with pytest.raises(BadNormalization):
             spin_model(SpinModelSpec(s=0.5))
