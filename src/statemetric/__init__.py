@@ -17,6 +17,6 @@ from .models import (
     spin_operators,
     two_spin_model,
 )
-from .oracle import compare, fd_metric, fidelity_metric
+from .oracle import fd_metric, fidelity_metric
 
 __version__ = "0.1.0"

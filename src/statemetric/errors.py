@@ -39,14 +39,10 @@ class DuplicateParameter(StatemetricError):
 
 
 class NonFiniteAngle(StatemetricError, ValueError):
-    """A circuit angle is NaN or infinite."""
+    """A circuit angle, or a two-spin direction angle, is NaN or infinite."""
 
 
 class StepOutOfRange(StatemetricError):
-    pass
-
-
-class PointMismatch(StatemetricError):
     pass
 
 

@@ -32,6 +32,8 @@ SPHERE_K_VARIATION = 1e-4
 SECTION_DET_TOL = 1e-10
 # the metric command's constancy probe: entries this close count as equal
 CONSTANT_METRIC_TOL = 1e-9
+# grid nodes at which classify samples the Gaussian curvature
+K_SAMPLES = 5
 
 
 def metric_stack(model: Model, angles, gamma: float | None = None) -> np.ndarray:
@@ -109,15 +111,15 @@ def metric_field(model: Model, grid: GridSpec, gamma: float | None = None) -> Me
     return MetricField(grid, angles, metric_stack(model, angles, g), model, g)
 
 
-def _above_cutoff(w: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def _above_cutoff(w: np.ndarray) -> np.ndarray:
     """Which eigenvalues (ascending along the last axis) count towards the rank."""
-    return w > tol * np.fmax(1.0, w[..., -1:])
+    return w > RANK_TOL * np.fmax(1.0, w[..., -1:])
 
 
-def rank_analysis(metric: MetricTensor, tol: float = RANK_TOL):
+def rank_analysis(metric: MetricTensor):
     """(rank, null_directions) via eigendecomposition of the symmetric metric."""
     w, V = np.linalg.eigh(metric.g)
-    keep = _above_cutoff(w, tol)
+    keep = _above_cutoff(w)
     return int(np.count_nonzero(keep)), V[:, ~keep]
 
 
@@ -175,13 +177,6 @@ def gauss_curvature(model: Model, point, section, gamma: float | None = None) ->
     return float(k[0])
 
 
-def scalar_curvature(model: Model, point, gamma: float | None = None) -> float:
-    """Scalar curvature of a full-rank metric at a point, from exact jets."""
-    jets = metric_jets(model.circuit, model.circuit.angles(point)[None],
-                       model.initial_state, model.gamma if gamma is None else gamma)
-    return float(scalar_from_jets(*jets)[0])
-
-
 def curvature_label(k, g) -> str:
     """flat, sphere or generic from finite Gaussian curvature samples k and
     the metrics g (N, M, M) they were taken among.
@@ -227,7 +222,7 @@ def _best_section(g: np.ndarray) -> tuple:
     return pairs[int(np.argmax(scores))]
 
 
-def classify(field: MetricField, k_samples: int = 5) -> CurvatureReport:
+def classify(field: MetricField) -> CurvatureReport:
     """Label a metric field as flat, a sphere of some radius, degenerate or
     generic.
 
@@ -253,8 +248,8 @@ def classify(field: MetricField, k_samples: int = 5) -> CurvatureReport:
 
     names = field.model.circuit.parameter_names
     section = tuple(names[k] for k in _best_section(g))
-    step = nodes // k_samples if nodes > k_samples else 1
-    samples = field.angles[::step][:k_samples]
+    step = nodes // K_SAMPLES if nodes > K_SAMPLES else 1
+    samples = field.angles[::step][:K_SAMPLES]
     k, jets = section_curvatures(field.model, samples, section, field.gamma)
     curvatures = k[np.isfinite(k)]
     if not curvatures.size:

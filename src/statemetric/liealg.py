@@ -83,8 +83,6 @@ class LieAlgebraRep:
     def active_block(self, M: np.ndarray) -> np.ndarray:
         """The active block of a matrix or a stack of matrices (all of it
         when no active block is set)."""
-        if self.active_dim is None:
-            return M
         return M[..., : self.active_dim, : self.active_dim]
 
     def block_norm(self, M: np.ndarray) -> float:
@@ -109,14 +107,14 @@ def extract_structure_constants(
     generators,
     names=None,
     active_dim: int | None = None,
-    closure_tol: float = CLOSURE_TOL,
 ) -> LieAlgebraRep:
     """Fit c_ij^k by least squares on vectorized generators.
 
     Only pairs i < j are solved; antisymmetry is enforced by negation.
     Raises NotClosed if any commutator leaves the generator span by more than
-    ``closure_tol`` (measured on the active block when ``active_dim`` is set),
-    and DependentGenerators if the generators are not linearly independent.
+    CLOSURE_TOL (measured on the active block when ``active_dim`` is set),
+    and DependentGenerators if the generators are not linearly independent
+    or their entries overflow the Gram matrix.
     """
     generators = tuple(generators)
     if names is None:
@@ -132,11 +130,16 @@ def extract_structure_constants(
         if G.shape[0] != d:
             raise DependentGenerators("generators have mixed dimensions")
 
-    def block(M):
-        return M[:active_dim, :active_dim] if active_dim is not None else M
-
-    basis = np.stack([block(G).ravel() for G in gens], axis=1)
-    gram = basis.conj().T @ basis
+    block = (slice(active_dim), slice(active_dim))  # all of M when active_dim is None
+    basis = np.stack([G[block].ravel() for G in gens], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = basis.conj().T @ basis
+        if not np.all(np.isfinite(gram)):
+            peak = np.max(np.abs(basis), axis=0)
+            k = int(np.argmax(peak))
+            raise DependentGenerators(
+                f"generator {names[k]!r} has an entry of magnitude {peak[k]:.3e}; "
+                "its entries overflow the generator Gram matrix")
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_COND_MAX:
         raise DependentGenerators(
@@ -148,13 +151,13 @@ def extract_structure_constants(
     for i in range(n):
         for j in range(i + 1, n):
             com = linalg.commutator(gens[i], gens[j])
-            coeff, *_ = np.linalg.lstsq(basis, block(com).ravel(), rcond=None)
+            coeff, *_ = np.linalg.lstsq(basis, com[block].ravel(), rcond=None)
             fitted = sum(c * G for c, G in zip(coeff, gens))
-            resid = float(np.max(np.abs(block(com - fitted))))
-            if resid > closure_tol:
+            resid = float(np.max(np.abs((com - fitted)[block])))
+            if resid > CLOSURE_TOL:
                 raise NotClosed(
                     f"[{names[i]}, {names[j]}] leaves the span "
-                    f"(residual {resid:.3e} > {closure_tol:.1e})"
+                    f"(residual {resid:.3e} > {CLOSURE_TOL:.1e})"
                 )
             residual = max(residual, resid)
             constants[i, j] = coeff
@@ -182,9 +185,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def worst(self) -> BracketCheck:
-        return max(self.checks, key=lambda c: c.residual / c.tol)
-
 
 def validate_algebra(rep: LieAlgebraRep, kind: str, n: int = 1) -> ValidationReport:
     """Check the defining brackets of a known algebra kind.
@@ -197,8 +197,8 @@ def validate_algebra(rep: LieAlgebraRep, kind: str, n: int = 1) -> ValidationRep
     """
     checks = []
 
-    def add(label, lhs, rhs, tol=CLOSURE_TOL):
-        checks.append(BracketCheck(label, rep.block_norm(lhs - rhs), tol))
+    def add(label, lhs, rhs):
+        checks.append(BracketCheck(label, rep.block_norm(lhs - rhs), CLOSURE_TOL))
 
     if kind == "heisenberg":
         if rep.size != 2 * n + 1:
@@ -231,7 +231,7 @@ def validate_algebra(rep: LieAlgebraRep, kind: str, n: int = 1) -> ValidationRep
     return ValidationReport(kind, tuple(checks))
 
 
-def detect_kind(rep: LieAlgebraRep, tol: float = 1e-9) -> str:
+def detect_kind(rep: LieAlgebraRep) -> str:
     """Best-effort label for a validated algebra; used by reporting only."""
     if rep.size == 3:
         if validate_algebra(rep, "so3").passed:
@@ -243,7 +243,7 @@ def detect_kind(rep: LieAlgebraRep, tol: float = 1e-9) -> str:
                 return f"heisenberg({n})"
         except ValueError:
             pass
-    if float(np.max(np.abs(rep.constants))) <= tol:
+    if float(np.max(np.abs(rep.constants))) <= CLOSURE_TOL:
         return "abelian"
     return "generic"
 

@@ -15,7 +15,6 @@ import json
 
 import numpy as np
 
-from . import linalg
 from .errors import DuplicateParameter, ManifestError
 from .liealg import extract_structure_constants
 from .manifold import CircuitSpec
@@ -374,7 +373,8 @@ def parse_manifest(doc: dict) -> Model:
         raise ManifestError(f"initial_state: expected {dim} amplitudes")
     psi = _require_finite([_pair2c(v, f"initial_state[{k}]")
                            for k, v in enumerate(state_doc)], "initial_state")
-    if np.linalg.norm(psi) == 0:
+    norm = np.linalg.norm(psi)
+    if norm == 0:
         raise ManifestError("initial_state: amplitudes are all zero")
 
     active_dim = doc.get("active_dim")
@@ -392,7 +392,7 @@ def parse_manifest(doc: dict) -> Model:
         name=name,
         rep=rep,
         circuit=circuit,
-        initial_state=linalg.state_vector(psi),
+        initial_state=psi / norm,
         gamma=gamma,
     )
 

@@ -85,10 +85,6 @@ class MetricTensor:
     point: dict
     parameter_names: tuple
 
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]
-
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
         object.__setattr__(self, "g", (g + g.T) / 2)
@@ -183,15 +179,15 @@ def _tangent_stack(circuit: CircuitSpec, angles: np.ndarray, psi_i: np.ndarray,
     return X
 
 
-def state_derivatives(circuit: CircuitSpec, point, psi_i):
-    """Exact partial derivatives of the evolved state, one per parameter.
-
-    The derivative rows of the metric kernel for a batch of one point.  The
-    returned vectors are tangent vectors, not normalized states.
-    """
-    psi_i = _initial_state(circuit, psi_i)
-    X = _tangent_stack(circuit, circuit.angles(point)[None], psi_i)
-    return list(X[:-1, 0])
+def _by_block(block_fn, circuit: CircuitSpec, angles) -> np.ndarray:
+    """Metrics (B, M, M) from ``block_fn`` on BLOCK_NODES points at a time, so
+    the work stacks stay bounded on large batches."""
+    angles = circuit.angle_batch(angles)
+    m = len(circuit.factors)
+    out = np.empty((angles.shape[0], m, m))
+    for start in range(0, angles.shape[0], BLOCK_NODES):
+        out[start:start + BLOCK_NODES] = block_fn(angles[start:start + BLOCK_NODES])
+    return out
 
 
 def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.ndarray:
@@ -203,16 +199,15 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
     """
     psi_i = _initial_state(circuit, psi_i)
     m = len(circuit.factors)
-    angles = circuit.angle_batch(angles)
-    out = np.empty((angles.shape[0], m, m))
-    for start in range(0, angles.shape[0], BLOCK_NODES):
-        X = _tangent_stack(circuit, angles[start:start + BLOCK_NODES], psi_i)
+
+    def block(a):
+        X = _tangent_stack(circuit, a, psi_i)
         D, psi = X[:m].conj(), X[m]
         overlaps = np.einsum("mbd,nbd->bmn", D, X[:m])
         proj = np.einsum("mbd,bd->bm", D, psi)
-        out[start:start + BLOCK_NODES] = (overlaps - proj[:, :, None]
-                                          * proj[:, None, :].conj()).real
-    return gamma**2 * out
+        return (overlaps - proj[:, :, None] * proj[:, None, :].conj()).real
+
+    return gamma**2 * _by_block(block, circuit, angles)
 
 
 def metric_jets(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0):
@@ -260,7 +255,8 @@ def projector_metric(psi, derivs, gamma: float = 1.0) -> np.ndarray:
 
 
 def _tilde_vectors(circuit: CircuitSpec, angles, psi_i, gamma: float) -> np.ndarray:
-    """gamma * Delta A~_j |psi_i> as a (B, M, d) stack for (B, M) angles."""
+    """The local basis vectors gamma * Delta A~_j |psi_i> as a (B, M, d) stack
+    for (B, M) angles; their real Gram matrix is the metric."""
     psi_i = _initial_state(circuit, psi_i)
     tildes = liealg.tilde_by_conjugation(circuit.algebra, circuit, angles)
     T_psi = np.einsum("bmij,j->bmi", tildes, psi_i)
@@ -279,14 +275,3 @@ def tilde_metric_batch(circuit: CircuitSpec, angles, psi_i,
     W = _tilde_vectors(circuit, angles, psi_i, gamma)
     return np.einsum("bmd,bnd->bmn", W.conj(), W).real
 
-
-def metric_from_tilde(circuit: CircuitSpec, point, psi_i,
-                      gamma: float = 1.0) -> MetricTensor:
-    """``tilde_metric_batch`` at one point."""
-    g = tilde_metric_batch(circuit, circuit.angles(point)[None], psi_i, gamma)[0]
-    return MetricTensor(g, gamma, dict(point), circuit.parameter_names)
-
-
-def local_basis_vectors(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0):
-    """gamma * Delta A~_j |psi_i> per parameter; their real Gram matrix is the metric."""
-    return list(_tilde_vectors(circuit, circuit.angles(point)[None], psi_i, gamma)[0])

@@ -19,8 +19,10 @@ from .errors import (
     BadVariant,
     InvalidOscillator,
     InvalidSpin,
+    NonFiniteAngle,
     SubspaceLeak,
     TruncationTooSmall,
+    UnknownModel,
 )
 from .liealg import LieAlgebraRep, extract_structure_constants
 from .manifold import CircuitSpec, build_unitary, evolve
@@ -293,6 +295,8 @@ def _two_spin_initial(spec: TwoSpinModelSpec) -> np.ndarray:
 
 
 def two_spin_model(spec: TwoSpinModelSpec) -> Model:
+    if not np.all(np.isfinite([spec.eta, spec.chi])):
+        raise NonFiniteAngle(f"eta and chi must be finite, got {spec.eta!r} and {spec.chi!r}")
     a1, a2, a3 = two_spin_generators(spec.variant, spec.eta, spec.chi)
     rep = extract_structure_constants((a1, a2, a3), names=("A1", "A2", "A3"))
     circuit = CircuitSpec(rep, (("A1", "theta_1"), ("A2", "theta_2"), ("A1", "theta_3")))
@@ -443,5 +447,4 @@ def build_model(model_id: str, **params) -> Model:
     if model_id in ("two_spin_dm_xx", "two_spin_sum", "two_spin_directional"):
         variant = model_id[len("two_spin_"):]
         return two_spin_model(TwoSpinModelSpec(variant=variant, **params))
-    from .errors import UnknownModel
     raise UnknownModel(f"unknown model id {model_id!r}; known: {MODEL_IDS}")

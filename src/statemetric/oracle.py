@@ -3,19 +3,17 @@
 Two oracles: central differences of the state fed through the projector
 formula, and a fidelity-based quadratic form that never sees phases at all.
 Both know nothing about tilde operators or structure constants.  Each takes
-a (B, M) array of angles, builds the shifted points of BLOCK_NODES points
-at a time as one array and evolves them in one ``evolve_batch`` call; the
+a (B, M) array of angles, builds the shifted points of ``manifold.BLOCK_NODES``
+points at a time as one array and evolves them in one ``evolve_batch`` call; the
 point forms are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, PointMismatch, StepOutOfRange
-from .manifold import BLOCK_NODES, CircuitSpec, MetricTensor, evolve_batch, projector_metric
+from .errors import StepOutOfRange
+from .manifold import CircuitSpec, MetricTensor, _by_block, evolve_batch, projector_metric
 
 STEP_MIN = 1e-6
 STEP_MAX = 1e-2
@@ -34,17 +32,6 @@ def _evolve_shifted(circuit: CircuitSpec, angles, offsets, psi_i) -> np.ndarray:
     shifted = angles[:, None, :] + offsets
     psi = evolve_batch(circuit, shifted.reshape(-1, angles.shape[1]), psi_i)
     return psi.reshape(shifted.shape[:-1] + psi.shape[-1:])
-
-
-def _by_block(block_fn, circuit: CircuitSpec, angles) -> np.ndarray:
-    """Metrics (B, M, M) from ``block_fn`` on BLOCK_NODES points at a time, so
-    the (B, K, d) shifted states stay bounded on large batches."""
-    angles = circuit.angle_batch(angles)
-    m = len(circuit.factors)
-    out = np.empty((angles.shape[0], m, m))
-    for start in range(0, angles.shape[0], BLOCK_NODES):
-        out[start:start + BLOCK_NODES] = block_fn(angles[start:start + BLOCK_NODES])
-    return out
 
 
 def _at_point(batch_fn, circuit: CircuitSpec, point, psi_i, gamma, h) -> MetricTensor:
@@ -112,27 +99,3 @@ def fidelity_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
     """``fidelity_metric_batch`` at one point."""
     return _at_point(fidelity_metric_batch, circuit, point, psi_i, gamma, h)
 
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    max_abs_diff: float
-    worst_component: tuple
-    diffs: np.ndarray
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_diff <= self.tolerance
-
-
-def compare(g_a: MetricTensor, g_b: MetricTensor, tol: float) -> ComparisonReport:
-    """Componentwise comparison of two metrics at the same point."""
-    if g_a.parameter_names != g_b.parameter_names or g_a.dim != g_b.dim:
-        raise DimensionMismatch("metrics index different parameter sets")
-    for p in g_a.parameter_names:
-        if abs(g_a.point.get(p, 0.0) - g_b.point.get(p, 0.0)) > 1e-12:
-            raise PointMismatch(f"metrics were evaluated at different {p!r}")
-    diffs = np.abs(g_a.g - g_b.g)
-    idx = np.unravel_index(np.argmax(diffs), diffs.shape)
-    return ComparisonReport(float(diffs[idx]), (int(idx[0]), int(idx[1])),
-                            diffs, float(tol))

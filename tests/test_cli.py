@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestValidate:
         assert "heisenberg(1)" in capsys.readouterr().out
 
     def test_non_hermitian_is_domain_failure(self, tmp_path, spin_manifest, capsys):
-        doc = json.loads(open(spin_manifest).read())
+        doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
         doc["generators"]["Sy"][0][0] = [0.0, 1.0]  # imaginary diagonal entry
         bad = tmp_path / "bad.json"
         bad.write_text(manifest.dumps(doc), encoding="utf-8")
@@ -240,6 +241,24 @@ def test_bad_spin_exits_cleanly(argv, code, capsys):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "metric"])
+@pytest.mark.parametrize("entry", [1e308, 1e200])
+def test_overflowing_generator_is_domain_failure(command, entry, tmp_path, spin_manifest,
+                                                capsys):
+    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+    doc["generators"]["Sz"][0][0] = [entry, 0.0]
+    bad = tmp_path / "huge.json"
+    bad.write_text(manifest.dumps(doc), encoding="utf-8")
+    extra = ["--defaults-zero"] if command == "metric" else []
+    assert cli.main([command, str(bad)] + extra) == 1
+    out, err = capsys.readouterr()
+    message = f"generator 'Sz' has an entry of magnitude {entry:.3e}; its entries overflow"
+    if command == "validate":
+        assert out.startswith(f"FAIL: {message}") and err == ""
+    else:
+        assert out == "" and err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("command,field,value", [
     ("validate", ("generators", "Sz", 0, 0), [float("nan"), 0.0]),
     ("validate", ("initial_state", 1), [0.0, float("inf")]),
@@ -250,7 +269,7 @@ def test_bad_spin_exits_cleanly(argv, code, capsys):
         "metric-huge-gamma", "grid-huge-gamma"])
 def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest,
                                             tmp_path, capsys):
-    doc = json.loads(open(spin_manifest).read())
+    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
     target = doc
     for key in field[:-1]:
         target = target[key]

@@ -20,7 +20,6 @@ from statemetric.geometry import (
     metric_at,
     metric_field,
     rank_analysis,
-    scalar_curvature,
     scalar_from_jets,
     section_curvatures,
 )
@@ -302,11 +301,8 @@ class TestMetricJets:
         # the circuit sweeps the SU(2) orbit of the state, a homogeneous
         # space: its scalar curvature is the same at every regular point
         model = spin_model(SpinModelSpec(s=(len(coeffs) - 1) / 2, coefficients=coeffs))
-        points = [{"theta_1": 0.4, "theta_2": 1.1, "theta_3": 0.7},
-                  {"theta_1": -1.3, "theta_2": 0.5, "theta_3": 2.0},
-                  {"theta_1": 2.2, "theta_2": 2.6, "theta_3": -0.4},
-                  {"theta_1": 0.0, "theta_2": 1.6, "theta_3": 0.0}]
-        R = np.array([scalar_curvature(model, p) for p in points])
+        angles = [[0.4, 1.1, 0.7], [-1.3, 0.5, 2.0], [2.2, 2.6, -0.4], [0.0, 1.6, 0.0]]
+        R = scalar_from_jets(*metric_jets(model.circuit, angles, model.initial_state))
         assert np.all(np.isfinite(R))
         assert np.max(np.abs(R - R[0])) <= 1e-9 * max(1.0, abs(R[0]))
 
@@ -315,7 +311,8 @@ def test_scalar_curvature_full_rank_spin1():
     # a generic spin-1 superposition gives a rank-3 metric; the scalar
     # curvature of the sampled 3-manifold stays finite and O(1)
     model = spin_model(SpinModelSpec(s=1, coefficients=(0.6, 0.0, 0.8)))
-    R = scalar_curvature(model, {"theta_1": 0.4, "theta_2": 1.1, "theta_3": 0.7})
+    R = scalar_from_jets(*metric_jets(model.circuit, [[0.4, 1.1, 0.7]],
+                                      model.initial_state))[0]
     assert np.isfinite(R)
     assert abs(R) < 50.0
 

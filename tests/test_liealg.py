@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,16 @@ class TestExtractStructureConstants:
         with pytest.raises(DependentGenerators):
             extract_structure_constants((sx, 2 * sx))
 
+    @pytest.mark.parametrize("entry", [1e308, 1e200, -1.7976931348623157e308, 1e308 + 1e308j])
+    def test_overflowing_entry_names_generator(self, entry):
+        # finite, but its square is not: refused by name, without a RuntimeWarning
+        sx, sy, sz = spin_operators(1)
+        big = sx.copy()
+        big[0, 1], big[1, 0] = entry, np.conj(entry)
+        message = f"generator 'Sx' has an entry of magnitude {abs(entry):.3e}; its entries overflow"
+        with pytest.raises(DependentGenerators, match="^" + re.escape(message)):
+            extract_structure_constants((sz, big, sy), names=("Sz", "Sx", "Sy"))
+
     def test_non_hermitian_names_generator(self):
         sx, sy, sz = spin_operators(0.5)
         with pytest.raises(NotHermitian, match="'Sy'"):
@@ -96,7 +108,7 @@ class TestValidateAlgebra:
         for s in (0.5, 1, 1.5, 2, 2.5, 3):
             report = validate_algebra(spin_rep(s), "so3")
             assert report.passed
-            assert report.worst().residual <= 1e-10
+            assert max(c.residual for c in report.checks) <= 1e-10
 
     def test_jacobi_residual_small(self):
         assert spin_rep(1).jacobi_residual() <= 1e-12

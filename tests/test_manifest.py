@@ -287,6 +287,12 @@ class TestParseErrors:
         with pytest.raises(ManifestError, match="all zero"):
             manifest.parse_manifest(doc)
 
+    def test_state_is_normalized(self, spin_doc):
+        doc = self._mutate(spin_doc, initial_state=[[3.0, 0.0], [0.0, 0.0], [0.0, 4.0]])
+        psi = manifest.parse_manifest(doc).initial_state
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert np.allclose(psi, [0.6, 0.0, 0.8j])
+
     def test_bad_active_dim(self, spin_doc):
         with pytest.raises(ManifestError, match="active_dim"):
             manifest.parse_manifest(self._mutate(spin_doc, active_dim=99))

@@ -10,18 +10,20 @@ from statemetric.errors import (
     MissingParameter,
     StatemetricError,
 )
+from statemetric.liealg import extract_structure_constants
 from statemetric.manifold import (
     CircuitSpec,
+    _tangent_stack,
+    _tilde_vectors,
     build_unitary,
     evolve,
     evolve_batch,
-    local_basis_vectors,
-    metric_from_tilde,
+    metric_batch,
     projector_metric,
-    state_derivatives,
     tilde_metric_batch,
 )
 from statemetric.models import (
+    OSCILLATOR_PARAM_BOUND,
     OscillatorModelSpec,
     SpinModelSpec,
     oscillator_model,
@@ -42,6 +44,19 @@ def half():
 @pytest.fixture(scope="module")
 def one_m0():
     return spin_model(SpinModelSpec(s=1, m=0))
+
+
+def tangent_rows(circuit, point, psi_i):
+    """d psi/d theta_j at one point: the derivative rows of ``_tangent_stack``."""
+    return _tangent_stack(circuit, circuit.angles(point)[None], psi_i)[:-1, 0]
+
+
+def tilde_metric(circuit, point, psi_i, gamma=1.0):
+    return tilde_metric_batch(circuit, circuit.angles(point)[None], psi_i, gamma)[0]
+
+
+def departure_from_unitary(U):
+    return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
 
 
 def rand_points(model, count, seed):
@@ -94,7 +109,7 @@ class TestBuildUnitary:
 
     def test_unitarity(self, one_m0):
         for pt in rand_points(one_m0, 5, 23):
-            assert linalg.unitarity_defect(build_unitary(one_m0.circuit, pt)) <= 1e-12
+            assert departure_from_unitary(build_unitary(one_m0.circuit, pt)) <= 1e-12
 
 
 class TestEvolve:
@@ -133,8 +148,8 @@ class TestBatches:
         angles = np.random.default_rng(67).uniform(-1.0, 1.0, (5, len(names)))
         batch = tilde_metric_batch(model.circuit, angles, model.initial_state, model.gamma)
         for row, a in zip(batch, angles):
-            g = metric_from_tilde(model.circuit, dict(zip(names, a)),
-                                  model.initial_state, model.gamma).g
+            g = tilde_metric(model.circuit, dict(zip(names, a)),
+                             model.initial_state, model.gamma)
             assert np.max(np.abs(row - g)) <= 1e-14
 
     def test_bad_angle_arrays(self, half):
@@ -152,7 +167,7 @@ class TestStateDerivatives:
         from statemetric.liealg import tilde_by_conjugation
         pt = {"theta_1": 0.3, "theta_2": 1.2, "theta_3": -0.4}
         psi = evolve(one_m0.circuit, pt, one_m0.initial_state)
-        derivs = state_derivatives(one_m0.circuit, pt, one_m0.initial_state)
+        derivs = tangent_rows(one_m0.circuit, pt, one_m0.initial_state)
         tildes = tilde_by_conjugation(one_m0.rep, one_m0.circuit,
                                       one_m0.circuit.angles(pt)[None])[0]
         for d, T in zip(derivs, tildes):
@@ -162,7 +177,7 @@ class TestStateDerivatives:
 
     def test_matches_finite_differences_with_h2_convergence(self, one_m0):
         pt = {"theta_1": 0.5, "theta_2": 0.9, "theta_3": 1.4}
-        derivs = state_derivatives(one_m0.circuit, pt, one_m0.initial_state)
+        derivs = tangent_rows(one_m0.circuit, pt, one_m0.initial_state)
         errs = []
         for h in (2e-3, 1e-3):
             worst = 0.0
@@ -182,7 +197,7 @@ class TestMetric:
     def test_spin_half_equator(self, half):
         # eigenstate sphere of radius 1/2: g = diag(R^2 sin^2 t2, R^2, 0)-like
         pt = {"theta_1": 0.0, "theta_2": np.pi / 2, "theta_3": 0.0}
-        derivs = state_derivatives(half.circuit, pt, half.initial_state)
+        derivs = tangent_rows(half.circuit, pt, half.initial_state)
         psi = evolve(half.circuit, pt, half.initial_state)
         g = projector_metric(psi, np.stack(derivs))
         assert np.allclose(g, np.diag([0.25, 0.25, 0.0]), atol=1e-12)
@@ -190,35 +205,35 @@ class TestMetric:
     def test_fiber_direction_has_zero_length(self, half):
         # theta_3 rotates an S_z eigenstate by a phase only
         for pt in rand_points(half, 5, 31):
-            g = metric_from_tilde(half.circuit, pt, half.initial_state).g
+            g = tilde_metric(half.circuit, pt, half.initial_state)
             assert abs(g[2, 2]) <= 1e-12
 
     def test_two_routes_agree(self, one_m0):
         for pt in rand_points(one_m0, 10, 37):
             psi = evolve(one_m0.circuit, pt, one_m0.initial_state)
-            derivs = state_derivatives(one_m0.circuit, pt, one_m0.initial_state)
+            derivs = tangent_rows(one_m0.circuit, pt, one_m0.initial_state)
             g1 = projector_metric(psi, np.stack(derivs))
-            g2 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state).g
+            g2 = tilde_metric(one_m0.circuit, pt, one_m0.initial_state)
             assert np.max(np.abs(g1 - g2)) <= 1e-12
 
     def test_oscillator_ground_state(self):
         model = oscillator_model(OscillatorModelSpec())
         pt = {"theta": 0.3, "phi": -0.2}
-        g = metric_from_tilde(model.circuit, pt, model.initial_state).g
+        g = tilde_metric(model.circuit, pt, model.initial_state)
         # variances of |0>: <x^2> = <p^2> = 1/2 at m = omega = 1
         assert np.allclose(g, np.diag([0.5, 0.5]), atol=1e-10)
 
     def test_gauge_invariance(self, one_m0):
         pt = {"theta_1": 0.8, "theta_2": 1.1, "theta_3": -0.6}
         phase = np.exp(1j * 1.234)
-        g1 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state).g
-        g2 = metric_from_tilde(one_m0.circuit, pt, phase * one_m0.initial_state).g
+        g1 = tilde_metric(one_m0.circuit, pt, one_m0.initial_state)
+        g2 = tilde_metric(one_m0.circuit, pt, phase * one_m0.initial_state)
         assert np.max(np.abs(g1 - g2)) <= 1e-12
 
     def test_gamma_scale_law(self, one_m0):
         pt = {"theta_1": 0.2, "theta_2": 0.7, "theta_3": 1.9}
-        g1 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state, gamma=1.0).g
-        g2 = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state, gamma=2.0).g
+        g1 = tilde_metric(one_m0.circuit, pt, one_m0.initial_state, gamma=1.0)
+        g2 = tilde_metric(one_m0.circuit, pt, one_m0.initial_state, gamma=2.0)
         assert np.max(np.abs(g2 - 4.0 * g1)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -227,7 +242,7 @@ class TestMetric:
         model = spin_model(SpinModelSpec(s=1, coefficients=(0.6, 0.0, 0.8)))
         rng = np.random.default_rng(seed)
         pt = dict(zip(model.parameter_names, rng.uniform(-np.pi, np.pi, 3)))
-        g = metric_from_tilde(model.circuit, pt, model.initial_state).g
+        g = tilde_metric(model.circuit, pt, model.initial_state)
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
     def test_metric_tensor_symmetrized(self):
@@ -237,19 +252,46 @@ class TestMetric:
 
 
 class TestLocalBasisVectors:
+    """gamma Delta A~_j |psi_i>, the rows of ``_tilde_vectors``."""
+
     def test_orthogonal_to_initial_state(self, one_m0):
-        pt = {"theta_1": 0.4, "theta_2": 1.0, "theta_3": -1.1}
-        for v in local_basis_vectors(one_m0.circuit, pt, one_m0.initial_state):
+        angles = np.array([[0.4, 1.0, -1.1]])
+        for v in _tilde_vectors(one_m0.circuit, angles, one_m0.initial_state, 1.0)[0]:
             assert abs(np.vdot(one_m0.initial_state, v).real) <= 1e-12
 
     def test_gram_matrix_real_part_is_metric(self, one_m0):
         pt = {"theta_1": -0.9, "theta_2": 0.6, "theta_3": 0.3}
-        vs = local_basis_vectors(one_m0.circuit, pt, one_m0.initial_state)
+        vs = _tilde_vectors(one_m0.circuit, one_m0.circuit.angles(pt)[None],
+                            one_m0.initial_state, 1.0)[0]
         W = np.stack(vs, axis=1)
-        g = metric_from_tilde(one_m0.circuit, pt, one_m0.initial_state).g
+        g = tilde_metric(one_m0.circuit, pt, one_m0.initial_state)
         assert np.max(np.abs((W.conj().T @ W).real - g)) <= 1e-12
 
     def test_dimension_mismatch(self, one_m0):
         with pytest.raises(DimensionMismatch):
-            local_basis_vectors(one_m0.circuit,
-                                dict.fromkeys(one_m0.parameter_names, 0.1), [1.0, 0.0])
+            _tilde_vectors(one_m0.circuit, np.full((1, 3), 0.1), [1.0, 0.0], 1.0)
+
+
+class TestReparametrization:
+    @settings(max_examples=30, deadline=None)
+    @given(key=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1))
+    def test_scaled_generators_give_c_g_c(self, key, seed):
+        # exp(-i (theta / c) (c A)) = exp(-i theta A): scaling generator k by
+        # c_k and its angles by 1 / c_k reaches the same states, in coordinates
+        # where the metric is C g C with C = diag(c of each factor's generator)
+        model = CATALOG[key]
+        rep = model.rep
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.25, 4.0, rep.size) * rng.choice([-1.0, 1.0], rep.size)
+        scaled = extract_structure_constants([ck * G for ck, G in zip(c, rep.generators)],
+                                             rep.names, rep.active_dim)
+        circuit = CircuitSpec(scaled, model.circuit.factors)
+        cj = c[[rep.index(gname) for gname, _ in model.circuit.factors]]
+        bound = OSCILLATOR_PARAM_BOUND if rep.active_dim else np.pi
+        theta = rng.uniform(-bound, bound, (4, len(cj)))
+        g = metric_batch(model.circuit, theta, model.initial_state, model.gamma)
+        expected = cj[:, None] * g * cj
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
+        for route in (metric_batch, tilde_metric_batch):
+            got = route(circuit, theta / cj, model.initial_state, model.gamma)
+            assert np.max(np.abs(got - expected)) <= tol, route.__name__

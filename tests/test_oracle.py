@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statemetric import manifold, oracle
-from statemetric.errors import DimensionMismatch, PointMismatch, StepOutOfRange
+from statemetric.errors import StepOutOfRange
 from statemetric.geometry import metric_stack
-from statemetric.manifold import MetricTensor, metric_from_tilde
+from statemetric.manifold import tilde_metric_batch
 from statemetric.models import (
     OSCILLATOR_PARAM_BOUND,
     OscillatorModelSpec,
@@ -22,7 +22,8 @@ CATALOG = catalog()
 
 
 def analytic(model, point):
-    return metric_from_tilde(model.circuit, point, model.initial_state, model.gamma)
+    return tilde_metric_batch(model.circuit, model.circuit.angles(point)[None],
+                              model.initial_state, model.gamma)[0]
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +36,9 @@ class TestFdMetric:
         rng = np.random.default_rng(41)
         for _ in range(5):
             pt = dict(zip(superpos.parameter_names, rng.uniform(-2, 2, 3)))
-            rep = oracle.compare(analytic(superpos, pt),
-                                 oracle.fd_metric(superpos.circuit, pt,
-                                                  superpos.initial_state),
-                                 tol=1e-6)
-            assert rep.passed, rep.max_abs_diff
+            g_fd = oracle.fd_metric(superpos.circuit, pt, superpos.initial_state).g
+            diff = np.max(np.abs(analytic(superpos, pt) - g_fd))
+            assert diff <= 1e-6, diff
 
     def test_matches_analytic_oscillator(self):
         model = oscillator_model(OscillatorModelSpec(n=1))
@@ -49,7 +48,7 @@ class TestFdMetric:
 
     def test_second_order_convergence(self, superpos):
         pt = {"theta_1": 0.7, "theta_2": 1.1, "theta_3": -0.5}
-        exact = analytic(superpos, pt).g
+        exact = analytic(superpos, pt)
         errs = [np.max(np.abs(oracle.fd_metric(superpos.circuit, pt,
                                                superpos.initial_state, h=h).g - exact))
                 for h in (4e-3, 2e-3, 1e-3)]
@@ -70,16 +69,13 @@ class TestFidelityMetric:
             pt = dict(zip(superpos.parameter_names, rng.uniform(-2, 2, 3)))
             a = oracle.fd_metric(superpos.circuit, pt, superpos.initial_state)
             b = oracle.fidelity_metric(superpos.circuit, pt, superpos.initial_state)
-            assert oracle.compare(a, b, tol=1e-5).passed
+            assert np.max(np.abs(a.g - b.g)) <= 1e-5
 
     def test_matches_analytic_two_spin(self):
         model = two_spin_model(TwoSpinModelSpec(variant="dm_xx", initial="up_down"))
         pt = {"theta_1": 0.9, "theta_2": 1.3, "theta_3": -0.2}
-        rep = oracle.compare(analytic(model, pt),
-                             oracle.fidelity_metric(model.circuit, pt,
-                                                    model.initial_state),
-                             tol=1e-6)
-        assert rep.passed
+        g = oracle.fidelity_metric(model.circuit, pt, model.initial_state).g
+        assert np.max(np.abs(analytic(model, pt) - g)) <= 1e-6
 
     def test_gamma_scaling(self, superpos):
         pt = {"theta_1": 0.2, "theta_2": 0.8, "theta_3": 0.4}
@@ -131,7 +127,7 @@ class TestBatches:
             sizes.append(len(shifted))
             return manifold.evolve_batch(circuit, shifted, psi_i)
 
-        monkeypatch.setattr(oracle, "BLOCK_NODES", 4)
+        monkeypatch.setattr(manifold, "BLOCK_NODES", 4)
         monkeypatch.setattr(oracle, "evolve_batch", counting)
         blocked = batch_fn(superpos.circuit, angles, superpos.initial_state)
         per_point = sizes[-1] // 2
@@ -156,32 +152,3 @@ class TestBatches:
                                       model.gamma)
         assert np.max(np.abs(g_fd - metric_stack(model, angles))) <= 1e-6
 
-
-class TestCompare:
-    def _metric(self, g, point, names=("a", "b")):
-        return MetricTensor(np.asarray(g, dtype=float), 1.0, point, names)
-
-    def test_reports_worst_component(self):
-        a = self._metric([[1.0, 0.0], [0.0, 1.0]], {"a": 0.0, "b": 0.0})
-        b = self._metric([[1.0, 0.0], [0.0, 1.5]], {"a": 0.0, "b": 0.0})
-        rep = oracle.compare(a, b, tol=1e-6)
-        assert not rep.passed
-        assert rep.max_abs_diff == pytest.approx(0.5)
-        assert rep.worst_component == (1, 1)
-
-    def test_point_mismatch(self):
-        a = self._metric(np.eye(2), {"a": 0.0, "b": 0.0})
-        b = self._metric(np.eye(2), {"a": 1e-6, "b": 0.0})
-        with pytest.raises(PointMismatch):
-            oracle.compare(a, b, tol=1e-6)
-
-    def test_name_mismatch(self):
-        a = self._metric(np.eye(2), {"a": 0.0, "b": 0.0})
-        b = self._metric(np.eye(2), {"a": 0.0, "c": 0.0}, names=("a", "c"))
-        with pytest.raises(DimensionMismatch):
-            oracle.compare(a, b, tol=1e-6)
-
-    def test_identical_metrics_pass(self):
-        a = self._metric(np.eye(2), {"a": 0.3, "b": 0.4})
-        rep = oracle.compare(a, a, tol=0.0)
-        assert rep.passed and rep.max_abs_diff == 0.0

@@ -13,7 +13,7 @@ import pytest
 
 from statemetric import geometry, models, oracle, verify
 from statemetric.geometry import metric_at
-from statemetric.manifold import metric_from_tilde
+from statemetric.manifold import tilde_metric_batch
 from statemetric.models import SpinModelSpec, spin_model
 
 CATALOG = verify.catalog()
@@ -33,7 +33,8 @@ def reference_three_way():
     for name, model in CATALOG.items():
         for pt in _points(rng, model.parameter_names, 20):
             g_d = metric_at(model, pt).g
-            g_t = metric_from_tilde(model.circuit, pt, model.initial_state, model.gamma).g
+            g_t = tilde_metric_batch(model.circuit, model.circuit.angles(pt)[None],
+                                     model.initial_state, model.gamma)[0]
             g_f = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma,
                                    h=1e-4).g
             da = float(np.max(np.abs(g_d - g_t)))
