@@ -36,19 +36,17 @@ CONSTANT_METRIC_TOL = 1e-9
 K_SAMPLES = 5
 
 
-def metric_stack(model: Model, angles, gamma: float | None = None) -> np.ndarray:
+def metric_stack(model: Model, angles) -> np.ndarray:
     """Symmetric analytic metrics (B, M, M) at a (B, M) array of angles in
     circuit-parameter order, from one kernel call."""
-    g = metric_batch(model.circuit, angles, model.initial_state,
-                     model.gamma if gamma is None else gamma)
+    g = metric_batch(model.circuit, angles, model.initial_state, model.gamma)
     return (g + g.swapaxes(-1, -2)) / 2
 
 
-def metric_at(model: Model, point, gamma: float | None = None) -> MetricTensor:
+def metric_at(model: Model, point) -> MetricTensor:
     """Analytic metric of a model at one parameter point (derivative path)."""
-    g = model.gamma if gamma is None else gamma
     angles = model.circuit.angles(point)[None]
-    return MetricTensor(metric_stack(model, angles, g)[0], g, point,
+    return MetricTensor(metric_stack(model, angles)[0], model.gamma, point,
                         model.circuit.parameter_names)
 
 
@@ -102,13 +100,11 @@ class MetricField:
     angles: np.ndarray
     g: np.ndarray
     model: Model
-    gamma: float
 
 
-def metric_field(model: Model, grid: GridSpec, gamma: float | None = None) -> MetricField:
-    g = model.gamma if gamma is None else gamma
+def metric_field(model: Model, grid: GridSpec) -> MetricField:
     angles = grid.angles(model.circuit.parameter_names)
-    return MetricField(grid, angles, metric_stack(model, angles, g), model, g)
+    return MetricField(grid, angles, metric_stack(model, angles), model)
 
 
 def _above_cutoff(w: np.ndarray) -> np.ndarray:
@@ -146,7 +142,7 @@ def scalar_from_jets(g, dg, d2g) -> np.ndarray:
     return np.where(regular, np.einsum("bjl,bjl->b", ginv, ricci), np.nan)
 
 
-def section_curvatures(model: Model, angles, section, gamma: float | None = None):
+def section_curvatures(model: Model, angles, section):
     """(K, jets): Gaussian curvature (B,) of the section of two distinct
     parameters at each row of a (B, M) array of angles, NaN where it is
     degenerate, and the full ``metric_jets`` there.  Raises MissingParameter
@@ -158,8 +154,7 @@ def section_curvatures(model: Model, angles, section, gamma: float | None = None
     for p in section:
         if p not in names:
             raise MissingParameter(f"unknown section parameter {p!r}")
-    jets = metric_jets(model.circuit, angles, model.initial_state,
-                       model.gamma if gamma is None else gamma)
+    jets = metric_jets(model.circuit, angles, model.initial_state, model.gamma)
     idx = [names.index(p) for p in section]
     sub = []
     for j in jets:  # the section's 2 x 2 (x 2 (x 2)) sub-jets
@@ -169,9 +164,9 @@ def section_curvatures(model: Model, angles, section, gamma: float | None = None
     return scalar_from_jets(*sub) / 2, jets
 
 
-def gauss_curvature(model: Model, point, section, gamma: float | None = None) -> float:
+def gauss_curvature(model: Model, point, section) -> float:
     """Gaussian curvature of a 2-parameter coordinate section at a point."""
-    k, _ = section_curvatures(model, model.circuit.angles(point)[None], section, gamma)
+    k, _ = section_curvatures(model, model.circuit.angles(point)[None], section)
     if np.isnan(k[0]):
         raise DegenerateSection(f"section {tuple(section)} is degenerate at {point}")
     return float(k[0])
@@ -250,7 +245,7 @@ def classify(field: MetricField) -> CurvatureReport:
     section = tuple(names[k] for k in _best_section(g))
     step = nodes // K_SAMPLES if nodes > K_SAMPLES else 1
     samples = field.angles[::step][:K_SAMPLES]
-    k, jets = section_curvatures(field.model, samples, section, field.gamma)
+    k, jets = section_curvatures(field.model, samples, section)
     curvatures = k[np.isfinite(k)]
     if not curvatures.size:
         return CurvatureReport("degenerate", rank, null_dirs, None, None, None, section)

@@ -26,6 +26,8 @@ import numpy as np
 from . import linalg
 from .errors import DependentGenerators, NotClosed, UnknownGenerator
 
+# commutator-fit residual bound for generators with entries of at most 1;
+# see closure_bound
 CLOSURE_TOL = 1e-9
 JACOBI_TOL = 1e-10
 GRAM_COND_MAX = 1e8
@@ -102,6 +104,24 @@ class LieAlgebraRep:
         """Max |Re c|; purely imaginary constants for Hermitian generators."""
         return float(np.max(np.abs(self.constants.real)))
 
+    @property
+    def closed(self) -> bool:
+        """Whether the fit residual is within the closure bound of the
+        generators' active blocks."""
+        return self.closure_residual <= closure_bound(
+            [self.block_norm(G) for G in self.generators])
+
+
+def closure_bound(peaks) -> float:
+    """Largest commutator-fit residual that still counts as closed, for
+    generators whose largest entries (on the active block) are ``peaks``.
+
+    The roundoff of [A_i, A_j] grows with |A_i|max |A_j|max, so the bound is
+    CLOSURE_TOL * max(1, product of the two largest peaks); for one pair
+    that is the pair's own product.
+    """
+    return CLOSURE_TOL * max(1.0, float(np.prod(np.sort(peaks)[-2:])))
+
 
 def extract_structure_constants(
     generators,
@@ -112,7 +132,8 @@ def extract_structure_constants(
 
     Only pairs i < j are solved; antisymmetry is enforced by negation.
     Raises NotClosed if any commutator leaves the generator span by more than
-    CLOSURE_TOL (measured on the active block when ``active_dim`` is set),
+    ``closure_bound`` of its pair (measured on the active block when
+    ``active_dim`` is set),
     and DependentGenerators if the generators are not linearly independent
     or their entries overflow the Gram matrix.
     """
@@ -134,8 +155,8 @@ def extract_structure_constants(
     basis = np.stack([G[block].ravel() for G in gens], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = basis.conj().T @ basis
+        peak = np.array([np.max(np.abs(G[block])) for G in gens])  # per generator: contiguous
         if not np.all(np.isfinite(gram)):
-            peak = np.max(np.abs(basis), axis=0)
             k = int(np.argmax(peak))
             raise DependentGenerators(
                 f"generator {names[k]!r} has an entry of magnitude {peak[k]:.3e}; "
@@ -154,10 +175,11 @@ def extract_structure_constants(
             coeff, *_ = np.linalg.lstsq(basis, com[block].ravel(), rcond=None)
             fitted = sum(c * G for c, G in zip(coeff, gens))
             resid = float(np.max(np.abs((com - fitted)[block])))
-            if resid > CLOSURE_TOL:
+            bound = closure_bound(peak[[i, j]])
+            if not resid <= bound:
                 raise NotClosed(
                     f"[{names[i]}, {names[j]}] leaves the span "
-                    f"(residual {resid:.3e} > {CLOSURE_TOL:.1e})"
+                    f"(residual {resid:.3e} > {bound:.1e})"
                 )
             residual = max(residual, resid)
             constants[i, j] = coeff
@@ -318,10 +340,8 @@ def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     vector; the matrix is then reassembled from the generator basis.  All
     B M exponentials come from one stacked ``_expm`` call.
     """
-    if rep.closure_residual > CLOSURE_TOL:
-        raise NotClosed(
-            f"closure residual {rep.closure_residual:.3e} exceeds {CLOSURE_TOL:.1e}"
-        )
+    if not rep.closed:
+        raise NotClosed(f"closure residual {rep.closure_residual:.3e} exceeds its bound")
     angles = circuit.angle_batch(angles)
     idx = _factor_indices(rep, circuit)
     b, m = angles.shape

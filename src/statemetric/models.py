@@ -9,7 +9,7 @@ two-qubit systems whose interaction operators close into so(3).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +37,22 @@ class Model:
     circuit: CircuitSpec
     initial_state: np.ndarray
     gamma: float = 1.0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def parameter_names(self) -> tuple:
         return self.circuit.parameter_names
 
 
-def _normalized(amps, tol=1e-12) -> np.ndarray:
+# largest deviation from 1 of the norm of a given state vector
+NORM_TOL = 1e-12
+
+
+def _normalized(amps) -> np.ndarray:
     psi = np.asarray(amps, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
-        raise BadNormalization(f"state norm {float(norm)!r} deviates from 1 by more than {tol:g}")
+    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
+        raise BadNormalization(f"state norm {float(norm)!r} deviates from 1 by more than "
+                               f"{NORM_TOL:g}")
     return psi / norm
 
 
@@ -114,14 +118,7 @@ def spin_model(spec: SpinModelSpec) -> Model:
         raise BadNormalization("spin model needs either m or a coefficient list")
     rep = extract_structure_constants((sz, sx, sy), names=("Sz", "Sx", "Sy"))
     circuit = CircuitSpec(rep, (("Sz", "theta_1"), ("Sx", "theta_2"), ("Sz", "theta_3")))
-    return Model(
-        name="spin",
-        rep=rep,
-        circuit=circuit,
-        initial_state=psi,
-        gamma=spec.gamma,
-        metadata={"s": s, "m": spec.m, "coefficients": spec.coefficients},
-    )
+    return Model(name="spin", rep=rep, circuit=circuit, initial_state=psi, gamma=spec.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +146,9 @@ def oscillator_model(spec: OscillatorModelSpec) -> Model:
     truncation edge; the representation carries an active block on which all
     operator-level comparisons are performed.
     """
-    if not (0 < spec.mass < np.inf and 0 < spec.omega < np.inf):
-        raise InvalidOscillator("mass and frequency must be positive and finite")
+    mw = float(spec.mass) * float(spec.omega)  # x and p scale as sqrt(mw)
+    if not (0 < spec.mass < np.inf and 0 < spec.omega < np.inf and 0 < mw < np.inf):
+        raise InvalidOscillator("mass, frequency and their product must be positive and finite")
     N = int(spec.truncation)
     n = int(spec.n)
     if n < 0:
@@ -164,8 +162,8 @@ def oscillator_model(spec: OscillatorModelSpec) -> Model:
     for k in range(1, N):
         a[k - 1, k] = np.sqrt(k)
     ad = a.conj().T
-    x = (ad + a) / np.sqrt(2 * spec.mass * spec.omega)
-    p = 1j * np.sqrt(spec.mass * spec.omega / 2) * (ad - a)
+    x = (ad + a) / np.sqrt(2 * mw)
+    p = 1j * np.sqrt(mw / 2) * (ad - a)
     ident = np.eye(N, dtype=complex)
 
     active = max(n + 5, N // 4)
@@ -183,14 +181,8 @@ def oscillator_model(spec: OscillatorModelSpec) -> Model:
         raise TruncationTooSmall(
             f"population {tail:.3e} in the top Fock levels at |theta|,|phi| <= {b}"
         )
-    return Model(
-        name="oscillator",
-        rep=rep,
-        circuit=circuit,
-        initial_state=psi,
-        gamma=spec.gamma,
-        metadata={"mass": spec.mass, "omega": spec.omega, "n": n, "truncation": N},
-    )
+    return Model(name="oscillator", rep=rep, circuit=circuit, initial_state=psi,
+                 gamma=spec.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +203,11 @@ class TwoSpinModelSpec:
     "directional": the generalization along an arbitrary unit vector given by
     polar/azimuthal angles (eta, chi).  ``initial`` is either a keyword
     (up_up, up_down, down_up, down_down, plus_minus, minus_plus) or an
-    explicit 4-component amplitude vector.
+    explicit 4-component amplitude vector.  The Hamiltonian couplings do not
+    shape the manifold; they pick a path on it (``euler_from_time``).
     """
 
     variant: str = "dm_xx"
-    j1: float = 1.0
-    j2: float = 1.0
-    hz: float = 1.0
     eta: float = 0.0
     chi: float = 0.0
     initial: object = "up_down"
@@ -301,16 +291,8 @@ def two_spin_model(spec: TwoSpinModelSpec) -> Model:
     rep = extract_structure_constants((a1, a2, a3), names=("A1", "A2", "A3"))
     circuit = CircuitSpec(rep, (("A1", "theta_1"), ("A2", "theta_2"), ("A1", "theta_3")))
     psi = _two_spin_initial(spec)
-    return Model(
-        name=f"two_spin_{spec.variant}",
-        rep=rep,
-        circuit=circuit,
-        initial_state=psi,
-        gamma=spec.gamma,
-        metadata={"variant": spec.variant, "j1": spec.j1, "j2": spec.j2,
-                  "hz": spec.hz, "eta": spec.eta, "chi": spec.chi,
-                  "initial": spec.initial if isinstance(spec.initial, str) else None},
-    )
+    return Model(name=f"two_spin_{spec.variant}", rep=rep, circuit=circuit,
+                 initial_state=psi, gamma=spec.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +321,10 @@ def _zxz_angles(B: np.ndarray):
     return _wrap_angle((total + diff) / 2), float(t2), _wrap_angle((total - diff) / 2)
 
 
-def dm_xx_evolution(spec: TwoSpinModelSpec, t: float) -> np.ndarray:
+def dm_xx_evolution(j1: float, j2: float, hz: float, t: float) -> np.ndarray:
     """exp(-iHt) for H = hz A1 + J1 A2 + J2 A3 of the dm_xx generators."""
     a1, a2, a3 = two_spin_generators("dm_xx")
-    H = spec.hz * a1 + spec.j1 * a2 + spec.j2 * a3
+    H = hz * a1 + j1 * a2 + j2 * a3
     return linalg.expm_phase_eig(*linalg.herm_eig(H), t)
 
 
@@ -373,32 +355,26 @@ def _euler_angles(U: np.ndarray):
     return _zxz_angles(D.conj().T @ B @ D), leak
 
 
-def _require_dm_xx(spec: TwoSpinModelSpec):
-    if spec.variant != "dm_xx":
-        raise BadVariant("the Euler/time bridge is defined for the dm_xx variant")
-
-
 @functools.cache
 def _dm_xx_circuit() -> CircuitSpec:
-    """The dm_xx circuit; it holds no Hamiltonian coefficient, so one serves
-    every spec."""
+    """The dm_xx circuit; it holds no Hamiltonian coupling, so one serves
+    every set of couplings."""
     return two_spin_model(TwoSpinModelSpec("dm_xx")).circuit
 
 
-def euler_from_time(spec: TwoSpinModelSpec, t: float):
-    """Euler angles reproducing exp(-iHt) of the dm_xx Hamiltonian on the
-    invariant |ud>/|du> subspace.
+def euler_from_time(j1: float, j2: float, hz: float, t: float):
+    """Euler angles reproducing exp(-iHt) of the dm_xx Hamiltonian
+    H = hz A1 + J1 A2 + J2 A3 on the invariant |ud>/|du> subspace.
 
     Returns (theta_1, theta_2, theta_3) such that the circuit
     exp(-i t1 A1) exp(-i t2 A2) exp(-i t3 A1) matches the subspace block of
     exp(-iHt) up to a global phase.  Raises SubspaceLeak if the evolution
     couples the subspace to its complement.
     """
-    _require_dm_xx(spec)
-    return _euler_angles(dm_xx_evolution(spec, t))[0]
+    return _euler_angles(dm_xx_evolution(j1, j2, hz, t))[0]
 
 
-def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
+def euler_bridge_report(j1: float, j2: float, hz: float, t: float) -> dict:
     """Angles plus the residuals of the time/angle relations.
 
     ``tan_residual`` checks tan((t1 - t3)/2) = J2/J1; ``block_mismatch`` is
@@ -406,8 +382,7 @@ def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
     after aligning global phases; ``subspace_leak`` is the largest entry of
     exp(-iHt) that couples the subspace to its complement.
     """
-    _require_dm_xx(spec)
-    U = dm_xx_evolution(spec, t)
+    U = dm_xx_evolution(j1, j2, hz, t)
     (t1, t2, t3), leak = _euler_angles(U)
     Ufull = build_unitary(_dm_xx_circuit(),
                           {"theta_1": t1, "theta_2": t2, "theta_3": t3})
@@ -419,8 +394,8 @@ def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
     phase = B[idx] / Bc[idx]
     block_mismatch = float(np.max(np.abs(phase * Bc - B)))
 
-    if spec.j1 != 0 and abs(np.sin(t2 / 2)) > 1e-8:
-        tan_residual = abs(np.tan((t1 - t3) / 2) - spec.j2 / spec.j1)
+    if j1 != 0 and abs(np.sin(t2 / 2)) > 1e-8:
+        tan_residual = abs(np.tan((t1 - t3) / 2) - j2 / j1)
     else:
         tan_residual = float("nan")
     return {
@@ -434,8 +409,7 @@ def euler_bridge_report(spec: TwoSpinModelSpec, t: float) -> dict:
 # ---------------------------------------------------------------------------
 # catalog access for the CLI and the verification suite
 
-MODEL_IDS = ("spin", "oscillator", "two_spin_dm_xx", "two_spin_sum",
-             "two_spin_directional")
+MODEL_IDS = ("spin", "oscillator") + tuple(f"two_spin_{v}" for v in TWO_SPIN_VARIANTS)
 
 
 def build_model(model_id: str, **params) -> Model:
@@ -444,7 +418,7 @@ def build_model(model_id: str, **params) -> Model:
         return spin_model(SpinModelSpec(**params))
     if model_id == "oscillator":
         return oscillator_model(OscillatorModelSpec(**params))
-    if model_id in ("two_spin_dm_xx", "two_spin_sum", "two_spin_directional"):
-        variant = model_id[len("two_spin_"):]
+    variant = model_id.removeprefix("two_spin_")
+    if variant != model_id and variant in TWO_SPIN_VARIANTS:
         return two_spin_model(TwoSpinModelSpec(variant=variant, **params))
     raise UnknownModel(f"unknown model id {model_id!r}; known: {MODEL_IDS}")

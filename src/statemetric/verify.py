@@ -232,8 +232,7 @@ def check_euler_bridge() -> CheckResult:
         if abs(j1) < 0.1:
             continue
         count += 1
-        report = models.euler_bridge_report(
-            TwoSpinModelSpec("dm_xx", j1=j1, j2=j2, hz=hz), t)
+        report = models.euler_bridge_report(j1, j2, hz, t)
         worst_leak = max(worst_leak, report["subspace_leak"])
         if not np.isnan(report["tan_residual"]):
             worst_tan = max(worst_tan, report["tan_residual"])

@@ -39,6 +39,25 @@ class TestValidate:
         assert "detected kind: so3" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("s,scale", [(3, 1e3), (1, 1e4)])
+    def test_scaled_algebra_is_closed(self, s, scale, tmp_path, capsys):
+        doc = manifest.model_to_manifest(spin_model(SpinModelSpec(s=s, m=s)))
+        doc["generators"] = {k: (scale * np.array(v)).tolist()
+                             for k, v in doc["generators"].items()}
+        path = tmp_path / "scaled.json"
+        path.write_text(manifest.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_open_algebra_is_domain_failure(self, tmp_path, spin_manifest, capsys):
+        doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+        del doc["generators"]["Sy"]
+        doc["circuit"] = [["Sz", "theta_1"], ["Sx", "theta_2"]]
+        path = tmp_path / "open.json"
+        path.write_text(manifest.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL: [Sz, Sx] leaves the span")
+
     def test_oscillator_kind(self, osc_manifest, capsys):
         assert cli.main(["validate", osc_manifest]) == 0
         assert "heisenberg(1)" in capsys.readouterr().out
@@ -398,6 +417,14 @@ class TestModels:
         text = capsys.readouterr().out
         model = manifest.parse_manifest(manifest.loads(text))
         assert manifest.dumps(manifest.model_to_manifest(model)) == text
+
+    @pytest.mark.parametrize("flag", ["--J1", "--J2", "--hz"])
+    def test_emit_has_no_coupling_options(self, flag, capsys):
+        # the couplings pick a path (euler_from_time), not the manifest
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["models", "emit", "two_spin_dm_xx", flag, "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_emit_requires_model_id(self, capsys):
         assert cli.main(["models", "emit"]) == 1

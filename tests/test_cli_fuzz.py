@@ -110,8 +110,7 @@ OPTIONS = {
     "oscillator": {"--mass": NUMBERS, "--omega": NUMBERS,
                    "--n": ["-1", "0", "1", "2", "1e200", "x"],
                    "--trunc": ["-1", "0", "5", "8", "16", "64"]},
-    "two_spin": {"--J1": NUMBERS, "--J2": NUMBERS, "--hz": NUMBERS, "--eta": NUMBERS,
-                 "--chi": NUMBERS,
+    "two_spin": {"--eta": NUMBERS, "--chi": NUMBERS,
                  "--initial": ["up_down", "plus_minus", "minus_plus", "bogus", ""]},
 }
 

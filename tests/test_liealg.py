@@ -71,6 +71,30 @@ class TestExtractStructureConstants:
         with pytest.raises(NotClosed):
             extract_structure_constants((sx, sy))
 
+    @pytest.mark.parametrize("s,scale", [(3, 1e3), (1, 1e4)])
+    def test_closure_bound_scales_with_the_generators(self, s, scale):
+        # the fit residual is roundoff that grows as scale^2: above the
+        # absolute CLOSURE_TOL, within the bound relative to the entries
+        sx, sy, sz = spin_operators(s)
+        rep = extract_structure_constants([scale * G for G in (sz, sx, sy)])
+        assert rep.closed and rep.closure_residual > liealg.CLOSURE_TOL
+        circuit = CircuitSpec(rep, (("A1", "a"), ("A2", "b")))
+        dim = 2 * s + 1
+        assert tilde_by_adjoint(rep, circuit, np.zeros((1, 2))).shape == (1, 2, dim, dim)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4])
+    def test_open_pair_refused_at_any_scale(self, scale):
+        sx, sy, sz = spin_operators(0.5)
+        with pytest.raises(NotClosed):
+            extract_structure_constants([scale * G for G in (sx, sy)])
+        # [Sz, Sx] = i Sy leaves the span once Sy is shifted by 1e-6
+        with pytest.raises(NotClosed):
+            extract_structure_constants([scale * G for G in (sz, sx, sy + 1e-6 * np.eye(2))])
+
+    def test_closure_bound(self):
+        assert liealg.closure_bound([0.5, 0.5]) == liealg.CLOSURE_TOL
+        assert liealg.closure_bound([3.0, 1e3, 2e3]) == liealg.CLOSURE_TOL * 2e6
+
     def test_dependent_generators(self):
         sx, _, _ = spin_operators(0.5)
         with pytest.raises(DependentGenerators):

@@ -150,7 +150,10 @@ class TestOscillatorModel:
     def test_invalid_physical_constants(self):
         for spec in (OscillatorModelSpec(mass=-1.0), OscillatorModelSpec(omega=0.0),
                      OscillatorModelSpec(mass=float("nan")),
-                     OscillatorModelSpec(omega=float("inf")), OscillatorModelSpec(n=-1)):
+                     OscillatorModelSpec(omega=float("inf")), OscillatorModelSpec(n=-1),
+                     # the product overflows or underflows
+                     OscillatorModelSpec(mass=1e200, omega=1e200),
+                     OscillatorModelSpec(mass=1e-200, omega=1e-200)):
             with pytest.raises(InvalidOscillator):
                 oscillator_model(spec)
 
@@ -228,49 +231,41 @@ class TestTwoSpinModel:
 
 class TestEulerBridge:
     def test_t_zero_gives_identity_angles(self):
-        t1, t2, t3 = euler_from_time(TwoSpinModelSpec(j1=1.0, j2=0.5, hz=0.3), 0.0)
+        t1, t2, t3 = euler_from_time(1.0, 0.5, 0.3, 0.0)
         assert abs(t1) <= 1e-12 and abs(t2) <= 1e-12 and abs(t3) <= 1e-12
 
     def test_angle_difference_encodes_coupling_ratio(self):
-        spec = TwoSpinModelSpec(j1=0.8, j2=-0.6, hz=0.4)
-        t1, _, t3 = euler_from_time(spec, 0.7)
+        t1, _, t3 = euler_from_time(0.8, -0.6, 0.4, 0.7)
         assert np.tan((t1 - t3) / 2) == pytest.approx(-0.6 / 0.8, abs=1e-10)
 
     def test_circuit_reproduces_subspace_block(self):
         rng = np.random.default_rng(47)
         for _ in range(5):
             j1 = rng.uniform(0.3, 1.5) * rng.choice([-1, 1])
-            spec = TwoSpinModelSpec(j1=j1, j2=rng.uniform(-1, 1),
-                                    hz=rng.uniform(-1, 1))
-            report = euler_bridge_report(spec, rng.uniform(0.1, 2.0))
+            report = euler_bridge_report(j1, rng.uniform(-1, 1), rng.uniform(-1, 1),
+                                         rng.uniform(0.1, 2.0))
             assert report["block_mismatch"] <= 1e-10
             assert report["tan_residual"] <= 1e-8 or np.isnan(report["tan_residual"])
 
     def test_gauge_ranges(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            spec = TwoSpinModelSpec(j1=rng.uniform(0.2, 1.0), j2=rng.uniform(-1, 1),
-                                    hz=rng.uniform(-1, 1))
-            t1, t2, t3 = euler_from_time(spec, rng.uniform(0.0, 3.0))
+            t1, t2, t3 = euler_from_time(rng.uniform(0.2, 1.0), rng.uniform(-1, 1),
+                                         rng.uniform(-1, 1), rng.uniform(0.0, 3.0))
             assert 0.0 <= t2 <= np.pi
             assert -np.pi < t1 <= np.pi and -np.pi < t3 <= np.pi
 
     def test_evolution_frequency(self):
         # the subspace block of exp(-iHt) returns to +/- identity when
         # 2 omega t = 2 pi with omega = sqrt(hz^2 + J1^2 + J2^2)/2
-        spec = TwoSpinModelSpec(j1=0.6, j2=0.3, hz=0.9)
         omega = np.sqrt(0.9**2 + 0.6**2 + 0.3**2) / 2
-        t1, t2, t3 = euler_from_time(spec, np.pi / omega)
-        U = build_unitary(two_spin_model(spec).circuit,
+        t1, t2, t3 = euler_from_time(0.6, 0.3, 0.9, np.pi / omega)
+        U = build_unitary(two_spin_model(TwoSpinModelSpec("dm_xx")).circuit,
                           {"theta_1": t1, "theta_2": t2, "theta_3": t3})
         B = U[1:3, 1:3]
         off = max(abs(B[0, 1]), abs(B[1, 0]))
         assert off <= 1e-10
         assert abs(abs(B[0, 0]) - 1.0) <= 1e-10
-
-    def test_wrong_variant(self):
-        with pytest.raises(BadVariant):
-            euler_from_time(TwoSpinModelSpec(variant="sum"), 1.0)
 
     def test_subspace_leak_detected(self, monkeypatch):
         # perturb the Hamiltonian so it couples |ud>/|du> to the complement
@@ -286,7 +281,7 @@ class TestEulerBridge:
 
         monkeypatch.setattr(models_mod, "two_spin_generators", leaky)
         with pytest.raises(SubspaceLeak):
-            euler_from_time(TwoSpinModelSpec(), 1.0)
+            euler_from_time(1.0, 1.0, 1.0, 1.0)
 
 
 class TestCatalog:
@@ -299,6 +294,15 @@ class TestCatalog:
     def test_unknown_id(self):
         with pytest.raises(UnknownModel):
             build_model("qubit_lattice")
+
+    @pytest.mark.parametrize("model_id", ["dm_xx", "two_spin_", "two_spin_spin"])
+    def test_bare_or_unknown_variant_is_unknown_id(self, model_id):
+        with pytest.raises(UnknownModel):
+            build_model(model_id)
+
+    def test_ids_follow_the_variants(self):
+        assert MODEL_IDS == ("spin", "oscillator", "two_spin_dm_xx", "two_spin_sum",
+                             "two_spin_directional")
 
     def test_catalog_models_pass_their_oracles(self):
         for mid, params in (("spin", {"s": 1, "m": 1}),
