@@ -77,8 +77,9 @@ def cmd_validate(args) -> int:
     closed = rep.closed
     print(f"  closure residual: {rep.closure_residual:.3e} [{'ok' if closed else 'FAIL'}]")
     jac = rep.jacobi_residual()
-    ok = ok and closed and jac <= liealg.JACOBI_TOL
-    print(f"  jacobi residual: {jac:.3e} [{'ok' if jac <= liealg.JACOBI_TOL else 'FAIL'}]")
+    jacobi_ok = jac <= rep.jacobi_bound()
+    ok = ok and closed and jacobi_ok
+    print(f"  jacobi residual: {jac:.3e} [{'ok' if jacobi_ok else 'FAIL'}]")
     print(f"  structure-constant purity |Re c|: {rep.constant_purity():.3e}")
     print(f"  detected kind: {liealg.detect_kind(rep)}")
     return EXIT_OK if ok else EXIT_DOMAIN

@@ -46,8 +46,7 @@ def metric_stack(model: Model, angles) -> np.ndarray:
 def metric_at(model: Model, point) -> MetricTensor:
     """Analytic metric of a model at one parameter point (derivative path)."""
     angles = model.circuit.angles(point)[None]
-    return MetricTensor(metric_stack(model, angles)[0], model.gamma, point,
-                        model.circuit.parameter_names)
+    return MetricTensor(metric_stack(model, angles)[0])
 
 
 @dataclass(frozen=True)

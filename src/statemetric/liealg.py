@@ -26,8 +26,8 @@ import numpy as np
 from . import linalg
 from .errors import DependentGenerators, NotClosed, UnknownGenerator
 
-# commutator-fit residual bound for generators with entries of at most 1;
-# see closure_bound
+# bracket residual bounds for generators (closure) and structure constants
+# (Jacobi) with entries of at most 1; see closure_bound and jacobi_bound
 CLOSURE_TOL = 1e-9
 JACOBI_TOL = 1e-10
 GRAM_COND_MAX = 1e8
@@ -99,6 +99,11 @@ class LieAlgebraRep:
         t2 = np.einsum("jkm,mil->ijkl", c, c)
         t3 = np.einsum("kim,mjl->ijkl", c, c)
         return float(np.max(np.abs(t1 + t2 + t3)))
+
+    def jacobi_bound(self) -> float:
+        """Largest Jacobi residual that still passes: each term is a product
+        of two structure constants, so JACOBI_TOL * max(1, max|c|)^2."""
+        return JACOBI_TOL * max(1.0, float(np.max(np.abs(self.constants)))) ** 2
 
     def constant_purity(self) -> float:
         """Max |Re c|; purely imaginary constants for Hermitian generators."""
@@ -214,13 +219,15 @@ def validate_algebra(rep: LieAlgebraRep, kind: str, n: int = 1) -> ValidationRep
     kind "heisenberg" expects generators ordered A_1..A_n, B_1..B_n, C and
     checks [A_j, B_l] = i delta_jl C with everything else commuting;
     kind "so3" checks the three cyclic brackets [A_1, A_2] = i A_3 etc.;
-    kind "generic" checks only the Jacobi identity.  Failures are reported,
-    never raised.
+    kind "generic" checks only the Jacobi identity.  Each bracket residual
+    is held to the ``closure_bound`` of its two generators, and the Jacobi
+    residual to ``jacobi_bound``.  Failures are reported, never raised.
     """
     checks = []
 
-    def add(label, lhs, rhs):
-        checks.append(BracketCheck(label, rep.block_norm(lhs - rhs), CLOSURE_TOL))
+    def add(label, X, Y, rhs):
+        bound = closure_bound([rep.block_norm(X), rep.block_norm(Y)])
+        checks.append(BracketCheck(label, rep.block_norm(linalg.commutator(X, Y) - rhs), bound))
 
     if kind == "heisenberg":
         if rep.size != 2 * n + 1:
@@ -232,24 +239,24 @@ def validate_algebra(rep: LieAlgebraRep, kind: str, n: int = 1) -> ValidationRep
         for j in range(n):
             for l in range(n):
                 target = 1j * C if j == l else zero
-                add(f"[A{j + 1}, B{l + 1}]", linalg.commutator(A[j], B[l]), target)
-                add(f"[A{j + 1}, A{l + 1}]", linalg.commutator(A[j], A[l]), zero)
-                add(f"[B{j + 1}, B{l + 1}]", linalg.commutator(B[j], B[l]), zero)
-            add(f"[A{j + 1}, C]", linalg.commutator(A[j], C), zero)
-            add(f"[B{j + 1}, C]", linalg.commutator(B[j], C), zero)
+                add(f"[A{j + 1}, B{l + 1}]", A[j], B[l], target)
+                add(f"[A{j + 1}, A{l + 1}]", A[j], A[l], zero)
+                add(f"[B{j + 1}, B{l + 1}]", B[j], B[l], zero)
+            add(f"[A{j + 1}, C]", A[j], C, zero)
+            add(f"[B{j + 1}, C]", B[j], C, zero)
     elif kind == "so3":
         if rep.size != 3:
             raise ValueError(f"so3 needs 3 generators, got {rep.size}")
         A1, A2, A3 = rep.generators
-        add("[A1, A2] - iA3", linalg.commutator(A1, A2), 1j * A3)
-        add("[A2, A3] - iA1", linalg.commutator(A2, A3), 1j * A1)
-        add("[A3, A1] - iA2", linalg.commutator(A3, A1), 1j * A2)
+        add("[A1, A2] - iA3", A1, A2, 1j * A3)
+        add("[A2, A3] - iA1", A2, A3, 1j * A1)
+        add("[A3, A1] - iA2", A3, A1, 1j * A2)
     elif kind == "generic":
         pass
     else:
         raise ValueError(f"unknown algebra kind {kind!r}")
 
-    checks.append(BracketCheck("jacobi", rep.jacobi_residual(), JACOBI_TOL))
+    checks.append(BracketCheck("jacobi", rep.jacobi_residual(), rep.jacobi_bound()))
     return ValidationReport(kind, tuple(checks))
 
 

@@ -1,11 +1,13 @@
 """Manifest files: a JSON description of generators, circuit and initial state.
 
-Complex numbers are [re, im] pairs; emission is deterministic (fixed key
-order, shortest round-trip float rendering) so emit -> parse -> re-emit is
-byte-identical.  The bytes are those of ``json.dumps(doc, indent=2)``, but
-the number blocks (each generator and the initial state) fill one row
-template with ``float.__repr__`` strings instead of going through the
-pure-Python encoder, which ``json.dumps`` takes whenever it indents.
+Complex numbers are [re, im] pairs.  ``emit`` is the one writer: it renders
+a model's manifest with a fixed key order and shortest round-trip floats,
+so emit -> parse -> re-emit is byte-identical.  The bytes are those of
+``json.dumps(doc, indent=2)``, but each number block (a generator or the
+initial state) fills one row template with ``float.__repr__`` strings
+instead of going through the pure-Python encoder, which ``json.dumps`` takes
+whenever it indents.  ``decode`` reads generator blocks in that layout in
+one numpy pass.
 """
 
 from __future__ import annotations
@@ -86,71 +88,35 @@ def json_object(items, level: int) -> str:
             + "\n" + "  " * level + "}")
 
 
-def _float_array(block):
-    """A block as a float array if it is a float array or a rectangular,
-    non-empty nested list of floats, which the template renders; else None."""
-    if isinstance(block, np.ndarray):
-        return block if block.dtype == float and block.size else None
-    try:
-        values = np.array(block, dtype=object)
-    except ValueError:  # ragged below the first level
-        return None
-    if (values.ndim == 0 or not values.size
-            or set(map(type, values.ravel().tolist())) != {float}):
-        return None
-    return values.astype(float)
-
-
-def _render(value, level: int) -> str:
-    """``json.dumps(value, indent=2)`` as laid out at nesting depth ``level``."""
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        return json_object([(k, _render(v, level + 1)) for k, v in value.items()], level)
-    values = _float_array(value)
-    if values is None:
-        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
-    return array_template(values.shape, level) % tuple(json_floats(values))
-
-
-def dumps(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\n"`` for any document.
-
-    Objects are laid out key by key; float arrays (the generators and the
-    initial state as [re, im] pairs) and rectangular nested lists of floats
-    fill ``array_template``; any other value is ``json.dumps`` re-indented
-    to its depth, which gives the same bytes.
-    """
-    return _render(doc, 0) + "\n"
-
-
 def _pairs(values) -> np.ndarray:
     """Complex array as a float array of [re, im] pairs (last axis)."""
     values = np.asarray(values, dtype=complex)
     return np.stack([values.real, values.imag], axis=-1)
 
 
-def _manifest(model: Model, block) -> dict:
-    return {
-        "name": model.name,
-        "dimension": int(model.rep.dim),
-        "gamma": float(model.gamma),
-        "generators": {
-            name: block(G) for name, G in zip(model.rep.names, model.rep.generators)
-        },
-        "circuit": [[g, p] for g, p in model.circuit.factors],
-        "initial_state": block(model.initial_state),
-        "active_dim": model.rep.active_dim,
-    }
-
-
-def model_to_manifest(model: Model) -> dict:
-    """Serializable manifest dict for a model, fixed key order."""
-    return _manifest(model, lambda values: _pairs(values).tolist())
+def _block(values, level: int) -> str:
+    """A complex array as its nested list of [re, im] pairs, laid out as
+    ``json.dumps(indent=2)`` lays it out at nesting depth ``level``."""
+    pairs = _pairs(values)
+    return array_template(pairs.shape, level) % tuple(json_floats(pairs))
 
 
 def emit(model: Model) -> str:
-    """``dumps(model_to_manifest(model))``, rendered from the model's arrays
-    without building the nested lists."""
-    return dumps(_manifest(model, _pairs))
+    """The model's manifest: ``json.dumps(doc, indent=2) + "\\n"`` of the
+    document with its seven keys in their fixed order."""
+    rep = model.rep
+    circuit = json.dumps([list(f) for f in model.circuit.factors], indent=2)
+    generators = json_object([(name, _block(G, 2))
+                              for name, G in zip(rep.names, rep.generators)], 1)
+    return json_object([
+        ("name", json.dumps(model.name)),
+        ("dimension", json.dumps(int(rep.dim))),
+        ("gamma", json.dumps(float(model.gamma))),
+        ("generators", generators),
+        ("circuit", circuit.replace("\n", "\n  ")),
+        ("initial_state", _block(model.initial_state, 1)),
+        ("active_dim", json.dumps(rep.active_dim)),
+    ], 0) + "\n"
 
 
 def loads(text: str) -> dict:

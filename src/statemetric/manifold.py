@@ -81,15 +81,10 @@ class MetricTensor:
     """Symmetric real metric at one parameter point."""
 
     g: np.ndarray
-    gamma: float
-    point: dict
-    parameter_names: tuple
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
         object.__setattr__(self, "g", (g + g.T) / 2)
-        object.__setattr__(self, "point", dict(self.point))
-        object.__setattr__(self, "parameter_names", tuple(self.parameter_names))
 
 
 def build_unitary(circuit: CircuitSpec, point) -> np.ndarray:

@@ -235,12 +235,10 @@ def _bloch_pair(eta: float, chi: float):
 
 def two_spin_generators(variant: str, eta: float = 0.0, chi: float = 0.0):
     """The so(3) triple (A_1, A_2, A_3) for a two-spin variant."""
+    if variant == "dm_xx":  # the directional triple along z
+        return two_spin_generators("directional")
     (sx1, sy1, sz1), (sx2, sy2, sz2) = _site_ops()
-    if variant == "dm_xx":
-        a1 = (sz1 - sz2) / 2
-        a2 = sx1 @ sy2 - sy1 @ sx2
-        a3 = sx1 @ sx2 + sy1 @ sy2
-    elif variant == "sum":
+    if variant == "sum":
         a1 = (sz1 + sz2) / 2
         a2 = sx1 @ sx2 - sy1 @ sy2
         a3 = sx1 @ sy2 + sy1 @ sx2

@@ -35,10 +35,7 @@ def _evolve_shifted(circuit: CircuitSpec, angles, offsets, psi_i) -> np.ndarray:
 
 
 def _at_point(batch_fn, circuit: CircuitSpec, point, psi_i, gamma, h) -> MetricTensor:
-    angles = circuit.angles(point)
-    g = batch_fn(circuit, angles[None], psi_i, gamma, h)[0]
-    return MetricTensor(g, gamma, dict(zip(circuit.parameter_names, angles.tolist())),
-                        circuit.parameter_names)
+    return MetricTensor(batch_fn(circuit, circuit.angles(point)[None], psi_i, gamma, h)[0])
 
 
 def fd_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,

@@ -18,17 +18,25 @@ from statemetric.verify import catalog
 
 @pytest.fixture()
 def spin_manifest(tmp_path):
-    doc = manifest.model_to_manifest(spin_model(SpinModelSpec(s=1, m=0)))
     path = tmp_path / "spin.json"
-    path.write_text(manifest.dumps(doc), encoding="utf-8")
+    path.write_text(manifest.emit(spin_model(SpinModelSpec(s=1, m=0))), encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture()
 def osc_manifest(tmp_path):
-    doc = manifest.model_to_manifest(oscillator_model(OscillatorModelSpec()))
     path = tmp_path / "osc.json"
-    path.write_text(manifest.dumps(doc), encoding="utf-8")
+    path.write_text(manifest.emit(oscillator_model(OscillatorModelSpec())), encoding="utf-8")
+    return str(path)
+
+
+def scaled_manifest(tmp_path, model, scales) -> str:
+    """Path of the model's manifest with each generator times its scale."""
+    doc = json.loads(manifest.emit(model))
+    doc["generators"] = {k: (scale * np.array(v)).tolist()
+                         for (k, v), scale in zip(doc["generators"].items(), scales)}
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -39,22 +47,26 @@ class TestValidate:
         assert "detected kind: so3" in out
         assert "FAIL" not in out
 
-    @pytest.mark.parametrize("s,scale", [(3, 1e3), (1, 1e4)])
+    @pytest.mark.parametrize("s,scale", [(3, 1e3), (1, 1e4), (2, 1e4), (3, 1e4)])
     def test_scaled_algebra_is_closed(self, s, scale, tmp_path, capsys):
-        doc = manifest.model_to_manifest(spin_model(SpinModelSpec(s=s, m=s)))
-        doc["generators"] = {k: (scale * np.array(v)).tolist()
-                             for k, v in doc["generators"].items()}
-        path = tmp_path / "scaled.json"
-        path.write_text(manifest.dumps(doc), encoding="utf-8")
-        assert cli.main(["validate", str(path)]) == 0
+        # closure and Jacobi bounds grow with the generators' entries
+        path = scaled_manifest(tmp_path, spin_model(SpinModelSpec(s=s, m=s)), [scale] * 3)
+        assert cli.main(["validate", path]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_scaled_oscillator_kind(self, tmp_path, capsys):
+        # (k x, k p, k^2 1) keeps [A, B] = i C at any k
+        k = 1e3
+        path = scaled_manifest(tmp_path, oscillator_model(OscillatorModelSpec()), [k, k, k * k])
+        assert cli.main(["validate", path]) == 0
+        assert "detected kind: heisenberg(1)" in capsys.readouterr().out
 
     def test_open_algebra_is_domain_failure(self, tmp_path, spin_manifest, capsys):
         doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
         del doc["generators"]["Sy"]
         doc["circuit"] = [["Sz", "theta_1"], ["Sx", "theta_2"]]
         path = tmp_path / "open.json"
-        path.write_text(manifest.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().out.startswith("FAIL: [Sz, Sx] leaves the span")
 
@@ -66,7 +78,7 @@ class TestValidate:
         doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
         doc["generators"]["Sy"][0][0] = [0.0, 1.0]  # imaginary diagonal entry
         bad = tmp_path / "bad.json"
-        bad.write_text(manifest.dumps(doc), encoding="utf-8")
+        bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         assert cli.main(["validate", str(bad)]) == 1
         assert "'Sy'" in capsys.readouterr().out
 
@@ -158,7 +170,7 @@ class TestGrid:
     @staticmethod
     def _check_json(model, tmp_path, capsys):
         path = tmp_path / "model.json"
-        path.write_text(manifest.dumps(manifest.model_to_manifest(model)), encoding="utf-8")
+        path.write_text(manifest.emit(model), encoding="utf-8")
         model = manifest.load_model(path)
         first, second, *rest = model.parameter_names
         sweeps = {first: (-1.0, 1.25, 4), second: (0.3, 2.0, 3)}
@@ -267,7 +279,7 @@ def test_overflowing_generator_is_domain_failure(command, entry, tmp_path, spin_
     doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
     doc["generators"]["Sz"][0][0] = [entry, 0.0]
     bad = tmp_path / "huge.json"
-    bad.write_text(manifest.dumps(doc), encoding="utf-8")
+    bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     extra = ["--defaults-zero"] if command == "metric" else []
     assert cli.main([command, str(bad)] + extra) == 1
     out, err = capsys.readouterr()
@@ -331,8 +343,8 @@ class TestCurvature:
         # the point and at the probe differ
         coeffs = (0.3, 0.4, 0.5, 0.6, np.sqrt(1 - 0.86))
         path = tmp_path / "spin2.json"
-        path.write_text(manifest.dumps(manifest.model_to_manifest(
-            spin_model(SpinModelSpec(s=2, coefficients=coeffs)))), encoding="utf-8")
+        path.write_text(manifest.emit(spin_model(SpinModelSpec(s=2, coefficients=coeffs))),
+                        encoding="utf-8")
         assert cli.main(["curvature", str(path), "--at", "theta_1=0.2", "--at", "theta_2=1.0",
                          "--at", "theta_3=0.5", "--section", "theta_1,theta_2"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -416,7 +428,7 @@ class TestModels:
         assert cli.main(["models", "emit", "spin", "--s", "1.5", "--m", "0.5"]) == 0
         text = capsys.readouterr().out
         model = manifest.parse_manifest(manifest.loads(text))
-        assert manifest.dumps(manifest.model_to_manifest(model)) == text
+        assert manifest.emit(model) == text
 
     @pytest.mark.parametrize("flag", ["--J1", "--J2", "--hz"])
     def test_emit_has_no_coupling_options(self, flag, capsys):

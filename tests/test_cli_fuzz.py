@@ -29,7 +29,7 @@ def manifests(tmp_path_factory):
     for key, model in catalog().items():
         if key in ("spin_1_m0", "oscillator_n0", "two_spin_sum"):
             path = root / f"{key}.json"
-            path.write_text(manifest.dumps(manifest.model_to_manifest(model)), encoding="utf-8")
+            path.write_text(manifest.emit(model), encoding="utf-8")
             out[key] = (str(path), model.parameter_names)
     return out
 

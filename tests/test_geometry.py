@@ -167,7 +167,7 @@ class TestFieldProperties:
 
 class TestRankAnalysis:
     def test_full_rank(self):
-        m = MetricTensor(np.diag([2.0, 1.0, 0.5]), 1.0, {}, ("a", "b", "c"))
+        m = MetricTensor(np.diag([2.0, 1.0, 0.5]))
         rank, null = rank_analysis(m)
         assert rank == 3 and null.shape[1] == 0
 
@@ -179,12 +179,12 @@ class TestRankAnalysis:
         assert np.allclose(np.abs(null.ravel()), [0, 0, 1], atol=1e-8)
 
     def test_zero_metric(self):
-        m = MetricTensor(np.zeros((2, 2)), 1.0, {}, ("a", "b"))
+        m = MetricTensor(np.zeros((2, 2)))
         rank, null = rank_analysis(m)
         assert rank == 0 and null.shape[1] == 2
 
     def test_cutoff_scales_with_largest_eigenvalue(self):
-        m = MetricTensor(np.diag([1e6, 1e-5, 0.0]), 1.0, {}, ("a", "b", "c"))
+        m = MetricTensor(np.diag([1e6, 1e-5, 0.0]))
         rank, null = rank_analysis(m)
         assert rank == 1 and null.shape[1] == 2
 
@@ -403,8 +403,7 @@ class TestClassify:
             first, second, *rest = model.parameter_names
             field = metric_field(model, GridSpec({first: (0.2, 1.0, 3), second: (0.6, 1.4, 3)},
                                                  fixed=dict.fromkeys(rest, 0.1)))
-            ranks = [rank_analysis(MetricTensor(g, 1.0, {}, model.parameter_names))
-                     for g in field.g]
+            ranks = [rank_analysis(MetricTensor(g)) for g in field.g]
             report = classify(field)
             assert report.rank == max(rank for rank, _ in ranks)
             assert np.array_equal(report.null_directions, ranks[len(ranks) // 2][1])

@@ -137,6 +137,26 @@ class TestValidateAlgebra:
     def test_jacobi_residual_small(self):
         assert spin_rep(1).jacobi_residual() <= 1e-12
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_jacobi_bound_scales_with_the_constants(self, s):
+        # the constants grow with the generators, the Jacobi terms with their square
+        sx, sy, sz = spin_operators(s)
+        rep = extract_structure_constants((1e4 * sz, 1e4 * sx, 1e4 * sy))
+        c_max = float(np.max(np.abs(rep.constants)))
+        assert rep.jacobi_residual() > liealg.JACOBI_TOL
+        assert rep.jacobi_bound() == liealg.JACOBI_TOL * c_max**2
+        assert validate_algebra(rep, "generic").passed
+
+    def test_scaled_heisenberg_passes(self):
+        # each bracket is held to the closure bound of its two generators
+        k = 1e3
+        rep = oscillator_model(OscillatorModelSpec()).rep
+        x, p, one = rep.generators
+        scaled = extract_structure_constants((k * x, k * p, k * k * one), names=rep.names,
+                                             active_dim=rep.active_dim)
+        assert validate_algebra(scaled, "heisenberg", n=1).passed
+        assert detect_kind(scaled) == "heisenberg(1)"
+
     def test_heisenberg_on_active_block(self):
         rep = oscillator_model(OscillatorModelSpec()).rep
         report = validate_algebra(rep, "heisenberg", n=1)

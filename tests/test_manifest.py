@@ -19,27 +19,31 @@ from statemetric.models import (
 from statemetric.verify import catalog
 
 CATALOG = catalog()
+SPIN_TEXT = manifest.emit(spin_model(SpinModelSpec(s=1, m=0)))
+SPIN_DOC = json.loads(SPIN_TEXT)
 
 
 @pytest.fixture(scope="module")
 def spin_doc():
-    return manifest.model_to_manifest(spin_model(SpinModelSpec(s=1, m=0)))
+    return json.loads(SPIN_TEXT)
+
+
+def indented(doc) -> str:
+    """A document as a manifest file lays it out."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class TestRoundTrip:
-    def test_emit_parse_reemit_byte_identical(self, spin_doc):
-        text = manifest.dumps(spin_doc)
-        model = manifest.parse_manifest(manifest.loads(text))
-        again = manifest.dumps(manifest.model_to_manifest(model))
-        assert again == text
+    def test_emit_parse_reemit_byte_identical(self):
+        model = manifest.parse_manifest(manifest.loads(SPIN_TEXT))
+        assert manifest.emit(model) == SPIN_TEXT
 
     def test_oscillator_round_trip_preserves_active_dim(self):
         model = oscillator_model(OscillatorModelSpec(truncation=32))
-        text = manifest.dumps(manifest.model_to_manifest(model))
+        text = manifest.emit(model)
         parsed = manifest.parse_manifest(manifest.loads(text))
         assert parsed.rep.active_dim == model.rep.active_dim
-        again = manifest.dumps(manifest.model_to_manifest(parsed))
-        assert again == text
+        assert manifest.emit(parsed) == text
 
     def test_parsed_model_metrics_match_original(self, spin_doc):
         original = spin_model(SpinModelSpec(s=1, m=0))
@@ -47,9 +51,9 @@ class TestRoundTrip:
         pt = {"theta_1": 0.3, "theta_2": 1.1, "theta_3": -0.4}
         assert np.max(np.abs(metric_at(parsed, pt).g - metric_at(original, pt).g)) <= 1e-12
 
-    def test_load_model_from_file(self, tmp_path, spin_doc):
+    def test_load_model_from_file(self, tmp_path):
         path = tmp_path / "spin.json"
-        path.write_text(manifest.dumps(spin_doc), encoding="utf-8")
+        path.write_text(SPIN_TEXT, encoding="utf-8")
         model = manifest.load_model(path)
         assert model.rep.names == ("Sz", "Sx", "Sy")
 
@@ -60,32 +64,25 @@ class TestRoundTrip:
                      id="osc256"),
     ])
     def test_large_emit_parse_emit_byte_identical(self, model):
-        # dumps is a fixed function of the document, so equal compact
-        # encodings (which keep -0.0 and int/float apart) mean equal emits
-        model = model()
-        doc = manifest.model_to_manifest(model)
-        parsed = manifest.parse_manifest(manifest.loads(json.dumps(doc)))
-        assert json.dumps(manifest.model_to_manifest(parsed)) == json.dumps(doc)
-        if model.rep.dim <= 128:  # the per-entry loop is slow at d = 256
-            # per-entry rendering, the reference for the vectorized emitter
-            def pairs(values):
-                return [[float(np.real(z)), float(np.imag(z))] for z in values]
-
-            reference = dict(doc)
-            reference["generators"] = {
-                name: [pairs(row) for row in G]
-                for name, G in zip(model.rep.names, model.rep.generators)}
-            reference["initial_state"] = pairs(model.initial_state)
-            assert json.dumps(reference) == json.dumps(doc)
+        text = manifest.emit(model())
+        assert manifest.emit(manifest.parse_manifest(manifest.loads(text))) == text
 
     def test_key_order_fixed(self, spin_doc):
         assert list(spin_doc) == ["name", "dimension", "gamma", "generators",
                                   "circuit", "initial_state", "active_dim"]
 
 
-def indented(doc) -> str:
-    """The reference layout dumps must reproduce."""
-    return json.dumps(doc, indent=2) + "\n"
+def reference_doc(model) -> dict:
+    """A model's manifest document, built entry by entry."""
+    def pairs(values):
+        return [[float(np.real(z)), float(np.imag(z))] for z in values]
+
+    rep = model.rep
+    return {"name": model.name, "dimension": rep.dim, "gamma": float(model.gamma),
+            "generators": {name: [pairs(row) for row in G]
+                           for name, G in zip(rep.names, rep.generators)},
+            "circuit": [[g, p] for g, p in model.circuit.factors],
+            "initial_state": pairs(model.initial_state), "active_dim": rep.active_dim}
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
@@ -101,75 +98,29 @@ def complex_arrays(draw, ndim):
     return np.array(parts).view(complex).reshape(shape)
 
 
-JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, st.text(max_size=4))
-JSON_DOCS = st.recursive(
-    JSON_LEAVES,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=3),
-        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), inner, max_size=4)),
-    max_leaves=20)
-
-
 class TestWriter:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_complex_blocks_match_json_dumps(self, data):
-        gens = {name: data.draw(complex_arrays(2)) for name in ("A", "B")}
-        state = data.draw(complex_arrays(1))
-        doc = {"name": "m", "dimension": len(state), "gamma": 1.0,
-               "generators": {k: manifest._pairs(G).tolist() for k, G in gens.items()},
-               "circuit": [["A", "a"]], "initial_state": manifest._pairs(state).tolist(),
-               "active_dim": None}
-        text = manifest.dumps(doc)
-        assert text == indented(doc)
-        # the same blocks as float arrays, as emit hands them over
-        arrays = {**doc, "generators": {k: manifest._pairs(G) for k, G in gens.items()},
-                  "initial_state": manifest._pairs(state)}
-        assert manifest.dumps(arrays) == text
-
-    @settings(max_examples=60, deadline=None)
-    @given(doc=JSON_DOCS)
-    def test_any_document_matches_json_dumps(self, doc):
-        assert manifest.dumps(doc) == indented(doc)
-
-    @pytest.mark.parametrize("path,value", [
-        (("generators", "Sx", 0, 1), "oops"), (("generators", "Sx", 1, 2), True),
-        (("generators", "Sx", 1, 2, 0), 1), (("generators", "Sy", 2), []),
-        (("initial_state", 0), [0.5, 0.5, 0.5]), (("initial_state", 1, 1), None),
-        (("generators", "Sz"), {"x": [1.0, 2.0]}), (("dimension",), 10**400),
-    ], ids=["string-entry", "bool-entry", "int-part", "empty-row", "triple",
-            "null-part", "object-block", "huge-dimension"])
-    def test_malformed_documents_match_json_dumps(self, spin_doc, path, value):
-        doc = copy.deepcopy(spin_doc)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        assert manifest.dumps(doc) == indented(doc)
-
-    def test_keys_are_escaped(self):
-        doc = {'a"b': 1.0, "\u00e9": [[1.0, 2.0]], "%s": {"\n\\": [0.5], "": {}}, "x": {1: 2}}
-        assert manifest.dumps(doc) == indented(doc)
-
-    def test_ragged_block_matches_json_dumps(self, spin_doc):
-        doc = copy.deepcopy(spin_doc)
-        doc["generators"]["Sy"][2].append([0.0, 0.0])
-        doc["initial_state"] = doc["initial_state"][:2] + [[[0.0, 1.0]]]
-        assert manifest.dumps(doc) == indented(doc)
+        # the blocks emit writes: two generators at depth 2, a state at depth 1
+        blocks = [(data.draw(complex_arrays(2)), 2) for _ in "AB"]
+        blocks.append((data.draw(complex_arrays(1)), 1))
+        for values, level in blocks:
+            expected = json.dumps(manifest._pairs(values).tolist(), indent=2)
+            assert manifest._block(values, level) == expected.replace("\n", "\n" + "  " * level)
 
     @pytest.mark.parametrize("model", [
         pytest.param(lambda: spin_model(SpinModelSpec(s=40, m=3)), id="spin40"),
         pytest.param(lambda: oscillator_model(OscillatorModelSpec(truncation=128)), id="osc128"),
+        # parse_manifest reads gamma as a float, so emit writes one
+        pytest.param(lambda: spin_model(SpinModelSpec(s=1, m=0, gamma=2)), id="int-gamma"),
     ] + [pytest.param(lambda key=key: CATALOG[key], id=key) for key in sorted(CATALOG)])
     def test_emit_matches_json_dumps(self, model):
         model = model()
-        doc = manifest.model_to_manifest(model)
-        assert manifest.emit(model) == manifest.dumps(doc) == indented(doc)
+        assert manifest.emit(model) == indented(reference_doc(model))
 
     def test_number_blocks_skip_the_python_encoder(self, monkeypatch):
         model = oscillator_model(OscillatorModelSpec(n=1, truncation=256))
-        doc = manifest.model_to_manifest(model)
         encoded = []
         make_iterencode = json.encoder._make_iterencode
 
@@ -183,11 +134,8 @@ class TestWriter:
         json.dumps([[0.5, -0.0]], indent=2)
         assert encoded == [0.5, -0.0]  # the counter sees what the encoder renders
         encoded.clear()
-        text = manifest.dumps(doc)
-        assert encoded == [model.gamma]  # only the header float
-        encoded.clear()
-        assert manifest.emit(model) == text
-        assert encoded == [model.gamma]
+        text = manifest.emit(model)
+        assert encoded == []  # no float goes through the pure-Python encoder
         assert len(text) > 9_000_000
 
 
@@ -330,7 +278,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
     def test_non_finite_json_literals(self, spin_doc, literal):
         # the json module reads all three as floats
-        text = manifest.dumps(spin_doc).replace('"gamma": 1.0', f'"gamma": {literal}')
+        text = SPIN_TEXT.replace('"gamma": 1.0', f'"gamma": {literal}')
         with pytest.raises(ManifestError, match="gamma"):
             manifest.parse_manifest(manifest.loads(text))
 
@@ -355,8 +303,6 @@ class TestDomainErrorsPropagate:
 # ---------------------------------------------------------------------------
 # Reading: the numpy pass over generator blocks against json.loads
 
-SPIN_DOC = manifest.model_to_manifest(spin_model(SpinModelSpec(s=1, m=0)))
-SPIN_TEXT = manifest.dumps(SPIN_DOC)
 GENERATORS = slice(SPIN_TEXT.index('"generators"'), SPIN_TEXT.index('"circuit"'))
 TOKENS = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", SPIN_TEXT[GENERATORS])]
 # tokens json.loads reads differently from np.loadtxt or refuses
@@ -429,7 +375,7 @@ def restructured(**changes) -> bytes:
     doc = copy.deepcopy(SPIN_DOC)
     for key, change in changes.items():
         doc[key] = change(doc[key])
-    return manifest.dumps(doc).encode()
+    return indented(doc).encode()
 
 
 class TestByteReader:

@@ -9,6 +9,7 @@ stays small.
 import contextlib
 import copy
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from statemetric import cli, manifest
 from statemetric.errors import StatemetricError
 from statemetric.models import SpinModelSpec, spin_model
 
-DOC = manifest.model_to_manifest(spin_model(SpinModelSpec(s=1, m=0)))
+DOC = json.loads(manifest.emit(spin_model(SpinModelSpec(s=1, m=0))))
 REQUIRED = ("name", "dimension", "generators", "circuit", "initial_state")
 NESTED = [[0.0, 0.0]]
 # replacement leaves; one of the same JSON kind as the leaf it replaces may
@@ -117,7 +118,7 @@ def test_parse_refuses_broken_documents(doc):
 @SETTINGS
 @given(doc=broken_documents())
 def test_cli_exits_cleanly_on_broken_documents(doc, path):
-    path.write_text(manifest.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for argv in (["validate", str(path)], ["metric", str(path), "--defaults-zero"]):
         code, err = run(argv)
         assert code in (1, 2), (argv, code)

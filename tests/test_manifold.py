@@ -247,7 +247,7 @@ class TestMetric:
 
     def test_metric_tensor_symmetrized(self):
         from statemetric.manifold import MetricTensor
-        m = MetricTensor(np.array([[1.0, 2.0], [0.0, 3.0]]), 1.0, {}, ("a", "b"))
+        m = MetricTensor(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert np.array_equal(m.g, m.g.T)
 
 

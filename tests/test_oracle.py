@@ -111,7 +111,6 @@ class TestBatches:
         for row, a in zip(batch, angles):
             g = point_fn(model.circuit, dict(zip(names, a)), model.initial_state,
                          model.gamma)
-            assert g.point == dict(zip(names, a))
             assert np.max(np.abs(row - g.g)) <= BATCH_ROW_TOL[kind]
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
