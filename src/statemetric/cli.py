@@ -132,8 +132,8 @@ def _grid_json(doc: dict, points, metrics) -> str:
     """``json.dumps(doc, indent=2) + "\n"`` with doc["nodes"] built from
     points and metrics, without the pure-Python encoder on every node.
 
-    The header comes from json.dumps; each node is one row template filled
-    with the rendered floats.
+    The header comes from json.dumps; the nodes are one joined row
+    template filled with the rendered floats in one ``%``.
     """
     # "nodes" is the last key, so the header ends in its placeholder
     head = json.dumps({**doc, "nodes": None}, indent=2).removesuffix("null\n}")
@@ -141,10 +141,7 @@ def _grid_json(doc: dict, points, metrics) -> str:
     template = "    " + manifest.json_object(
         [("point", point), ("g", manifest.array_template(metrics.shape[1:], 3))], 2)
     fields = np.concatenate([points, metrics.reshape(len(metrics), -1)], axis=1)
-    width = fields.shape[1]
-    text = manifest.json_floats(fields)
-    nodes = ",\n".join(template % tuple(text[k:k + width])
-                        for k in range(0, len(text), width))
+    nodes = ",\n".join([template] * len(fields)) % tuple(manifest.json_floats(fields))
     return head + "[\n" + nodes + "\n  ]\n}\n"
 
 
@@ -161,8 +158,9 @@ def cmd_grid(args) -> int:
         header = ",".join(names + [f"g_{i + 1}{j + 1}" for i, j in zip(*upper)])
         swept = field.angles[:, [parameters.index(n) for n in names]]
         fields = np.concatenate([swept, field.g[:, upper[0], upper[1]]], axis=1)
-        payload = "".join([header, "\n"] + [",".join(map(repr, row)) + "\n"
-                                             for row in fields.tolist()])
+        row = ",".join(["%s"] * fields.shape[1]) + "\n"
+        text = manifest.float_texts(fields, repr)  # repr keeps nan and inf
+        payload = header + "\n" + (row * len(fields)) % tuple(text)
     else:
         payload = _grid_json({
             "name": model.name,

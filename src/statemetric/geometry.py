@@ -66,6 +66,10 @@ class GridSpec:
                 raise EmptyGrid(f"sweep {name!r} has count {count}")
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise EmptyGrid(f"sweep {name!r} has non-finite bounds")
+            with np.errstate(over="ignore"):  # np.linspace would overflow on it
+                span = np.float64(hi) - np.float64(lo)
+            if not np.isfinite(span):
+                raise EmptyGrid(f"sweep {name!r}: max - min overflows a float")
 
     def angles(self, parameter_names) -> np.ndarray:
         """Node angles (N, M) with one column per parameter, in the given order.

@@ -261,7 +261,17 @@ def validate_algebra(rep: LieAlgebraRep, kind: str, n: int = 1) -> ValidationRep
 
 
 def detect_kind(rep: LieAlgebraRep) -> str:
-    """Best-effort label for a validated algebra; used by reporting only."""
+    """Best-effort label for a validated algebra; used by reporting only.
+
+    "abelian" comes first, with a bound per constant that scales with the
+    generators: c_ij^k fits [A_i, A_j], whose roundoff grows as p_i p_j,
+    with A_k of size p_k (p the active-block peaks), so |c_ij^k| <=
+    CLOSURE_TOL p_i p_j / p_k.  The so3 and Heisenberg bracket bounds grow
+    as the square of the peaks and would swallow a commuting set's targets.
+    """
+    p = np.array([rep.block_norm(G) for G in rep.generators])
+    if np.all(np.abs(rep.constants) <= CLOSURE_TOL * p[:, None, None] * p[:, None] / p):
+        return "abelian"
     if rep.size == 3:
         if validate_algebra(rep, "so3").passed:
             return "so3"
@@ -272,8 +282,6 @@ def detect_kind(rep: LieAlgebraRep) -> str:
                 return f"heisenberg({n})"
         except ValueError:
             pass
-    if float(np.max(np.abs(rep.constants))) <= CLOSURE_TOL:
-        return "abelian"
     return "generic"
 
 

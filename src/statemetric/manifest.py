@@ -6,8 +6,10 @@ so emit -> parse -> re-emit is byte-identical.  The bytes are those of
 ``json.dumps(doc, indent=2)``, but each number block (a generator or the
 initial state) fills one row template with ``float.__repr__`` strings
 instead of going through the pure-Python encoder, which ``json.dumps`` takes
-whenever it indents.  ``decode`` reads generator blocks in that layout in
-one numpy pass.
+whenever it indents.  ``float_texts`` renders those strings, formatting each
+distinct bit pattern once (a generator block is mostly 0.0); ``cli``'s grid
+CSV and JSON go through it too.  ``decode`` reads generator blocks in that
+layout in one numpy pass.
 """
 
 from __future__ import annotations
@@ -63,11 +65,22 @@ def require_gamma(gamma) -> float:
     return gamma
 
 
+def float_texts(values, fmt) -> list:
+    """``list(map(fmt, values.ravel().tolist()))``, with ``fmt`` called once
+    per distinct bit pattern: -0.0 and 0.0, or two NaN payloads, are
+    formatted apart, and repeated values share one text."""
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    texts = np.array(list(map(fmt, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def json_floats(values) -> list:
     """Each float as ``json.dumps`` renders it: repr, unless it is not finite."""
     values = np.asarray(values, dtype=float)
     fmt = float.__repr__ if np.all(np.isfinite(values)) else json.dumps
-    return list(map(fmt, values.ravel().tolist()))
+    return float_texts(values, fmt)
 
 
 def array_template(shape, level: int, slot: str = "%s") -> str:

@@ -208,6 +208,42 @@ class TestGrid:
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
         assert field.angles[:2, 0].tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zeros_render_apart(self, fmt, spin_manifest, monkeypatch, capsys):
+        # -0.0 == 0.0, but their bit patterns and their texts differ
+        real = geometry.metric_field
+
+        def signed_zeros(model, grid):
+            field = real(model, grid)
+            pick = np.arange(field.g.size).reshape(field.g.shape) % 3
+            g = np.choose(pick, [0.0, -0.0, field.g])
+            return geometry.MetricField(field.grid, field.angles, g, field.model)
+
+        monkeypatch.setattr(geometry, "metric_field", signed_zeros)
+        assert cli.main(["grid", spin_manifest, "--sweep", "theta_1=-0.0:-0.0:2",
+                         "--sweep", "theta_2=-0.0:1:3", "--at", "theta_3=-0.0",
+                         "--format", fmt]) == 0
+        field = signed_zeros(manifest.load_model(spin_manifest), GridSpec(
+            {"theta_1": (-0.0, -0.0, 2), "theta_2": (-0.0, 1.0, 3)}, {"theta_3": -0.0}))
+        assert set(map(repr, field.angles[:, 0].tolist())) == {"0.0", "-0.0"}
+        assert set(map(repr, field.g.ravel().tolist())) >= {"0.0", "-0.0"}
+        if fmt == "csv":
+            upper = np.triu_indices(3)
+            rows = np.concatenate([field.angles[:, :2], field.g[:, upper[0], upper[1]]], axis=1)
+            expected = "theta_1,theta_2,g_11,g_12,g_13,g_22,g_23,g_33\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        else:
+            expected = json.dumps({
+                "name": field.model.name,
+                "gamma": field.model.gamma,
+                "parameters": ["theta_1", "theta_2", "theta_3"],
+                "sweeps": {"theta_1": [-0.0, -0.0, 2], "theta_2": [-0.0, 1.0, 3]},
+                "fixed": {"theta_3": -0.0},
+                "nodes": [{"point": dict(zip(["theta_1", "theta_2", "theta_3"], x)),
+                           "g": g.tolist()} for x, g in zip(field.angles.tolist(), field.g)],
+            }, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
     def test_bad_sweep_syntax(self, spin_manifest, capsys):
         assert cli.main(["grid", spin_manifest, "--sweep", "theta_2=nope"]) == 2
 
@@ -226,6 +262,8 @@ class TestGrid:
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:0"],
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:-2"],
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:2", "--sweep", "theta_1=5:6:2"],
+    ["grid", "{manifest}", "--sweep", "theta_1=-1e308:1e308:3"],
+    ["grid", "{manifest}", "--sweep", "theta_1=1e308:-1e308:1"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "nan"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "inf"],
     ["models", "emit", "oscillator", "--gamma", "0"],
@@ -234,6 +272,7 @@ class TestGrid:
 ], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
         "metric-dir", "grid-unknown-sweep", "grid-nan-bound", "grid-inf-bound",
         "grid-zero-count", "grid-negative-count", "grid-repeated-sweep",
+        "grid-overflowing-span", "grid-overflowing-span-one-node",
         "emit-nan-gamma", "emit-inf-gamma", "emit-zero-gamma", "emit-negative-gamma",
         "emit-huge-gamma"])
 def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):

@@ -199,6 +199,27 @@ class TestDetectKind:
             rep = extract_structure_constants(two_spin_generators(variant))
             assert detect_kind(rep) == "so3"
 
+    def test_catalog_kinds(self):
+        kinds = {key: detect_kind(model.rep) for key, model in catalog().items()}
+        assert kinds == {key: "heisenberg(1)" if key.startswith("oscillator") else "so3"
+                         for key in kinds}
+
+    @pytest.mark.parametrize("k", [1e-6, 1.0, 1e4, 1e8, 1e10, 1e12])
+    def test_scaled_commuting_set_is_abelian(self, k):
+        # three matrices with a common random eigenbasis: the fitted constants
+        # are roundoff of size k, read against a bound of the same scale
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        gens = [k * (q * rng.normal(size=8)) @ q.conj().T for _ in range(3)]
+        gens = [(G + G.conj().T) / 2 for G in gens]
+        assert detect_kind(extract_structure_constants(gens)) == "abelian"
+
+    @pytest.mark.parametrize("k", [1e-6, 1e4])
+    def test_scaled_so3_is_generic(self, k):
+        # [k Sx, k Sy] = i k (k Sz): neither commuting nor so(3) brackets
+        sx, sy, sz = spin_operators(1)
+        assert detect_kind(extract_structure_constants((k * sx, k * sy, k * sz))) == "generic"
+
 
 def at_point(route, model, point, rep=None):
     """A tilde route at one point: a batch of one, row 0."""

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -137,6 +138,43 @@ class TestWriter:
         text = manifest.emit(model)
         assert encoded == []  # no float goes through the pure-Python encoder
         assert len(text) > 9_000_000
+
+
+# a pool small enough that draws repeat, with the bit patterns a float
+# renderer must tell apart: signed zeros and NaNs with two payloads
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
+POOL = [0.0, -0.0, float("nan"), NAN_PAYLOAD, float("inf"), float("-inf"),
+        5e-324, 1e16, 1e-5]
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestFloatTexts:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 5).flatmap(lambda width: st.lists(
+               st.lists(st.sampled_from(POOL), min_size=width, max_size=width),
+               min_size=1, max_size=8)),
+           fmt=st.sampled_from([float.__repr__, repr, json.dumps]))
+    def test_equals_per_entry_map(self, rows, fmt):
+        values = np.array(rows).T  # not C-contiguous
+        assert manifest.float_texts(values, fmt) == list(map(fmt, values.ravel().tolist()))
+
+    def test_formats_each_bit_pattern_once(self):
+        values = np.array(POOL * 4).reshape(4, -1)
+        assert len({bits(x) for x in values.ravel().tolist()}) == len(POOL)  # NaN payloads kept
+        seen = []
+
+        def counting(x):
+            seen.append(bits(x))
+            return repr(x)
+
+        assert manifest.float_texts(values, counting) == list(map(repr, POOL * 4))
+        assert sorted(seen) == sorted(bits(x) for x in POOL)
+
+    def test_empty(self):
+        assert manifest.float_texts(np.empty((0, 3)), repr) == []
 
 
 class TestParseErrors:
