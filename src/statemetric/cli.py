@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, MissingParameter, EmptyGrid, OSError) as exc:
+    except (ManifestError, MissingParameter, EmptyGrid, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StatemetricError as exc:

@@ -8,13 +8,13 @@ nested-commutator expansion of a conjugation by a product of exponentials.
 
 Both routes take a (B, M) array of angles in factor order, as
 ``manifold.metric_batch`` does, and return the (B, M, d, d) stack of tilde
-generators; a single point is a batch of one.  Each route makes a fixed
-number of calls per batch, not per point: one stacked exponential
-(``_expm``, scaling and squaring of a Taylor series in ``einsum``) for all
-B M adjoint exponentials, and products of a fixed matrix with the whole
-stack for the conjugation.  The adjoint matrices are n x n with n the
-number of generators, so the adjoint route assembles and exponentiates them
-with ``einsum`` loops rather than one BLAS call per tiny matrix.
+generators; a single point is a batch of one.  The adjoint route sums the
+generators with their (B, M, n) coefficients (``tilde_coefficients``, all
+that ``manifold.tilde_metric_batch`` needs).  Each route makes a fixed
+number of calls per batch: one stacked exponential (``_expm``, scaling and
+squaring of a Taylor series in ``einsum``) for all B M n x n adjoint
+exponentials, and products of a fixed matrix with the whole stack for the
+conjugation.
 """
 
 from __future__ import annotations
@@ -346,14 +346,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
-    """Same conjugation computed entirely in the adjoint representation.
-
-    ``angles`` is a (B, M) array in factor order; the result is (B, M, d, d).
-    The coefficient vector of each tilde generator is the product of
-    exp(i theta_k ad_k) over the downstream factors applied to a basis unit
-    vector; the matrix is then reassembled from the generator basis.  All
-    B M exponentials come from one stacked ``_expm`` call.
+def tilde_coefficients(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
+    """Coefficients C (B, M, n) of the tilde generators, A~_j = sum_k C_jk A_k,
+    for a (B, M) array of angles in factor order.  Row j is e_{idx_j} carried
+    through exp(i theta_k ad_k) for each downstream factor k, from one stacked
+    ``_expm`` call.  Raises NotClosed for an open algebra.
     """
     if not rep.closed:
         raise NotClosed(f"closure residual {rep.closure_residual:.3e} exceeds its bound")
@@ -367,4 +364,11 @@ def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     coeff[:, np.arange(m), idx] = 1.0
     for k in range(1, m):
         coeff[:, :k] = np.einsum("bjl,bkl->bjk", coeff[:, :k], exps[:, k])
-    return np.einsum("bmk,kij->bmij", coeff, np.stack(rep.generators))
+    return coeff
+
+
+def tilde_by_adjoint(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
+    """``tilde_by_conjugation`` through the adjoint representation: the
+    generators summed with ``tilde_coefficients``, (B, M, d, d)."""
+    return np.einsum("bmk,kij->bmij", tilde_coefficients(rep, circuit, angles),
+                     np.stack(rep.generators))

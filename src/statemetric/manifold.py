@@ -1,12 +1,12 @@
 """Circuit unitaries, state evolution and the analytic Fubini-Study metric.
 
 Two independent closed-form routes: exact state derivatives of the ordered
-exponential product, and covariances of the conjugated circuit generators;
-they agree to roundoff.  The first is the production kernel (``metric_batch``;
-taken to order 3, ``metric_jets`` adds the metric's derivatives); the second
-(``tilde_metric_batch``), like ``evolve_batch`` behind the finite-difference
-oracles, is kept as an independent check.  Each takes a (B, M) array of
-angles; the point forms are batches of one.
+exponential product, and, for a closed algebra, gamma^2 Re(C^* K C^T) from
+the adjoint coefficients C of the conjugated generators and the generators'
+covariance K; they agree to roundoff.  The first is the production kernel
+(``metric_batch``; ``metric_jets`` adds the metric's derivatives); the second
+(``tilde_metric_batch``), like the finite-difference oracles, is a check.
+Each takes a (B, M) array of angles; the point forms are batches of one.
 """
 
 from __future__ import annotations
@@ -197,10 +197,7 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
 
     def block(a):
         X = _tangent_stack(circuit, a, psi_i)
-        D, psi = X[:m].conj(), X[m]
-        overlaps = np.einsum("mbd,nbd->bmn", D, X[:m])
-        proj = np.einsum("mbd,bd->bm", D, psi)
-        return (overlaps - proj[:, :, None] * proj[:, None, :].conj()).real
+        return projector_metric(X[m], X[:m].swapaxes(0, 1))
 
     return gamma**2 * _by_block(block, circuit, angles)
 
@@ -249,24 +246,17 @@ def projector_metric(psi, derivs, gamma: float = 1.0) -> np.ndarray:
     return gamma**2 * g
 
 
-def _tilde_vectors(circuit: CircuitSpec, angles, psi_i, gamma: float) -> np.ndarray:
-    """The local basis vectors gamma * Delta A~_j |psi_i> as a (B, M, d) stack
-    for (B, M) angles; their real Gram matrix is the metric."""
-    psi_i = _initial_state(circuit, psi_i)
-    tildes = liealg.tilde_by_conjugation(circuit.algebra, circuit, angles)
-    T_psi = np.einsum("bmij,j->bmi", tildes, psi_i)
-    mean = np.einsum("d,bmd->bm", psi_i.conj(), T_psi).real
-    return gamma * (T_psi - mean[..., None] * psi_i)
-
-
 def tilde_metric_batch(circuit: CircuitSpec, angles, psi_i,
                        gamma: float = 1.0) -> np.ndarray:
-    """g_ij = (gamma^2/2) <{Delta A~_i, Delta A~_j}> in the initial state, as
-    (B, M, M) for a (B, M) array of angles in factor order.
-
-    A~_j are the conjugated circuit generators and Delta subtracts the
-    expectation value.  Equals ``metric_batch`` to roundoff.
+    """g = gamma^2 Re(C^* K C^T), (B, M, M) for a (B, M) array of angles in
+    factor order: row j of C (``liealg.tilde_coefficients``) expands A~_j over
+    the algebra, and K_kl = <Delta A_k psi_i|Delta A_l psi_i> is the generators'
+    covariance in the initial state (Delta subtracts the mean).  Forms no
+    d x d matrix; raises NotClosed for an open algebra.
     """
-    W = _tilde_vectors(circuit, angles, psi_i, gamma)
-    return np.einsum("bmd,bnd->bmn", W.conj(), W).real
-
+    psi_i = _initial_state(circuit, psi_i)
+    C = liealg.tilde_coefficients(circuit.algebra, circuit, angles)
+    A_psi = np.stack([G @ psi_i for G in circuit.algebra.generators])
+    dA_psi = A_psi - (A_psi @ psi_i.conj()).real[:, None] * psi_i
+    K = dA_psi.conj() @ dA_psi.T
+    return gamma**2 * np.einsum("bmk,kl,bnl->bmn", C.conj(), K, C).real

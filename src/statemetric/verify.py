@@ -77,7 +77,8 @@ def _max_abs(a) -> float:
 
 
 def check_three_way_agreement(models=None) -> CheckResult:
-    """Derivative vs tilde metric to 1e-10, either vs fd oracle to 1e-6."""
+    """Derivative vs tilde metric (gamma^2 Re(C^* K C^T), no d x d matrix) to
+    1e-10, either vs fd oracle to 1e-6."""
     rng = np.random.default_rng(SEED)
     worst_analytic, worst_fd, where = 0.0, 0.0, ""
     for name, model in (models or catalog()).items():

@@ -264,6 +264,8 @@ class TestGrid:
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:2", "--sweep", "theta_1=5:6:2"],
     ["grid", "{manifest}", "--sweep", "theta_1=-1e308:1e308:3"],
     ["grid", "{manifest}", "--sweep", "theta_1=1e308:-1e308:1"],
+    # 8 PB of angles: refused before a page is touched
+    ["grid", "{manifest}", "--sweep", "theta_1=0:1:1000000000000000"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "nan"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "inf"],
     ["models", "emit", "oscillator", "--gamma", "0"],
@@ -272,7 +274,7 @@ class TestGrid:
 ], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
         "metric-dir", "grid-unknown-sweep", "grid-nan-bound", "grid-inf-bound",
         "grid-zero-count", "grid-negative-count", "grid-repeated-sweep",
-        "grid-overflowing-span", "grid-overflowing-span-one-node",
+        "grid-overflowing-span", "grid-overflowing-span-one-node", "grid-unallocatable",
         "emit-nan-gamma", "emit-inf-gamma", "emit-zero-gamma", "emit-negative-gamma",
         "emit-huge-gamma"])
 def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):

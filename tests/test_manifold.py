@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import linalg
+from statemetric import liealg, linalg, verify
 from statemetric.errors import (
     DimensionMismatch,
     DuplicateParameter,
     MissingParameter,
+    NotClosed,
     StatemetricError,
 )
-from statemetric.liealg import extract_structure_constants
+from statemetric.liealg import LieAlgebraRep, extract_structure_constants
 from statemetric.manifold import (
     CircuitSpec,
     _tangent_stack,
-    _tilde_vectors,
     build_unitary,
     evolve,
     evolve_batch,
@@ -251,25 +251,31 @@ class TestMetric:
         assert np.array_equal(m.g, m.g.T)
 
 
-class TestLocalBasisVectors:
-    """gamma Delta A~_j |psi_i>, the rows of ``_tilde_vectors``."""
-
-    def test_orthogonal_to_initial_state(self, one_m0):
-        angles = np.array([[0.4, 1.0, -1.1]])
-        for v in _tilde_vectors(one_m0.circuit, angles, one_m0.initial_state, 1.0)[0]:
-            assert abs(np.vdot(one_m0.initial_state, v).real) <= 1e-12
-
-    def test_gram_matrix_real_part_is_metric(self, one_m0):
-        pt = {"theta_1": -0.9, "theta_2": 0.6, "theta_3": 0.3}
-        vs = _tilde_vectors(one_m0.circuit, one_m0.circuit.angles(pt)[None],
-                            one_m0.initial_state, 1.0)[0]
-        W = np.stack(vs, axis=1)
-        g = tilde_metric(one_m0.circuit, pt, one_m0.initial_state)
-        assert np.max(np.abs((W.conj().T @ W).real - g)) <= 1e-12
+class TestTildeRouteContract:
+    """``tilde_metric_batch`` is gamma^2 Re(C^* K C^T) over the algebra."""
 
     def test_dimension_mismatch(self, one_m0):
         with pytest.raises(DimensionMismatch):
-            _tilde_vectors(one_m0.circuit, np.full((1, 3), 0.1), [1.0, 0.0], 1.0)
+            tilde_metric_batch(one_m0.circuit, np.full((1, 3), 0.1), [1.0, 0.0])
+
+    def test_refuses_unclosed_rep(self):
+        rep = spin_model(SpinModelSpec(s=0.5, m=0.5)).rep
+        broken = LieAlgebraRep(rep.names, rep.generators, rep.constants,
+                               closure_residual=1e-3)
+        circuit = CircuitSpec(broken, ((rep.names[0], "a"), (rep.names[1], "b")))
+        with pytest.raises(NotClosed):
+            tilde_metric_batch(circuit, np.zeros((7, 2)), [1.0, 0.0])
+
+    def test_needs_no_conjugation(self, one_m0, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tilde_by_conjugation called")
+
+        monkeypatch.setattr(liealg, "tilde_by_conjugation", refuse)
+        angles = np.random.default_rng(71).uniform(-1.0, 1.0, (4, 3))
+        g_t = tilde_metric_batch(one_m0.circuit, angles, one_m0.initial_state)
+        g_d = metric_batch(one_m0.circuit, angles, one_m0.initial_state)
+        assert np.max(np.abs(g_t - g_d)) <= 1e-13
+        assert verify.check_three_way_agreement(CATALOG).passed
 
 
 class TestReparametrization:
