@@ -8,6 +8,7 @@ degenerate section, failed verification), 2 usage or parse failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,6 +44,8 @@ def _parse_at(pairs, parameter_names, defaults_zero=False):
         if name not in parameter_names:
             raise MissingParameter(f"unknown parameter {name!r}; "
                                    f"circuit has {list(parameter_names)}")
+        if name in point:
+            raise ManifestError(f"--at {name}: bound more than once")
         try:
             point[name] = float(value)
         except ValueError:
@@ -148,6 +151,9 @@ def _grid_json(doc: dict, points, metrics) -> str:
 def cmd_grid(args) -> int:
     model = manifest.load_model(args.manifest)
     sweeps = _parse_sweeps(args.sweep)
+    for item in args.at or ():
+        if item.partition("=")[0] in sweeps:
+            raise ManifestError(f"--at {item}: the parameter is also swept")
     fixed = _parse_at(args.at, model.parameter_names, defaults_zero=True)
     fixed = {p: v for p, v in fixed.items() if p not in sweeps}
     field = geometry.metric_field(model, GridSpec(sweeps, fixed))
@@ -226,21 +232,24 @@ def cmd_models(args) -> int:
         for model_id in models.MODEL_IDS:
             print(model_id)
         return EXIT_OK
-    if not args.model_id:
-        raise UnknownModel("models emit requires a model id")
-    manifest.require_gamma(args.gamma)  # the rule parse_manifest applies
-    if args.model_id == "spin":
-        params = {"s": args.s}
-        if args.coeffs:
-            params["coefficients"] = _complex_list(args.coeffs)
-        else:
-            params["m"] = args.m
-    elif args.model_id == "oscillator":
-        params = {"mass": args.mass, "omega": args.omega, "n": args.n,
-                  "truncation": args.trunc}
-    else:  # a two-spin id, or one build_model refuses
-        params = {"eta": args.eta, "chi": args.chi, "initial": args.initial}
-    model = models.build_model(args.model_id, gamma=args.gamma, **params)
+    if args.model_id not in models.MODEL_IDS:
+        raise UnknownModel(f"models emit needs a model id from {models.MODEL_IDS}, "
+                           f"got {args.model_id!r}")
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "action", "model_id")}
+    spec = {"spin": models.SpinModelSpec, "oscillator": models.OscillatorModelSpec}.get(
+        args.model_id, models.TwoSpinModelSpec)
+    fields = {f.name for f in dataclasses.fields(spec)}
+    for name in params:
+        if name not in fields:
+            raise ManifestError(f"models emit {args.model_id} has no parameter {name!r}")
+    if "m" in params and "coefficients" in params:
+        raise ManifestError("models emit spin: give --m or --coeffs, not both")
+    if "coefficients" in params:
+        params["coefficients"] = _complex_list(params["coefficients"])
+    if "gamma" in params:
+        manifest.require_gamma(params["gamma"])  # the rule parse_manifest applies
+    model = models.build_model(args.model_id, **params)
     sys.stdout.write(manifest.emit(model))
     return EXIT_OK
 
@@ -284,20 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only checks whose id contains SUBSTRING")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("models", help="list catalog models or emit a manifest")
+    # an option not given is absent from args; the model specs hold the defaults
+    p = sub.add_parser("models", help="list catalog models or emit a manifest",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("action", choices=("list", "emit"))
-    p.add_argument("model_id", nargs="?")
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--coeffs", help="comma-separated complex amplitudes, ascending m")
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--trunc", type=int, default=64)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--chi", type=float, default=0.0)
-    p.add_argument("--initial", default="up_down")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("model_id", nargs="?", default=None)
+    p.add_argument("--s", type=float)
+    p.add_argument("--m", type=float)
+    p.add_argument("--coeffs", dest="coefficients",
+                   help="comma-separated complex amplitudes, ascending m")
+    p.add_argument("--mass", type=float)
+    p.add_argument("--omega", type=float)
+    p.add_argument("--n", type=int)
+    p.add_argument("--trunc", dest="truncation", type=int)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--chi", type=float)
+    p.add_argument("--initial")
+    p.add_argument("--gamma", type=float)
     p.set_defaults(func=cmd_models)
 
     return parser

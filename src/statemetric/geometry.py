@@ -226,7 +226,9 @@ def classify(field: MetricField) -> CurvatureReport:
 
     Needs at least 3 nodes per swept parameter.  Gaussian curvature is
     sampled at a handful of grid nodes of the dominant nondegenerate
-    2-section; a sphere requires constant positive curvature there.
+    2-section; a sphere requires constant positive curvature there.  The
+    scalar curvature at the middle sample is reported when the metric has
+    full rank, for any number of parameters.
     """
     for name, (_lo, _hi, count) in field.grid.sweeps.items():
         if int(count) < 3:
@@ -255,7 +257,7 @@ def classify(field: MetricField) -> CurvatureReport:
     k_mean = float(np.mean(curvatures))
 
     scal = None
-    if rank == dim and dim == 3:
+    if rank == dim:
         scal = float(scalar_from_jets(*jets)[len(samples) // 2])
 
     cls = curvature_label(curvatures, g)

@@ -6,6 +6,10 @@ conjugation and through the adjoint representation.  The two routes are
 independent and must agree; the second is the closed form of the
 nested-commutator expansion of a conjugation by a product of exponentials.
 
+The structure-constant fit and ``validate_algebra`` form each bracket only
+on the active block (``_bracket``, from the first k rows and columns of its
+two generators): no d x d commutator or reconstruction is built.
+
 Both routes take a (B, M) array of angles in factor order, as
 ``manifold.metric_batch`` does, and return the (B, M, d, d) stack of tilde
 generators; a single point is a batch of one.  The adjoint route sums the
@@ -128,6 +132,12 @@ def closure_bound(peaks) -> float:
     return CLOSURE_TOL * max(1.0, float(np.prod(np.sort(peaks)[-2:])))
 
 
+def _bracket(X: np.ndarray, Y: np.ndarray, k: int | None) -> np.ndarray:
+    """The leading k x k block of [X, Y] (all of it when k is None), formed
+    from the first k rows and columns only."""
+    return X[:k] @ Y[:, :k] - Y[:k] @ X[:, :k]
+
+
 def extract_structure_constants(
     generators,
     names=None,
@@ -162,9 +172,9 @@ def extract_structure_constants(
         gram = basis.conj().T @ basis
         peak = np.array([np.max(np.abs(G[block])) for G in gens])  # per generator: contiguous
         if not np.all(np.isfinite(gram)):
-            k = int(np.argmax(peak))
+            top = int(np.argmax(peak))
             raise DependentGenerators(
-                f"generator {names[k]!r} has an entry of magnitude {peak[k]:.3e}; "
+                f"generator {names[top]!r} has an entry of magnitude {peak[top]:.3e}; "
                 "its entries overflow the generator Gram matrix")
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_COND_MAX:
@@ -176,10 +186,9 @@ def extract_structure_constants(
     residual = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            com = linalg.commutator(gens[i], gens[j])
-            coeff, *_ = np.linalg.lstsq(basis, com[block].ravel(), rcond=None)
-            fitted = sum(c * G for c, G in zip(coeff, gens))
-            resid = float(np.max(np.abs((com - fitted)[block])))
+            com = _bracket(gens[i], gens[j], active_dim).ravel()
+            coeff, *_ = np.linalg.lstsq(basis, com, rcond=None)
+            resid = float(np.max(np.abs(com - basis @ coeff)))
             bound = closure_bound(peak[[i, j]])
             if not resid <= bound:
                 raise NotClosed(
@@ -227,7 +236,8 @@ def validate_algebra(rep: LieAlgebraRep, kind: str, n: int = 1) -> ValidationRep
 
     def add(label, X, Y, rhs):
         bound = closure_bound([rep.block_norm(X), rep.block_norm(Y)])
-        checks.append(BracketCheck(label, rep.block_norm(linalg.commutator(X, Y) - rhs), bound))
+        com = _bracket(X, Y, rep.active_dim)
+        checks.append(BracketCheck(label, rep.block_norm(com - rep.active_block(rhs)), bound))
 
     if kind == "heisenberg":
         if rep.size != 2 * n + 1:
@@ -277,11 +287,8 @@ def detect_kind(rep: LieAlgebraRep) -> str:
             return "so3"
     if rep.size % 2 == 1 and rep.size >= 3:
         n = (rep.size - 1) // 2
-        try:
-            if validate_algebra(rep, "heisenberg", n).passed:
-                return f"heisenberg({n})"
-        except ValueError:
-            pass
+        if validate_algebra(rep, "heisenberg", n).passed:
+            return f"heisenberg({n})"
     return "generic"
 
 

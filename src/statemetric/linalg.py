@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
-Hermitian eigendecomposition, unitary exponentials of Hermitian generators,
-commutators and expectation values.  Everything operates on plain complex
-numpy arrays; matrices are square, states are 1-D and normalized.
+Hermiticity checks, the Hermitian eigendecomposition and unitary
+exponentials of Hermitian generators.  Everything operates on plain complex
+numpy arrays; matrices are square.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ def require_hermitian(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def require_same_dim(A, B) -> tuple[np.ndarray, np.ndarray]:
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    return A, B
-
-
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
     pivot = V[np.argmax(np.abs(V) > 1e-8, axis=0), np.arange(V.shape[1])]
@@ -69,24 +62,3 @@ def herm_eig(M):
 def expm_phase_eig(w, V, t: float) -> np.ndarray:
     """exp(-i t A) from a precomputed eigendecomposition of A."""
     return (V * np.exp(-1j * t * w)) @ V.conj().T
-
-
-def commutator(A, B) -> np.ndarray:
-    A, B = require_same_dim(A, B)
-    return A @ B - B @ A
-
-
-def anticommutator(A, B) -> np.ndarray:
-    A, B = require_same_dim(A, B)
-    return A @ B + B @ A
-
-
-def expectation(psi, M) -> complex:
-    """<psi|M|psi> for a normalized state psi."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    M = as_matrix(M)
-    if M.shape[0] != psi.shape[0]:
-        raise DimensionMismatch(
-            f"state dim {psi.shape[0]} does not match matrix dim {M.shape[0]}"
-        )
-    return complex(np.vdot(psi, M @ psi))

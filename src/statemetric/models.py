@@ -90,7 +90,7 @@ class SpinModelSpec:
     """Spin value plus initial state: either the S_z eigenvalue m or a full
     coefficient list over eigenstates ordered by ascending m (-s..s)."""
 
-    s: float
+    s: float = 0.5
     m: float | None = None
     coefficients: tuple | None = None
     gamma: float = 1.0

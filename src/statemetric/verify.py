@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import geometry, liealg, linalg, models, oracle
+from . import geometry, liealg, models, oracle
 from .geometry import GridSpec, metric_at, metric_stack
 from .manifold import tilde_metric_batch
 from .models import (
@@ -251,14 +251,16 @@ def check_spin1_superposition(models=None) -> CheckResult:
     psi = model.initial_state
     sz, sx, sy = (model.rep.generator(n) for n in ("Sz", "Sx", "Sy"))
 
+    def mean(op):
+        return np.vdot(psi, op @ psi).real
+
     def var(op):
-        mean = linalg.expectation(psi, op).real
-        return linalg.expectation(psi, op @ op).real - mean**2
+        return mean(op @ op) - mean(op)**2
 
     def cov(op1, op2):
-        d1 = op1 - linalg.expectation(psi, op1).real * np.eye(3)
-        d2 = op2 - linalg.expectation(psi, op2).real * np.eye(3)
-        return linalg.expectation(psi, linalg.anticommutator(d1, d2)).real
+        d1 = op1 - mean(op1) * np.eye(3)
+        d2 = op2 - mean(op2) * np.eye(3)
+        return mean(d1 @ d2 + d2 @ d1)
 
     values = np.array([var(sz), var(sx), var(sy), cov(sx, sy)])
     var_err = float(np.max(np.abs(values - np.array([1.0, 1.0, 0.0, 0.0]))))

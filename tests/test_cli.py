@@ -271,12 +271,25 @@ class TestGrid:
     ["models", "emit", "oscillator", "--gamma", "0"],
     ["models", "emit", "two_spin_dm_xx", "--gamma", "-2"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "1e200"],
+    # an option that would be ignored is refused
+    ["metric", "{manifest}", "--defaults-zero", "--at", "theta_1=1", "--at", "theta_1=2"],
+    ["grid", "{manifest}", "--sweep", "theta_2=0:1:3", "--at", "theta_1=1",
+     "--at", "theta_1=2"],
+    ["curvature", "{manifest}", "--defaults-zero", "--at", "theta_2=1", "--at", "theta_2=2",
+     "--section", "theta_1,theta_2"],
+    ["grid", "{manifest}", "--sweep", "theta_2=0:1:3", "--at", "theta_2=0.5"],
+    ["models", "emit", "oscillator", "--s", "7"],
+    ["models", "emit", "two_spin_sum", "--m", "3"],
+    ["models", "emit", "spin", "--s", "1", "--m", "0", "--trunc", "5"],
+    ["models", "emit", "spin", "--s", "1", "--m", "0", "--coeffs", "0,1,0"],
 ], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
         "metric-dir", "grid-unknown-sweep", "grid-nan-bound", "grid-inf-bound",
         "grid-zero-count", "grid-negative-count", "grid-repeated-sweep",
         "grid-overflowing-span", "grid-overflowing-span-one-node", "grid-unallocatable",
         "emit-nan-gamma", "emit-inf-gamma", "emit-zero-gamma", "emit-negative-gamma",
-        "emit-huge-gamma"])
+        "emit-huge-gamma", "metric-repeated-at", "grid-repeated-at", "curvature-repeated-at",
+        "grid-swept-at", "emit-oscillator-s", "emit-two-spin-m", "emit-spin-trunc",
+        "emit-spin-m-and-coeffs"])
 def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):
     argv = [a.format(manifest=spin_manifest, dir=tmp_path) for a in argv]
     assert cli.main(argv) == 2  # an exception escaping main fails the test too
@@ -481,6 +494,13 @@ class TestModels:
 
     def test_emit_requires_model_id(self, capsys):
         assert cli.main(["models", "emit"]) == 1
+
+    def test_emit_defaults_come_from_the_spec(self, capsys):
+        # no --s: the spec's spin 1/2; no --gamma: the spec's 1
+        assert cli.main(["models", "emit", "spin", "--m", "0.5"]) == 0
+        assert capsys.readouterr().out == manifest.emit(spin_model(SpinModelSpec(m=0.5)))
+        assert cli.main(["models", "emit", "oscillator"]) == 0
+        assert capsys.readouterr().out == manifest.emit(oscillator_model(OscillatorModelSpec()))
 
     def test_emit_spin_coeffs(self, capsys):
         assert cli.main(["models", "emit", "spin", "--s", "1", "--coeffs",

@@ -358,6 +358,8 @@ class TestClassify:
         assert report.classification == "flat"
         assert report.rank == 2
         assert report.label() == "flat"
+        # full rank at M = 2: the scalar curvature is reported, and it is 0
+        assert abs(report.scalar_curvature) <= 1e-12
 
     def test_two_spin_sphere(self):
         model = two_spin_model(TwoSpinModelSpec(variant="dm_xx", initial="up_down"))

@@ -127,6 +127,41 @@ class TestExtractStructureConstants:
             spin_rep().index("Sw")
 
 
+class TestActiveBlockBracket:
+    @staticmethod
+    def integer_hermitian(rng, d):
+        """Hermitian, with small Gaussian integer entries: every product and
+        sum of a bracket is exact, whatever its summation order."""
+        M = rng.integers(-9, 10, (d, d)) + 1j * rng.integers(-9, 10, (d, d))
+        return M + M.conj().T
+
+    def test_random_pair(self):
+        rng = np.random.default_rng(29)
+        A, B = self.integer_hermitian(rng, 8), self.integer_hermitian(rng, 8)
+        assert np.array_equal(liealg._bracket(A, B, 5), (A @ B - B @ A)[:5, :5])
+        assert np.array_equal(liealg._bracket(A, B, None), A @ B - B @ A)
+
+    def test_oscillator(self):
+        rep = oscillator_model(OscillatorModelSpec()).rep
+        x, p, k = rep.generator("x"), rep.generator("p"), rep.active_dim
+        assert np.array_equal(liealg._bracket(x, p, k), (x @ p - p @ x)[:k, :k])
+
+    def test_trailing_block_does_not_enter_the_fit(self):
+        # the bracket's k x k block reads rows :k and columns :k of each
+        # factor, never the trailing (d - k) x (d - k) block
+        rep = oscillator_model(OscillatorModelSpec()).rep
+        k, d = rep.active_dim, rep.dim
+        rng = np.random.default_rng(31)
+        gens = []
+        for G in rep.generators:
+            G = G.copy()
+            G[k:, k:] = self.integer_hermitian(rng, d - k)
+            gens.append(G)
+        other = extract_structure_constants(gens, rep.names, active_dim=k)
+        assert np.array_equal(other.constants, rep.constants)
+        assert other.closure_residual == rep.closure_residual
+
+
 class TestValidateAlgebra:
     def test_so3_passes_up_to_spin3(self):
         for s in (0.5, 1, 1.5, 2, 2.5, 3):

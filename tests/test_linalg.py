@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statemetric import linalg
-from statemetric.errors import DimensionMismatch, NotHermitian
+from statemetric.errors import NotHermitian
 from statemetric.models import spin_operators
 
 
@@ -112,58 +112,4 @@ class TestExpmPhase:
         A = random_hermitian(np.random.default_rng(seed), 3)
         left = expm_phase(A, s) @ expm_phase(A, t)
         assert np.max(np.abs(left - expm_phase(A, s + t))) <= 1e-10
-
-
-class TestCommutators:
-    def test_self_commutator_vanishes(self):
-        rng = np.random.default_rng(9)
-        A = random_hermitian(rng, 4)
-        assert np.max(np.abs(linalg.commutator(A, A))) == 0.0
-
-    def test_spin_half_commutation(self):
-        sx, sy, sz = spin_operators(0.5)
-        assert np.allclose(linalg.commutator(sx, sy), 1j * sz, atol=1e-15)
-
-    def test_spin_half_anticommutator_vanishes(self):
-        sx, sy, _ = spin_operators(0.5)
-        assert np.max(np.abs(linalg.anticommutator(sx, sy))) <= 1e-15
-
-    def test_antisymmetry_exact(self):
-        rng = np.random.default_rng(13)
-        A, B = random_hermitian(rng, 5), random_hermitian(rng, 5)
-        assert np.array_equal(linalg.commutator(A, B), -linalg.commutator(B, A))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.commutator(np.eye(2), np.eye(3))
-
-
-class TestExpectation:
-    def test_eigenstate(self):
-        _, _, sz = spin_operators(0.5)
-        up = np.array([1.0, 0.0], dtype=complex)
-        assert linalg.expectation(up, sz) == pytest.approx(0.5)
-
-    def test_symmetry_zero(self):
-        sx, _, _ = spin_operators(0.5)
-        up = np.array([1.0, 0.0], dtype=complex)
-        assert abs(linalg.expectation(up, sx)) <= 1e-15
-
-    def test_spin1_superposition_sx_squared(self):
-        sx, _, _ = spin_operators(1)
-        psi = np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
-        assert linalg.expectation(psi, sx @ sx).real == pytest.approx(1.0, abs=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_real_for_hermitian(self, seed):
-        rng = np.random.default_rng(seed)
-        M = random_hermitian(rng, 4)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        assert abs(linalg.expectation(psi, M).imag) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.expectation(np.ones(3) / np.sqrt(3), np.eye(2))
 

@@ -9,8 +9,10 @@ open in CP^2 has, at every regular point, the scalar curvature of CP^2,
 import numpy as np
 import pytest
 
-from statemetric import geometry, liealg, oracle
+from statemetric import cli, geometry, liealg, manifest, oracle
+from statemetric.geometry import GridSpec
 from statemetric.manifold import CircuitSpec, metric_batch, metric_jets, tilde_metric_batch
+from statemetric.models import Model
 
 
 def gell_mann() -> np.ndarray:
@@ -72,3 +74,19 @@ def test_scalar_curvature_of_cp2(gamma, psi_i):
 def test_rank_deficient_circuit_has_no_curvature(psi_i):
     jets = metric_jets(circuit(ALL_EIGHT), angles(8), psi_i)
     assert np.all(np.isnan(geometry.scalar_from_jets(*jets)))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7])
+def test_classify_reports_scalar_curvature_at_full_rank(gamma, psi_i):
+    model = Model("su3", REP, circuit(ORBIT), psi_i, gamma)
+    grid = GridSpec({"t0": (0.1, 0.5, 3), "t1": (-0.4, 0.2, 3)}, fixed={"t2": 0.3, "t3": -0.2})
+    report = geometry.classify(geometry.metric_field(model, grid))
+    assert report.rank == 4
+    assert report.scalar_curvature * gamma**2 == pytest.approx(24.0, abs=1e-8)
+
+
+def test_validate_cli_reads_generic(psi_i, tmp_path, capsys):
+    path = tmp_path / "su3.json"
+    path.write_text(manifest.emit(Model("su3", REP, circuit(ORBIT), psi_i)), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert "detected kind: generic" in capsys.readouterr().out
