@@ -105,6 +105,8 @@ def spin_model(spec: SpinModelSpec) -> Model:
     sx, sy, sz = spin_operators(spec.s)
     s = round(2 * spec.s) / 2
     dim = sx.shape[0]
+    if spec.coefficients is not None and spec.m is not None:
+        raise BadNormalization("spin model needs either m or a coefficient list, not both")
     if spec.coefficients is not None:
         if len(spec.coefficients) != dim:
             raise BadNormalization(f"expected {dim} coefficients, got {len(spec.coefficients)}")

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from statemetric import manifest
 from statemetric.errors import ManifestError, NotClosed, NotHermitian, StatemetricError
 from statemetric.geometry import metric_at
+from statemetric.liealg import extract_structure_constants
+from statemetric.manifold import CircuitSpec
 from statemetric.models import (
+    Model,
     OscillatorModelSpec,
     SpinModelSpec,
     oscillator_model,
@@ -343,13 +346,27 @@ class TestDomainErrorsPropagate:
 
 GENERATORS = slice(SPIN_TEXT.index('"generators"'), SPIN_TEXT.index('"circuit"'))
 TOKENS = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", SPIN_TEXT[GENERATORS])]
-# tokens json.loads reads differently from np.loadtxt or refuses
+# tokens json.loads reads differently from np.loadtxt or float() or refuses,
+# or that the numpy pass leaves to json.loads
 TRICKY = ["+1", "01", "-01", "00.5", "-01.5", "1.", ".5", "-.5", "1.e5", "1E+05", "2.5e-3",
           "0e0", "-0", "-0.0", "-0e-0", "0", "7", "1e400", "-1e400", "1e-400", "5e-324",
           "1" + "0" * 400, "1 2", "1,2", "[1.0]", "1e", "1e+", "--1", "1.2.3", "1e5e5",
           "1e5.5", "-", "", "true", "null", '"0.5"', "NaN", "Infinity", "-Infinity", "1_0",
-          "0x1", " 1.0", "1.0 ", "\t1.0"]
+          "0x1", " 1.0", "1.0 ", "\t1.0", "0.00", "00.0", "0.0e0", "0.0E0", "0.", ".0",
+          "1.0000000000000000000000000002", "1.5,2.5", "1.5\n2.5"]
+# tokens made only of the bytes of 0.0 text, or that json.loads reads as a zero
+ZERO_LOOKALIKES = ["0.00", "00.0", "0.0e0", "0.0E0", "-0.0", "0.", ".0"]
 NUMBER_TEXT = st.text(alphabet="0123456789+-.eE", max_size=6)
+
+
+@pytest.fixture(params=["sparse", "scan"])
+def one_path(request, monkeypatch):
+    """Every generator block read by one path of the numpy pass: the one
+    that parses only the tokens that are not 0.0, or the scan."""
+    if request.param == "sparse":
+        monkeypatch.setattr(manifest._Blocks, "scanned", lambda self, block: None)
+    else:
+        monkeypatch.setattr(manifest._Blocks, "read", manifest._Blocks.scanned)
 
 
 def forced(read):
@@ -393,11 +410,36 @@ def assert_reads_as_json(data: bytes):
             assert block.tobytes() == np.array(reference[name], dtype=float).tobytes()
 
 
+def with_tokens(tokens: dict, text: str = SPIN_TEXT) -> bytes:
+    """The document with the generator tokens at these indices replaced."""
+    start = text.index('"generators"')
+    spans = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*",
+                                           text[start:text.index('"circuit"')])]
+    for index in sorted(tokens, reverse=True):
+        a, b = spans[index]
+        text = text[:start + a] + tokens[index] + text[start + b:]
+    return text.encode()
+
+
 def with_token(index: int, token: str) -> bytes:
-    start, stop = TOKENS[index]
-    text = SPIN_TEXT[GENERATORS]
-    return (SPIN_TEXT[:GENERATORS.start] + text[:start] + token + text[stop:]
-            + SPIN_TEXT[GENERATORS.stop:]).encode()
+    return with_tokens({index: token})
+
+
+def rotated_spin(s: float) -> Model:
+    """The spin-s model conjugated by a fixed random unitary: its generator
+    blocks hold no 0.0 in any slot."""
+    model = spin_model(SpinModelSpec(s=s, m=s))
+    d = model.rep.dim
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rep = extract_structure_constants([U @ G @ U.conj().T for G in model.rep.generators],
+                                      names=model.rep.names)
+    return Model(name="rotated", rep=rep, circuit=CircuitSpec(rep, model.circuit.factors),
+                 initial_state=U @ model.initial_state, gamma=model.gamma)
+
+
+SPIN3_TEXT = manifest.emit(spin_model(SpinModelSpec(s=3, m=1)))
+SPIN3_SLOTS = 3 * 7 * 7 * 2
 
 
 def moved(index: int, offset: int) -> bytes:
@@ -440,6 +482,54 @@ class TestByteReader:
     def test_one_token_reads_as_json(self, index, token):
         assert_reads_as_json(with_token(index, token))
 
+    # slots 0-17 are Sz, 18-35 Sx and 36-53 Sy, each block's slots in order
+    @pytest.mark.parametrize("index", [0, 18, 53])
+    @pytest.mark.parametrize("token", ZERO_LOOKALIKES)
+    def test_zero_lookalike_reads_as_json(self, token, index):
+        assert_reads_as_json(with_token(index, token))
+
+    # spin s = 3: slots 0-97 are Sz, 98-195 Sx and 196-293 Sy
+    @pytest.mark.parametrize("tokens", [
+        pytest.param({2: "1.0", 3: "2.0"}, id="same-length-adjacent"),
+        pytest.param({1: "2.0", 5: "1.0", 150: "2.0"}, id="same-length-apart"),
+        pytest.param({0: "-3.5"}, id="first-slot"),
+        pytest.param({98: "2.5"}, id="first-slot-of-block"),
+        pytest.param({195: "-2.5e-3"}, id="last-slot-of-block"),
+        pytest.param({293: "1.25"}, id="last-slot"),
+        pytest.param({101: "3.0", 102: "-1e-05", 103: "0.5"}, id="adjacent"),
+        pytest.param({97: "0.5", 98: "-0.5"}, id="adjacent-across-blocks"),
+        pytest.param({100: "1.0000000000000002", 101: "-1.0000000000000002e-05"},
+                     id="zeros-inside-a-token"),
+    ])
+    def test_nonzero_tokens_read_as_json(self, tokens, one_path):
+        data = with_tokens(tokens, SPIN3_TEXT)
+        assert all(isinstance(block, np.ndarray)
+                   for block in forced(manifest.decode)(data)["generators"].values())
+        assert_reads_as_json(data)
+
+    def test_dense_block_reads_as_json(self):
+        data = manifest.emit(rotated_spin(1)).encode()
+        doc = forced(manifest.decode)(data)
+        assert all(isinstance(block, np.ndarray) and np.all(block != 0.0)
+                   for block in doc["generators"].values())
+        assert_reads_as_json(data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, SPIN3_SLOTS))
+    def test_scattered_tokens_read_as_json(self, seed, count):
+        rng = np.random.default_rng(seed)
+        slots = rng.choice(SPIN3_SLOTS, count, replace=False)
+        values = rng.normal(size=count) * 10.0 ** rng.integers(-6, 6, count)
+        tokens = dict(zip(slots.tolist(), map(repr, values.tolist())))
+        assert_reads_as_json(with_tokens(tokens, SPIN3_TEXT))
+
+    def test_sparse_blocks_skip_the_scan(self, monkeypatch):
+        monkeypatch.setattr(manifest._Blocks, "scanned", None)  # a call fails
+        for model in (spin_model(SpinModelSpec(s=20, m=3)),
+                      oscillator_model(OscillatorModelSpec(n=1, truncation=64))):
+            doc = manifest.decode(manifest.emit(model).encode())
+            assert all(isinstance(block, np.ndarray) for block in doc["generators"].values())
+
     @pytest.mark.parametrize("data", [
         pytest.param(restructured(generators=lambda g: {**g, "Sy": g["Sy"][:2]}),
                      id="short-block"),
@@ -471,6 +561,12 @@ class TestByteReader:
         pytest.param(json.dumps(SPIN_DOC).encode(), id="compact"),
         pytest.param(SPIN_TEXT.encode()[:-30], id="truncated"),
         pytest.param(b"\xef\xbb\xbf" + SPIN_TEXT.encode(), id="bom"),
+        pytest.param(SPIN_TEXT.replace("\n    ]\n  },", "\n  },").encode(), id="unclosed-block"),
+        pytest.param(restructured(generators=lambda g: {**g, "Z": [[[0.0, 0.0]] * 3] * 3}),
+                     id="zero-block"),
+        pytest.param(restructured(generators=lambda g: {
+            **g, "Z": [[[0.0, 0.0]] * 4, [[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3]}),
+            id="zero-block-ragged"),
     ])
     def test_other_layouts_read_as_json(self, data):
         assert_reads_as_json(data)
@@ -484,13 +580,20 @@ class TestByteReader:
                                                     f"{data.index(0xff)}:"):
                 read(data)
 
-    @pytest.mark.parametrize("model", [
-        pytest.param(lambda: spin_model(SpinModelSpec(s=20, m=3)), id="spin20"),
-        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=64)),
+    @pytest.mark.parametrize("model, forced_open", [
+        pytest.param(lambda: spin_model(SpinModelSpec(s=20, m=3)), False, id="spin20"),
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=64)), False,
                      id="osc64"),
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=128)), False,
+                     id="osc128"),
+        # 31 KB, under the gate, which is opened for it
+        pytest.param(lambda: rotated_spin(5), True, id="rotated-spin5"),
     ])
-    def test_same_model_on_both_sides_of_the_gate(self, model, tmp_path, monkeypatch):
+    def test_same_model_on_both_sides_of_the_gate(self, model, forced_open, tmp_path,
+                                                  monkeypatch):
         data = manifest.emit(model()).encode()
+        if forced_open:
+            monkeypatch.setattr(manifest, "_FAST_MIN_BYTES", 0)
         assert len(data) > manifest._FAST_MIN_BYTES
         path = tmp_path / "m.json"
         path.write_bytes(data)

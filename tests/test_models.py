@@ -112,6 +112,11 @@ class TestSpinModel:
         with pytest.raises(BadNormalization):
             spin_model(SpinModelSpec(s=0.5))
 
+    @pytest.mark.parametrize("m", [1, -1])
+    def test_m_with_coefficients(self, m):
+        with pytest.raises(BadNormalization, match="either m or a coefficient list, not both"):
+            spin_model(SpinModelSpec(s=1, m=m, coefficients=(0, 0, 1)))
+
 
 class TestOscillatorModel:
     @pytest.mark.parametrize("n,diag", [(0, 0.5), (1, 1.5), (2, 2.5)])
