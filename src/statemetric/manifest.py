@@ -9,14 +9,12 @@ instead of going through the pure-Python encoder, which ``json.dumps`` takes
 whenever it indents.  ``float_texts`` renders those strings, formatting each
 distinct bit pattern once (a generator block is mostly 0.0); ``cli``'s grid
 CSV and JSON go through it too.  ``decode`` reads generator blocks in that
-layout against their all-0.0 rendering and parses only the tokens that are
-not 0.0, so a mostly-0.0 block costs little more than comparing its bytes.
+layout with a few whole-block numpy passes and parses only the numbers
+that are not 0.0.
 """
 
 from __future__ import annotations
 
-import functools
-import io
 import json
 from itertools import chain
 
@@ -169,27 +167,20 @@ def decode(data: bytes) -> dict:
 # with a placeholder string in each block's place, goes through json.loads.
 # Any doubt reads the whole document through loads instead.
 #
-# A block is read against its template, the block with 0.0 in every slot.
-# The tokens that are not 0.0 are found by the bytes 0.0 text lacks, every
-# byte between them must equal the template's, and only those tokens are
-# parsed, by float() as json.loads parses them; the other slots hold 0.0.
-# So the cost follows those tokens, not the bytes of the block.  A block
-# with many of them is scanned instead: each of the scan's checks reads all
-# of the block's bytes, which there costs less than the per-token work.
+# One translate finds a block's runs of number bytes; once the bytes
+# between them match the layout, run k fills slot k.  A run that reads 0.0
+# leaves its slot at 0.0, and only the other runs are syntax-checked and
+# parsed, so the zeros of a mostly-0.0 block never become Python objects.
 
 # Below this many bytes json.loads reads a manifest faster than the numpy
-# pass, whose numpy calls cost ~0.3 ms whatever the size.  Read and parsed
-# (least CPU time of 400 alternating calls, twice, on a 2-CPU Xeon with
-# Python 3.11 and numpy 2.4): spin s = 7 (35 KiB) took 0.78-0.82 ms by
-# json.loads and 0.88-0.91 ms by the numpy pass, s = 8 (45 KiB) 0.92-0.98
-# and 0.92-0.99 ms, s = 9 (56 KiB) 1.03-1.12 and 0.96-1.06 ms.
-_FAST_MIN_BYTES = 48 * 1024
+# pass, whose numpy calls cost ~0.15 ms whatever the size: read and parsed,
+# spin s = 5 (20 KB) took 0.44 ms by json.loads and 0.48 ms by the numpy
+# pass, spin s = 8 (46 KB) 0.73 ms and 0.65 ms.
+_FAST_MIN_BYTES = 32 * 1024
 _BLOCK_HEAD = array_template((1, 1, 1), 2).partition("%s")[0].encode()
 _PLACEHOLDER = b'"\\u0000%d"'  # JSON escapes NUL, so no other string holds it
 _NUMBER_BYTES = b"0123456789+-.eE"
 _IS_NUMBER = bytes(c in _NUMBER_BYTES for c in range(256))
-_IS_ODD = bytes(c not in b" \n,[]0." for c in range(256))  # not in 0.0 text
-_REACH = np.arange(1, 25)  # how far from an odd byte a token's 0s and points are sought
 # byte classes for JSON number syntax: 0 token boundary, 1 nonzero digit,
 # 2 zero, 3 minus, 4 plus, 5 point, 6 exponent, 7 any other byte
 _CLASSES = (b",\n", b"123456789", b"0", b"-", b"+", b".", b"eE")
@@ -201,22 +192,26 @@ _NEXT = {0: (1, 2, 3), 1: (0, 1, 2, 5, 6), 2: (0, 1, 2, 5, 6), 3: (1, 2), 4: (1,
 _VALID_PAIRS = bytes(a << 3 | b for a, nxt in _NEXT.items() for b in nxt)
 
 
-def _fills_slots(block: bytes, slots: int) -> bool:
-    """Whether the block's number bytes form ``slots`` runs, each with a
-    space before it and a comma or a newline after it.
+def _slot_runs(block: bytes, slots: int):
+    """Where each run of the block's number bytes starts and ends, or None
+    unless there are ``slots`` runs, each with a space before it and a comma
+    or a newline after it.
 
     In the writer's layout only a slot has those neighbours, so once the
-    bytes between the runs match the layout, each run fills one slot.
+    bytes between the runs match the layout, run k fills slot k.
     """
     number = np.frombuffer(block.translate(_IS_NUMBER), np.bool_)
     # the block starts with "[" and ends with "]", so runs start at even edges
     edges = np.flatnonzero(number[1:] != number[:-1]) + 1
     if len(edges) != 2 * slots:
-        return False
+        return None
     raw = np.frombuffer(block, np.uint8)
-    after = raw[edges[1::2]]
-    return bool(np.all(raw[edges[0::2] - 1] == ord(" "))
-                and np.all((after == ord(",")) | (after == ord("\n"))))
+    starts, ends = edges[0::2], edges[1::2]
+    after = raw[ends]
+    if not (np.all(raw[starts - 1] == ord(" "))
+            and np.all((after == ord(",")) | (after == ord("\n")))):
+        return None
+    return starts, ends
 
 
 def _json_floats_ok(text: bytes) -> bool:
@@ -239,94 +234,24 @@ def _json_floats_ok(text: bytes) -> bool:
     return not np.any((marks[:-1] == marks[1:]) | ((marks[:-1] == 6) & (marks[1:] == 5)))
 
 
-def _zero_run(raw: np.ndarray, at: np.ndarray, step: int) -> np.ndarray:
-    """How many 0s and points follow each of ``at`` in the direction
-    ``step``; 0 also where all of ``_REACH`` are, which the checks refuse."""
-    near = raw.take(at[:, None] + step * _REACH, mode="clip")
-    return ((near == ord("0")) | (near == ord("."))).argmin(axis=1)
-
-
-def _runs(first: np.ndarray, last: np.ndarray, apart: np.ndarray):
-    """``first`` at the start and ``last`` at the end of each run, where
-    ``apart`` marks the neighbours that fall in different runs."""
-    return first[np.concatenate(([True], apart))], last[np.concatenate((apart, [True]))]
-
-
-class _Blocks:
-    """Reads the generator blocks of one dimension against their template,
-    the block with 0.0 in every slot."""
-
-    def __init__(self, dim: int):
-        self.dim, self.slots = dim, 2 * dim * dim
-        # where each slot's 0.0 starts in the template, and its length: the
-        # first row's offsets, a row apart
-        row = array_template((1, dim, 2), 2, "0.0").encode()
-        stride = len(array_template((2, dim, 2), 2, "0.0")) - len(row)
-        self.starts = (np.flatnonzero(np.frombuffer(row, np.uint8) == ord(".")) - 1
-                       + stride * np.arange(dim)[:, None]).ravel()
-        self.length = len(row) + (dim - 1) * stride
-
-    @functools.cached_property
-    def template(self) -> bytes:
-        return array_template((self.dim, self.dim, 2), 2, "0.0").encode()
-
-    @functools.cached_property
-    def layout(self) -> bytes:
-        """The template without its numbers."""
-        return array_template((self.dim, self.dim, 2), 2, "").encode()
-
-    def scanned(self, block: bytes):
-        """Every slot of a block and its number, each check reading all of
-        the block's bytes; None on any doubt."""
-        if (not _fills_slots(block, self.slots)
-                or block.translate(None, _NUMBER_BYTES) != self.layout):
-            return None
-        text = block.translate(None, b"[] \n")  # a comma between slots
-        if not _json_floats_ok(text):
-            return None
-        # 1e400 reads as inf here as in json.loads; parse_manifest names its entry
-        return slice(None), np.loadtxt(io.BytesIO(text), delimiter=",", ndmin=1)
-
-    def read(self, block: bytes):
-        """The slots of a block that do not hold 0.0 and their numbers, or
-        every slot and its number; None on any doubt."""
-        # a token costs the per-token work about what four slots cost the
-        # scan: a block whose tokens add over 4 bytes a slot, or that has
-        # over a quarter as many tokens as slots, is scanned
-        if len(block) - self.length > 4 * self.slots:
-            return self.scanned(block)
-        odd = np.frombuffer(block.translate(_IS_ODD), np.bool_).nonzero()[0]
-        if not len(odd):
-            return (odd, []) if block == self.template else None
-        # odd bytes at most 10 apart share a token (a line break and the next
-        # slot's indent put 12 or more between tokens), which takes in the
-        # 0s and points on either side; runs that meet are one token
-        apart = odd[1:] - odd[:-1] > 10
-        if apart.sum() >= self.slots // 4:
-            return self.scanned(block)
-        template, starts = self.template, self.starts
-        first, last = _runs(odd, odd, apart)
-        raw = np.frombuffer(block, np.uint8)
-        ts, te = first - _zero_run(raw, first, -1), last + 1 + _zero_run(raw, last, 1)
-        ts, te = _runs(ts, te, ts[1:] > te[:-1])
-        # each token moves the bytes after it by its length less that of
-        # 0.0; ``resume`` is where the template goes on after a token's 0.0
-        shift = (te - ts - 3).cumsum()
-        resume = te - shift
-        slot = starts.searchsorted(resume - 3)
-        if (len(block) - shift[-1] != self.length
-                or (starts.take(slot, mode="clip") != resume - 3).any()):
-            return None
-        ts, te = ts.tolist(), te.tolist()
-        gaps = [block[a:b] for a, b in zip([0, *te], [*ts, len(block)])]
-        if not all(map(template.startswith, gaps, [0, *resume.tolist()])):
-            return None
-        tokens = [block[a:b] for a, b in zip(ts, te)]
-        text = b"\n".join(tokens)
-        # one token to a line, each a JSON number with a fraction or an exponent
-        if text.count(b"\n") != len(tokens) - 1 or b"," in text or not _json_floats_ok(text):
-            return None
-        return slot, list(map(float, tokens))  # float() parses as json.loads does
+def _read_block(block: bytes, layout: bytes, slots: int):
+    """The slots of a block that do not hold 0.0 and their numbers, or None
+    unless the block is ``layout`` with a JSON number that has a fraction or
+    an exponent in each slot."""
+    runs = _slot_runs(block, slots)
+    if runs is None or block.translate(None, _NUMBER_BYTES) != layout:
+        return None
+    starts, ends = runs
+    raw = np.frombuffer(block, np.uint8)
+    zero = ((ends - starts == 3) & (raw[starts] == ord("0"))
+            & (raw[starts + 1] == ord(".")) & (raw[starts + 2] == ord("0")))
+    slot = np.flatnonzero(~zero)
+    tokens = [block[a:b] for a, b in zip(starts[slot].tolist(), ends[slot].tolist())]
+    if tokens and not _json_floats_ok(b",".join(tokens)):
+        return None
+    # np.array converts each token with float(), which parses as json.loads
+    # does; 1e400 reads as inf in both, and parse_manifest names its entry
+    return slot, np.array(tokens, dtype=float)
 
 
 def _read_blocks(data: bytes):
@@ -366,14 +291,15 @@ def _read_blocks(data: bytes):
     if len(names) != len(spans):  # a placeholder outside the generators
         return None
     # each slot takes a line of 14 bytes or more: the blocks refuse a
-    # dimension they cannot hold before the template, of about a block's
-    # size, is built
-    if 28 * dim * dim > min(b - a for a, b in spans):
+    # dimension they cannot hold before the layout, of about a block's size,
+    # is built
+    slots = 2 * dim * dim
+    if 14 * slots > min(b - a for a, b in spans):
         return None
-    blocks = _Blocks(dim)
-    values = np.zeros((len(spans), blocks.slots))
+    layout = array_template((dim, dim, 2), 2, "").encode()
+    values = np.zeros((len(spans), slots))
     for k, (a, b) in enumerate(spans):
-        found = blocks.read(data[a:b])
+        found = _read_block(data[a:b], layout, slots)
         if found is None:
             return None
         values[k, found[0]] = found[1]

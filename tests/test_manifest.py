@@ -355,18 +355,8 @@ TRICKY = ["+1", "01", "-01", "00.5", "-01.5", "1.", ".5", "-.5", "1.e5", "1E+05"
           "0x1", " 1.0", "1.0 ", "\t1.0", "0.00", "00.0", "0.0e0", "0.0E0", "0.", ".0",
           "1.0000000000000000000000000002", "1.5,2.5", "1.5\n2.5"]
 # tokens made only of the bytes of 0.0 text, or that json.loads reads as a zero
-ZERO_LOOKALIKES = ["0.00", "00.0", "0.0e0", "0.0E0", "-0.0", "0.", ".0"]
+ZERO_LOOKALIKES = ["0.00", "00.0", "000", "0e0", "0.0e0", "0.0E0", "-0.0", "0.", ".0"]
 NUMBER_TEXT = st.text(alphabet="0123456789+-.eE", max_size=6)
-
-
-@pytest.fixture(params=["sparse", "scan"])
-def one_path(request, monkeypatch):
-    """Every generator block read by one path of the numpy pass: the one
-    that parses only the tokens that are not 0.0, or the scan."""
-    if request.param == "sparse":
-        monkeypatch.setattr(manifest._Blocks, "scanned", lambda self, block: None)
-    else:
-        monkeypatch.setattr(manifest._Blocks, "read", manifest._Blocks.scanned)
 
 
 def forced(read):
@@ -500,8 +490,9 @@ class TestByteReader:
         pytest.param({97: "0.5", 98: "-0.5"}, id="adjacent-across-blocks"),
         pytest.param({100: "1.0000000000000002", 101: "-1.0000000000000002e-05"},
                      id="zeros-inside-a-token"),
+        pytest.param({100: "1.0000000000000000000000000002"}, id="long-zero-run"),
     ])
-    def test_nonzero_tokens_read_as_json(self, tokens, one_path):
+    def test_nonzero_tokens_read_as_json(self, tokens):
         data = with_tokens(tokens, SPIN3_TEXT)
         assert all(isinstance(block, np.ndarray)
                    for block in forced(manifest.decode)(data)["generators"].values())
@@ -523,12 +514,11 @@ class TestByteReader:
         tokens = dict(zip(slots.tolist(), map(repr, values.tolist())))
         assert_reads_as_json(with_tokens(tokens, SPIN3_TEXT))
 
-    def test_sparse_blocks_skip_the_scan(self, monkeypatch):
-        monkeypatch.setattr(manifest._Blocks, "scanned", None)  # a call fails
-        for model in (spin_model(SpinModelSpec(s=20, m=3)),
-                      oscillator_model(OscillatorModelSpec(n=1, truncation=64))):
-            doc = manifest.decode(manifest.emit(model).encode())
-            assert all(isinstance(block, np.ndarray) for block in doc["generators"].values())
+    def test_dimension_the_blocks_cannot_hold(self, monkeypatch):
+        # refused before the layout, with a line for each of 2 * 10^12 slots,
+        # is built
+        monkeypatch.setattr(manifest, "array_template", None)  # a call fails
+        assert_reads_as_json(restructured(dimension=lambda d: 10**6))
 
     @pytest.mark.parametrize("data", [
         pytest.param(restructured(generators=lambda g: {**g, "Sy": g["Sy"][:2]}),
