@@ -189,6 +189,8 @@ def cmd_curvature(args) -> int:
     section = tuple(args.section.split(","))
     if len(section) != 2:
         raise ManifestError(f"--section expects two comma-separated parameters, got {args.section!r}")
+    if section[0] == section[1]:
+        raise ManifestError(f"--section names {section[0]!r} twice")
     # the point and a probe shifted along the section, in one call
     x = model.circuit.angles(point)
     shift = [{section[0]: 0.3, section[1]: -0.2}.get(p, 0.0) for p in model.parameter_names]

@@ -11,6 +11,7 @@ command label curvature samples with one rule, ``curvature_label``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,9 @@ class GridSpec:
                 span = np.float64(hi) - np.float64(lo)
             if not np.isfinite(span):
                 raise EmptyGrid(f"sweep {name!r}: max - min overflows a float")
+        nodes = math.prod(int(count) for _, _, count in self.sweeps.values())
+        if nodes > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise EmptyGrid(f"the sweeps make {nodes} nodes, more than an array can hold")
 
     def angles(self, parameter_names) -> np.ndarray:
         """Node angles (N, M) with one column per parameter, in the given order.

@@ -9,8 +9,8 @@ instead of going through the pure-Python encoder, which ``json.dumps`` takes
 whenever it indents.  ``float_texts`` renders those strings, formatting each
 distinct bit pattern once (a generator block is mostly 0.0); ``cli``'s grid
 CSV and JSON go through it too.  ``decode`` reads generator blocks in that
-layout with a few whole-block numpy passes and parses only the numbers
-that are not 0.0.
+layout with a few whole-block numpy passes and hands only the numbers that
+are not 0.0 to json.loads, as one array.
 """
 
 from __future__ import annotations
@@ -160,36 +160,27 @@ def decode(data: bytes) -> dict:
     return doc
 
 
-# The numpy pass.  A generator block is read without json.loads only when
-# its bytes are array_template((dim, dim, 2), 2) with one JSON number that
-# has a fraction or an exponent in each slot (json.loads reads those as
-# floats, and an integer such as -0 as an int); the rest of the document,
-# with a placeholder string in each block's place, goes through json.loads.
-# Any doubt reads the whole document through loads instead.
+# The numpy pass.  A generator block is read apart from the rest of the
+# document only when its bytes are array_template((dim, dim, 2), 2) with one
+# run of number bytes in each slot; the rest of the document, with a
+# placeholder string in each block's place, goes through json.loads.  Any
+# doubt reads the whole document through loads instead.
 #
 # One translate finds a block's runs of number bytes; once the bytes
 # between them match the layout, run k fills slot k.  A run that reads 0.0
-# leaves its slot at 0.0, and only the other runs are syntax-checked and
-# parsed, so the zeros of a mostly-0.0 block never become Python objects.
+# leaves its slot at 0.0, and json.loads reads the other runs as one array,
+# so the zeros of a mostly-0.0 block never become Python objects.
 
 # Below this many bytes json.loads reads a manifest faster than the numpy
-# pass, whose numpy calls cost ~0.15 ms whatever the size: read and parsed,
-# spin s = 5 (20 KB) took 0.44 ms by json.loads and 0.48 ms by the numpy
-# pass, spin s = 8 (46 KB) 0.73 ms and 0.65 ms.
-_FAST_MIN_BYTES = 32 * 1024
+# pass, whose numpy calls cost ~0.1 ms whatever the size: read and parsed,
+# least CPU time of 400 alternating calls, spin s = 5 (19.5 KiB) took
+# 0.52 ms by json.loads and 0.53 ms by the numpy pass, s = 6 (26.7 KiB)
+# 0.60 ms and 0.57 ms, s = 8 (44.8 KiB) 0.85 ms and 0.68 ms.
+_FAST_MIN_BYTES = 24 * 1024
 _BLOCK_HEAD = array_template((1, 1, 1), 2).partition("%s")[0].encode()
 _PLACEHOLDER = b'"\\u0000%d"'  # JSON escapes NUL, so no other string holds it
 _NUMBER_BYTES = b"0123456789+-.eE"
 _IS_NUMBER = bytes(c in _NUMBER_BYTES for c in range(256))
-# byte classes for JSON number syntax: 0 token boundary, 1 nonzero digit,
-# 2 zero, 3 minus, 4 plus, 5 point, 6 exponent, 7 any other byte
-_CLASSES = (b",\n", b"123456789", b"0", b"-", b"+", b".", b"eE")
-_CLASS = bytes(next((k for k, chars in enumerate(_CLASSES) if c in chars), 7)
-               for c in range(256))
-# the class pairs (previous << 3 | next) that may meet inside a number token
-_NEXT = {0: (1, 2, 3), 1: (0, 1, 2, 5, 6), 2: (0, 1, 2, 5, 6), 3: (1, 2), 4: (1, 2),
-         5: (1, 2), 6: (1, 2, 3, 4)}
-_VALID_PAIRS = bytes(a << 3 | b for a, nxt in _NEXT.items() for b in nxt)
 
 
 def _slot_runs(block: bytes, slots: int):
@@ -214,30 +205,10 @@ def _slot_runs(block: bytes, slots: int):
     return starts, ends
 
 
-def _json_floats_ok(text: bytes) -> bool:
-    """Whether every token of ``text``, split at commas and newlines, is a
-    JSON number with a fraction or an exponent."""
-    text = b"," + text + b","
-    c = np.frombuffer(text.translate(_CLASS), np.uint8)
-    if ((c[:-1] << 3) | c[1:]).tobytes().translate(None, _VALID_PAIRS):
-        return False
-    # no leading zero: a first digit (after any minus) that is 0 ends the
-    # integer part
-    first = np.flatnonzero(c[:-1] == 0) + 1
-    first += c[first] == 3
-    follow = c[first + 1]
-    if np.any((c[first] == 2) & ((follow == 1) | (follow == 2))):
-        return False
-    # per token at most one point and one exponent, the point first, and
-    # at least one of them
-    marks = np.frombuffer(text.translate(_CLASS, b"0123456789+-"), np.uint8)
-    return not np.any((marks[:-1] == marks[1:]) | ((marks[:-1] == 6) & (marks[1:] == 5)))
-
-
 def _read_block(block: bytes, layout: bytes, slots: int):
     """The slots of a block that do not hold 0.0 and their numbers, or None
-    unless the block is ``layout`` with a JSON number that has a fraction or
-    an exponent in each slot."""
+    unless the block is ``layout`` with a number in each slot that json.loads
+    reads and that converts to a float."""
     runs = _slot_runs(block, slots)
     if runs is None or block.translate(None, _NUMBER_BYTES) != layout:
         return None
@@ -247,11 +218,12 @@ def _read_block(block: bytes, layout: bytes, slots: int):
             & (raw[starts + 1] == ord(".")) & (raw[starts + 2] == ord("0")))
     slot = np.flatnonzero(~zero)
     tokens = [block[a:b] for a, b in zip(starts[slot].tolist(), ends[slot].tolist())]
-    if tokens and not _json_floats_ok(b",".join(tokens)):
+    # the same conversion as the loads path's: an int such as -0 reads as
+    # 0.0 in both, 1e400 as inf, and parse_manifest names its entry
+    try:
+        return slot, np.array(json.loads(b"[" + b",".join(tokens) + b"]"), dtype=float)
+    except (ValueError, OverflowError):  # not JSON, too many digits, an int beyond floats
         return None
-    # np.array converts each token with float(), which parses as json.loads
-    # does; 1e400 reads as inf in both, and parse_manifest names its entry
-    return slot, np.array(tokens, dtype=float)
 
 
 def _read_blocks(data: bytes):
@@ -382,9 +354,13 @@ def parse_manifest(doc: dict) -> Model:
         raise ManifestError(f"initial_state: expected {dim} amplitudes")
     psi = _require_finite([_pair2c(v, f"initial_state[{k}]")
                            for k, v in enumerate(state_doc)], "initial_state")
-    norm = np.linalg.norm(psi)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(psi)
     if norm == 0:
         raise ManifestError("initial_state: amplitudes are all zero")
+    if not np.isfinite(norm):
+        raise ManifestError("initial_state: expected a finite number as the norm of the "
+                            f"amplitudes, got {norm}")
 
     active_dim = doc.get("active_dim")
     if active_dim is not None and (not isinstance(active_dim, int)

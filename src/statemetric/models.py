@@ -49,7 +49,8 @@ NORM_TOL = 1e-12
 
 def _normalized(amps) -> np.ndarray:
     psi = np.asarray(amps, dtype=complex).ravel()
-    norm = np.linalg.norm(psi)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise BadNormalization(f"state norm {float(norm)!r} deviates from 1 by more than "
                                f"{NORM_TOL:g}")

@@ -266,6 +266,10 @@ class TestGrid:
     ["grid", "{manifest}", "--sweep", "theta_1=1e308:-1e308:1"],
     # 8 PB of angles: refused before a page is touched
     ["grid", "{manifest}", "--sweep", "theta_1=0:1:1000000000000000"],
+    # more nodes than any float64 array holds: refused before numpy sees the count
+    ["grid", "{manifest}", "--sweep", "theta_1=0:1:2000000000000000000"],
+    ["grid", "{manifest}", "--sweep", "theta_1=0:1:9223372036854775807"],
+    ["grid", "{manifest}", "--sweep", "theta_1=0:1:10000000000000000000"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "nan"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--gamma", "inf"],
     ["models", "emit", "oscillator", "--gamma", "0"],
@@ -286,6 +290,7 @@ class TestGrid:
         "metric-dir", "grid-unknown-sweep", "grid-nan-bound", "grid-inf-bound",
         "grid-zero-count", "grid-negative-count", "grid-repeated-sweep",
         "grid-overflowing-span", "grid-overflowing-span-one-node", "grid-unallocatable",
+        "grid-too-big", "grid-intp-max", "grid-beyond-intp",
         "emit-nan-gamma", "emit-inf-gamma", "emit-zero-gamma", "emit-negative-gamma",
         "emit-huge-gamma", "metric-repeated-at", "grid-repeated-at", "curvature-repeated-at",
         "grid-swept-at", "emit-oscillator-s", "emit-two-spin-m", "emit-spin-trunc",
@@ -319,7 +324,8 @@ def test_oversized_emit_is_domain_error(argv, capsys):
 @pytest.mark.parametrize("argv,code", [
     (["--s", "nan"], 1), (["--s", "inf"], 1), (["--s", "1", "--m", "nan"], 1),
     (["--s", "1", "--coeffs", "nan,0,1"], 1), (["--s", "1", "--coeffs", "x,0,1"], 2),
-], ids=["nan-s", "inf-s", "nan-m", "nan-coeffs", "malformed-coeffs"])
+    (["--s", "1", "--coeffs", "1e200,0,0"], 1),
+], ids=["nan-s", "inf-s", "nan-m", "nan-coeffs", "malformed-coeffs", "overflowing-norm"])
 def test_bad_spin_exits_cleanly(argv, code, capsys):
     assert cli.main(["models", "emit", "spin"] + argv) == code
     out, err = capsys.readouterr()
@@ -350,8 +356,9 @@ def test_overflowing_generator_is_domain_failure(command, entry, tmp_path, spin_
     ("metric", ("gamma",), float("inf")),
     ("metric", ("gamma",), 1e200),
     ("grid", ("gamma",), 1e200),
+    ("metric", ("initial_state", 0), [1e200, 0.0]),
 ], ids=["validate-nan-generator", "validate-inf-state", "metric-inf-gamma",
-        "metric-huge-gamma", "grid-huge-gamma"])
+        "metric-huge-gamma", "grid-huge-gamma", "metric-overflowing-state-norm"])
 def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest,
                                             tmp_path, capsys):
     doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
@@ -439,6 +446,8 @@ class TestCurvature:
                         "--section", "theta_1"]) == 2
         assert cli.main(["curvature", spin_manifest, "--defaults-zero",
                         "--section", "theta_1,bogus"]) == 2
+        assert cli.main(["curvature", spin_manifest, "--defaults-zero",
+                        "--section", "theta_1,theta_1"]) == 2
 
 
 class TestVerify:

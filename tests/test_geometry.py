@@ -76,6 +76,12 @@ class TestGridSpec:
         with pytest.raises(EmptyGrid):
             GridSpec({"a": (0.0, np.inf, 3)})
 
+    def test_more_nodes_than_an_array_holds(self, monkeypatch):
+        # 1.6e19 nodes: refused in the constructor, before numpy sees a count
+        monkeypatch.setattr(np, "linspace", None)  # a call fails
+        with pytest.raises(EmptyGrid, match="16000000000000000000 nodes"):
+            GridSpec({"a": (0.0, 1.0, 4 * 10**9), "b": (0.0, 1.0, 4 * 10**9)})
+
 
 class TestMetricField:
     def test_node_count_and_order(self, spin1):

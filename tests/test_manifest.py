@@ -276,6 +276,11 @@ class TestParseErrors:
         with pytest.raises(ManifestError, match="all zero"):
             manifest.parse_manifest(doc)
 
+    def test_state_with_overflowing_norm(self, spin_doc):
+        doc = self._mutate(spin_doc, initial_state=[[1e200, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ManifestError, match="^initial_state: expected a finite number"):
+            manifest.parse_manifest(doc)
+
     def test_state_is_normalized(self, spin_doc):
         doc = self._mutate(spin_doc, initial_state=[[3.0, 0.0], [0.0, 0.0], [0.0, 4.0]])
         psi = manifest.parse_manifest(doc).initial_state
@@ -353,7 +358,7 @@ TRICKY = ["+1", "01", "-01", "00.5", "-01.5", "1.", ".5", "-.5", "1.e5", "1E+05"
           "1" + "0" * 400, "1 2", "1,2", "[1.0]", "1e", "1e+", "--1", "1.2.3", "1e5e5",
           "1e5.5", "-", "", "true", "null", '"0.5"', "NaN", "Infinity", "-Infinity", "1_0",
           "0x1", " 1.0", "1.0 ", "\t1.0", "0.00", "00.0", "0.0e0", "0.0E0", "0.", ".0",
-          "1.0000000000000000000000000002", "1.5,2.5", "1.5\n2.5"]
+          "1.0000000000000000000000000002", "1.5,2.5", "1.5\n2.5", "1" + "0" * 5000]
 # tokens made only of the bytes of 0.0 text, or that json.loads reads as a zero
 ZERO_LOOKALIKES = ["0.00", "00.0", "000", "0e0", "0.0e0", "0.0E0", "-0.0", "0.", ".0"]
 NUMBER_TEXT = st.text(alphabet="0123456789+-.eE", max_size=6)
@@ -456,7 +461,7 @@ class TestByteReader:
         assert_reads_as_json(SPIN_TEXT.encode())
 
     @pytest.mark.parametrize("token", ["1E+05", "2.5e-3", "-0.0", "0e0", "-0e-0", "5e-324",
-                                       "1e-400"])
+                                       "1e-400", "7", "-0", "12345678901234567891"])
     def test_other_json_floats_take_the_numpy_pass(self, token):
         data = with_token(0, token)
         assert isinstance(forced(manifest.decode)(data)["generators"]["Sz"], np.ndarray)
@@ -570,20 +575,16 @@ class TestByteReader:
                                                     f"{data.index(0xff)}:"):
                 read(data)
 
-    @pytest.mark.parametrize("model, forced_open", [
-        pytest.param(lambda: spin_model(SpinModelSpec(s=20, m=3)), False, id="spin20"),
-        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=64)), False,
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: spin_model(SpinModelSpec(s=20, m=3)), id="spin20"),
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=64)),
                      id="osc64"),
-        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=128)), False,
+        pytest.param(lambda: oscillator_model(OscillatorModelSpec(n=1, truncation=128)),
                      id="osc128"),
-        # 31 KB, under the gate, which is opened for it
-        pytest.param(lambda: rotated_spin(5), True, id="rotated-spin5"),
+        pytest.param(lambda: rotated_spin(5), id="rotated-spin5"),  # 31 KB, dense
     ])
-    def test_same_model_on_both_sides_of_the_gate(self, model, forced_open, tmp_path,
-                                                  monkeypatch):
+    def test_same_model_on_both_sides_of_the_gate(self, model, tmp_path, monkeypatch):
         data = manifest.emit(model()).encode()
-        if forced_open:
-            monkeypatch.setattr(manifest, "_FAST_MIN_BYTES", 0)
         assert len(data) > manifest._FAST_MIN_BYTES
         path = tmp_path / "m.json"
         path.write_bytes(data)
