@@ -1,11 +1,11 @@
 """Metric fields, curvature diagnostics and manifold classification.
 
-Curvature is exact: ``manifold.metric_jets`` gives the metric with its
-first and second parameter derivatives from order-3 state jets, one batched
-Christoffel/Ricci contraction of those jets gives the scalar curvature, and
-the Gaussian curvature of a 2-parameter coordinate section is half the
-scalar curvature of its 2x2 sub-jet.  ``classify`` and the CLI ``curvature``
-command label curvature samples with one rule, ``curvature_label``.
+Curvature is exact: one Christoffel/Ricci contraction of the metric jets
+(``manifold.metric_jets``) gives the scalar curvature, half that of a 2x2
+sub-jet a section's Gaussian curvature.  ``classify`` and the CLI label
+curvature by one rule, ``curvature_label``.  Each rule is relative to the
+metric's scale, so a manifold reads the same at every gamma: degenerate is
+rank-deficient by ``_above_cutoff`` (RANK_TOL is the one absolute floor).
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ RANK_TOL = 1e-10
 FLAT_K_TOL = 1e-5
 FLAT_GRID_TOL = 1e-8
 SPHERE_K_VARIATION = 1e-4
-# a section (or metric) with a smaller metric determinant has no curvature
-SECTION_DET_TOL = 1e-10
-# the metric command's constancy probe: entries this close count as equal
-CONSTANT_METRIC_TOL = 1e-9
 # grid nodes at which classify samples the Gaussian curvature
 K_SAMPLES = 5
 
@@ -129,7 +125,7 @@ def rank_analysis(metric: MetricTensor):
 def scalar_from_jets(g, dg, d2g) -> np.ndarray:
     """Scalar curvature (B,) of metrics g (B, n, n) from their exact
     derivatives dg[b, i, j, a] = d_a g_ij and d2g[b, i, j, a, c] = d_a d_c g_ij,
-    NaN where det g <= SECTION_DET_TOL; twice the Gaussian curvature if n = 2.
+    NaN where ``_above_cutoff`` finds g rank-deficient; twice K if n = 2.
 
     R = g^jl R_jl, R_jl = d_i Gamma^i_jl - d_j Gamma^i_il + Gamma^i_ip Gamma^p_jl
     - Gamma^i_jp Gamma^p_il, Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk) / 2.
@@ -137,7 +133,7 @@ def scalar_from_jets(g, dg, d2g) -> np.ndarray:
     def first_kind(t):  # t[b, l, k, j, ...] = d_j g_lk  ->  Gamma_ljk
         return (t.swapaxes(2, 3) + t - np.moveaxis(t, 3, 1)) / 2
 
-    regular = np.linalg.det(g) > SECTION_DET_TOL
+    regular = np.all(_above_cutoff(np.linalg.eigvalsh(g)), axis=-1)
     ginv = np.linalg.inv(np.where(regular[:, None, None], g, np.eye(g.shape[-1])))
     gam = np.einsum("bil,bljk->bijk", ginv, first_kind(dg))
     # d_a g^il = -g^ip d_a g_pq g^ql
@@ -183,13 +179,13 @@ def curvature_label(k, g) -> str:
     """flat, sphere or generic from finite Gaussian curvature samples k and
     the metrics g (N, M, M) they were taken among.
 
-    Flat: g varies by at most FLAT_GRID_TOL (relative to max(1, |g|)) and
-    every |k| <= FLAT_K_TOL.  Sphere: two or more samples with a positive
-    mean and a spread within SPHERE_K_VARIATION of it.
+    Flat: each entry of g varies by at most FLAT_GRID_TOL max|g| and every
+    |k| max|g| <= FLAT_K_TOL (k scales as 1/g).  Sphere: two or more samples
+    with a positive mean and a spread within SPHERE_K_VARIATION of it.
     """
-    scale = max(1.0, float(np.max(np.abs(g))))
+    scale = np.max(np.abs(g))
     if (np.max(g.max(axis=0) - g.min(axis=0)) <= FLAT_GRID_TOL * scale
-            and np.max(np.abs(k)) <= FLAT_K_TOL):
+            and np.max(np.abs(k)) * scale <= FLAT_K_TOL):
         return "flat"
     mean = float(np.mean(k))
     if len(k) > 1 and mean > 0 and np.max(np.abs(k - mean)) <= SPHERE_K_VARIATION * mean:

@@ -21,20 +21,22 @@ def as_matrix(M) -> np.ndarray:
     return M
 
 
-def hermiticity_defect(M) -> float:
-    """max |M - M^dagger| over entries (inf if the difference overflows)."""
+def hermiticity(M):
+    """(defect, bound): max |M - M^dagger| and the largest passing defect,
+    HERM_TOL * max(1, max|M|), as roundoff grows with M; inf on overflow."""
     M = as_matrix(M)
     with np.errstate(over="ignore"):
-        return float(np.max(np.abs(M - M.conj().T)))
+        return (float(np.max(np.abs(M - M.conj().T))),
+                HERM_TOL * max(1.0, float(np.max(np.abs(M)))))
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:
     M = as_matrix(M)
     if not np.all(np.isfinite(M)):  # a NaN defect would pass "defect > tol"
         raise NotHermitian(f"{name} has non-finite entries")
-    defect = hermiticity_defect(M)
-    if defect > HERM_TOL:
-        raise NotHermitian(f"{name} is not Hermitian (defect {defect:.3e} > {HERM_TOL:.1e})")
+    defect, bound = hermiticity(M)
+    if defect > bound:
+        raise NotHermitian(f"{name} is not Hermitian (defect {defect:.3e} > {bound:.1e})")
     return M
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DuplicateParameter, ManifestError
 from .liealg import extract_structure_constants
 from .manifold import CircuitSpec
-from .models import Model
+from .models import Model, normalized
 
 
 def _pair2c(value, path: str) -> complex:
@@ -347,6 +347,8 @@ def parse_manifest(doc: dict) -> Model:
             raise ManifestError(f"circuit[{k}]: expected a [generator, parameter] string pair")
         if pair[0] not in names:
             raise ManifestError(f"circuit[{k}]: unknown generator {pair[0]!r}")
+        if any(c in pair[1] for c in ',="\r\n'):  # --at, --section or a CSV header
+            raise ManifestError(f"circuit[{k}]: the CLI cannot address parameter {pair[1]!r}")
         factors.append((pair[0], pair[1]))
 
     state_doc = doc["initial_state"]
@@ -354,13 +356,9 @@ def parse_manifest(doc: dict) -> Model:
         raise ManifestError(f"initial_state: expected {dim} amplitudes")
     psi = _require_finite([_pair2c(v, f"initial_state[{k}]")
                            for k, v in enumerate(state_doc)], "initial_state")
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        norm = np.linalg.norm(psi)
+    psi, norm = normalized(psi)  # any finite scale
     if norm == 0:
         raise ManifestError("initial_state: amplitudes are all zero")
-    if not np.isfinite(norm):
-        raise ManifestError("initial_state: expected a finite number as the norm of the "
-                            f"amplitudes, got {norm}")
 
     active_dim = doc.get("active_dim")
     if active_dim is not None and (not isinstance(active_dim, int)
@@ -377,7 +375,7 @@ def parse_manifest(doc: dict) -> Model:
         name=name,
         rep=rep,
         circuit=circuit,
-        initial_state=psi / norm,
+        initial_state=psi,
         gamma=gamma,
     )
 

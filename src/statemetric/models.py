@@ -47,14 +47,23 @@ class Model:
 NORM_TOL = 1e-12
 
 
+def normalized(amps):
+    """(amps / |amps|, |amps|), from amps scaled exactly by the power of two above
+    their largest real or imaginary part, so nothing over- or underflows."""
+    x = np.array(amps, dtype=complex).ravel().view(float)  # complex / subnormal overflows
+    e = np.frexp(np.max(np.abs(x)))[1]
+    x = np.ldexp(x, -e).view(complex)
+    n = np.linalg.norm(x)
+    with np.errstate(all="ignore"):  # the caller refuses a zero or non-finite norm
+        return x / n, np.ldexp(n, e)
+
+
 def _normalized(amps) -> np.ndarray:
-    psi = np.asarray(amps, dtype=complex).ravel()
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        norm = np.linalg.norm(psi)
+    psi, norm = normalized(amps)
     if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise BadNormalization(f"state norm {float(norm)!r} deviates from 1 by more than "
                                f"{NORM_TOL:g}")
-    return psi / norm
+    return psi
 
 
 # Largest Hilbert dimension a catalog model is built at (spin 2s + 1,

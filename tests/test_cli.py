@@ -24,6 +24,17 @@ def spin_manifest(tmp_path):
 
 
 @pytest.fixture()
+def comma_manifest(tmp_path, spin_manifest):
+    """The spin manifest with a parameter named 'a,b', which a CSV header
+    cannot hold."""
+    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+    doc["circuit"][0][1] = "a,b"
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
 def osc_manifest(tmp_path):
     path = tmp_path / "osc.json"
     path.write_text(manifest.emit(oscillator_model(OscillatorModelSpec())), encoding="utf-8")
@@ -81,6 +92,22 @@ class TestValidate:
         bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         assert cli.main(["validate", str(bad)]) == 1
         assert "'Sy'" in capsys.readouterr().out
+
+    def test_rotated_scaled_algebra_is_hermitian(self, tmp_path, capsys):
+        # a unitary rotation leaves a Hermiticity defect that grows with the
+        # entries: about 3e-10 at 1e6, held to HERM_TOL * max|M| like closure
+        doc = json.loads(manifest.emit(spin_model(SpinModelSpec(s=2, m=2))))
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        for name, G in doc["generators"].items():
+            G = np.array(G).view(complex)[..., 0]
+            rotated = 1e6 * (Q @ G @ Q.conj().T)
+            doc["generators"][name] = np.stack([rotated.real, rotated.imag], -1).tolist()
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.count("[ok]") == 5
 
     def test_malformed_json_is_usage_failure(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -286,6 +313,8 @@ class TestGrid:
     ["models", "emit", "two_spin_sum", "--m", "3"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--trunc", "5"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--coeffs", "0,1,0"],
+    # a parameter name the CLI cannot address
+    ["grid", "{comma}", "--sweep", "theta_2=0:1:3", "--format", "csv"],
 ], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
         "metric-dir", "grid-unknown-sweep", "grid-nan-bound", "grid-inf-bound",
         "grid-zero-count", "grid-negative-count", "grid-repeated-sweep",
@@ -294,9 +323,9 @@ class TestGrid:
         "emit-nan-gamma", "emit-inf-gamma", "emit-zero-gamma", "emit-negative-gamma",
         "emit-huge-gamma", "metric-repeated-at", "grid-repeated-at", "curvature-repeated-at",
         "grid-swept-at", "emit-oscillator-s", "emit-two-spin-m", "emit-spin-trunc",
-        "emit-spin-m-and-coeffs"])
-def test_bad_input_is_usage_error(argv, spin_manifest, tmp_path, capsys):
-    argv = [a.format(manifest=spin_manifest, dir=tmp_path) for a in argv]
+        "emit-spin-m-and-coeffs", "grid-comma-in-parameter-name"])
+def test_bad_input_is_usage_error(argv, spin_manifest, comma_manifest, tmp_path, capsys):
+    argv = [a.format(manifest=spin_manifest, dir=tmp_path, comma=comma_manifest) for a in argv]
     assert cli.main(argv) == 2  # an exception escaping main fails the test too
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and out == ""
@@ -356,9 +385,8 @@ def test_overflowing_generator_is_domain_failure(command, entry, tmp_path, spin_
     ("metric", ("gamma",), float("inf")),
     ("metric", ("gamma",), 1e200),
     ("grid", ("gamma",), 1e200),
-    ("metric", ("initial_state", 0), [1e200, 0.0]),
 ], ids=["validate-nan-generator", "validate-inf-state", "metric-inf-gamma",
-        "metric-huge-gamma", "grid-huge-gamma", "metric-overflowing-state-norm"])
+        "metric-huge-gamma", "grid-huge-gamma"])
 def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest,
                                             tmp_path, capsys):
     doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
@@ -372,6 +400,25 @@ def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest
     argv = [command, str(bad)] + extra.get(command, [])
     assert cli.main(argv) == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude", [[1e200, 0.0], [1e-200, 0.0], [5e-324, 0.0],
+                                       [1.5e308, 1.5e308]],
+                         ids=["1e200", "1e-200", "5e-324", "1.5e308-both-parts"])
+def test_state_of_any_finite_scale_is_read(amplitude, spin_manifest, tmp_path, capsys):
+    # normalized by its largest part first, so no norm overflows or underflows
+    argv = ["metric", spin_manifest, "--defaults-zero", "--at", "theta_2=0.9"]
+    assert cli.main(argv) == 0
+    expected = json.loads(capsys.readouterr().out)
+    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+    doc["initial_state"][1] = amplitude  # the m = 0 amplitude, 1 in the spin manifest
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc), encoding="utf-8")
+    argv[1] = str(scaled)
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert np.max(np.abs(np.array(json.loads(out)["g"]) - expected["g"])) <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["validate", "metric", "grid", "curvature"])
@@ -434,6 +481,26 @@ class TestCurvature:
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] == "flat"
         assert doc["radius"] is None
+
+    def test_small_gamma_sphere(self, tmp_path, capsys):
+        # every rule is relative to the metric's scale: at gamma = 0.003 the
+        # sphere is still a regular sphere of curvature 1 / gamma^2
+        gamma = 0.003
+        assert cli.main(["models", "emit", "spin", "--s", "1", "--m", "0",
+                         "--gamma", str(gamma)]) == 0
+        path = tmp_path / "small.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        at = ["theta_1=0.2", "theta_2=1.0", "theta_3=0.3"]
+        assert cli.main(["curvature", str(path), "--section", "theta_1,theta_2"]
+                        + [f"--at={a}" for a in at]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"] == "sphere"
+        assert doc["gaussian_curvature"] * gamma**2 == pytest.approx(1.0, abs=1e-9)
+        outs = []
+        for order in (at, at[::-1]):
+            assert cli.main(["metric", str(path)] + [f"--at={a}" for a in order]) == 0
+            outs.append(capsys.readouterr().out)
+        assert json.loads(outs[0])["flat"] is False and outs[1] == outs[0]
 
     def test_degenerate_section_is_domain_failure(self, spin_manifest, capsys):
         # at theta_2 = 0 the (theta_1, theta_3) section has zero area

@@ -139,6 +139,10 @@ def catalog_grids(draw):
     return model, GridSpec(sweeps, fixed)
 
 
+# gamma log-uniform in [1e-3, 1e4]
+LOG_GAMMA = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
+
+
 class TestFieldProperties:
     @settings(max_examples=50, deadline=None)
     @given(catalog_grids())
@@ -154,7 +158,7 @@ class TestFieldProperties:
             assert np.max(np.abs(g - pointwise(model, x))) <= 1e-14
 
     @settings(max_examples=50, deadline=None)
-    @given(catalog_grids(), st.floats(0.1, 10.0))
+    @given(catalog_grids(), LOG_GAMMA)
     def test_gamma_scales_by_its_square(self, case, gamma):
         model, grid = case
         base = metric_field(replace(model, gamma=1.0), grid).g
@@ -330,6 +334,10 @@ class TestCurvatureLabel:
     def test_flat_needs_a_constant_metric(self):
         assert curvature_label(np.array([0.0, 1e-6]), self.g_flat) == "flat"
         assert curvature_label(np.array([0.0, 0.0]), self.g_varying) == "generic"
+        # both gates are relative: k scales as 1 / g, the variation as g
+        assert curvature_label(np.array([0.0, 1e-3]), 1e-3 * self.g_flat) == "flat"
+        assert curvature_label(np.array([0.0, 1e-6]), 1e2 * self.g_flat) == "generic"
+        assert curvature_label(np.array([0.0, 0.0]), 1e-9 * self.g_varying) == "generic"
 
     def test_sphere_needs_constant_positive_samples(self):
         assert curvature_label(np.array([4.0, 4.0 * (1 + 0.9e-4)]), self.g_varying) == "sphere"
@@ -415,6 +423,27 @@ class TestClassify:
             report = classify(field)
             assert report.rank == max(rank for rank, _ in ranks)
             assert np.array_equal(report.null_directions, ranks[len(ranks) // 2][1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(CATALOG) + ["spin_1_rank3"]), LOG_GAMMA)
+    def test_gamma_leaves_the_shape(self, key, gamma):
+        # gamma only scales the metric: the label and rank stay, the radius
+        # scales as gamma and the curvatures as 1 / gamma^2
+        model = CATALOG.get(key) or spin_model(SpinModelSpec(s=1, coefficients=(0.6, 0.0, 0.8)))
+        first, second, *rest = model.parameter_names
+        grid = GridSpec({first: (0.2, 1.0, 3), second: (0.6, 1.4, 3)}, dict.fromkeys(rest, 0.1))
+        base = classify(metric_field(replace(model, gamma=1.0), grid))
+        report = classify(metric_field(replace(model, gamma=gamma), grid))
+        assert (report.classification, report.rank) == (base.classification, base.rank)
+        if report.rank == len(model.parameter_names):
+            assert np.isfinite(report.scalar_curvature)
+        for value, power, expected in ((report.radius, -1, base.radius),
+                                       (report.gaussian_curvature, 2, base.gaussian_curvature),
+                                       (report.scalar_curvature, 2, base.scalar_curvature)):
+            if expected is None:
+                assert value is None
+            else:
+                assert value * gamma**power == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_insufficient_grid(self, spin1):
         grid = GridSpec({"theta_1": (0.0, 1.0, 2), "theta_2": (0.5, 1.0, 3)},

@@ -112,9 +112,12 @@ class TestExtractStructureConstants:
 
     def test_non_hermitian_names_generator(self):
         sx, sy, sz = spin_operators(0.5)
-        with pytest.raises(NotHermitian, match="'Sy'"):
-            extract_structure_constants((sz, sx, sy + 1e-6 * np.array([[0, 1], [0, 0]])),
-                                        names=("Sz", "Sx", "Sy"))
+        # the bound grows with the entries; a defect of 1e-6 relative does not pass
+        for scale in (1.0, 1e6):
+            with pytest.raises(NotHermitian, match="'Sy'"):
+                extract_structure_constants(
+                    [scale * G for G in (sz, sx, sy + 1e-6 * np.array([[0, 1], [0, 0]]))],
+                    names=("Sz", "Sx", "Sy"))
 
     def test_abelian_pair(self):
         rep = extract_structure_constants((np.diag([1.0, 0]).astype(complex),

@@ -276,9 +276,21 @@ class TestParseErrors:
         with pytest.raises(ManifestError, match="all zero"):
             manifest.parse_manifest(doc)
 
-    def test_state_with_overflowing_norm(self, spin_doc):
-        doc = self._mutate(spin_doc, initial_state=[[1e200, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ManifestError, match="^initial_state: expected a finite number"):
+    @pytest.mark.parametrize("amplitude,unit", [
+        ([1e200, 0.0], 1.0), ([1e-200, 0.0], 1.0), ([5e-324, 0.0], 1.0),
+        ([1.5e308, 1.5e308], (1 + 1j) / np.sqrt(2)),
+    ], ids=["1e200", "1e-200", "5e-324", "1.5e308-both-parts"])
+    def test_state_of_any_finite_scale_is_normalized(self, spin_doc, amplitude, unit):
+        # its norm would overflow or underflow; its largest part is divided out first
+        doc = self._mutate(spin_doc, initial_state=[amplitude, [0.0, 0.0], [0.0, 0.0]])
+        psi = manifest.parse_manifest(doc).initial_state
+        assert np.max(np.abs(psi - [unit, 0.0, 0.0])) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["a,b", "c=d", 'e"f', "g\rh", "i\nj"],
+                             ids=["comma", "equals", "quote", "cr", "lf"])
+    def test_parameter_name_the_cli_cannot_address(self, spin_doc, name):
+        doc = self._mutate(spin_doc, circuit=[["Sz", "theta_1"], ["Sx", name]])
+        with pytest.raises(ManifestError, match=r"^circuit\[1\]: the CLI cannot address"):
             manifest.parse_manifest(doc)
 
     def test_state_is_normalized(self, spin_doc):
