@@ -1,11 +1,13 @@
 """Metric fields, curvature diagnostics and manifold classification.
 
-Curvature is exact: one Christoffel/Ricci contraction of the metric jets
-(``manifold.metric_jets``) gives the scalar curvature, half that of a 2x2
-sub-jet a section's Gaussian curvature.  ``classify`` and the CLI label
-curvature by one rule, ``curvature_label``.  Each rule is relative to the
-metric's scale, so a manifold reads the same at every gamma: degenerate is
-rank-deficient by ``_above_cutoff`` (RANK_TOL is the one absolute floor).
+Curvature is exact: ``manifold.metric_jets`` gives the metric with its
+first and second parameter derivatives from order-3 state jets, one batched
+Christoffel/Ricci contraction of those jets gives the scalar curvature, and
+the Gaussian curvature of a 2-parameter coordinate section is half the
+scalar curvature of its 2x2 sub-jet.  ``classify`` and the CLI ``curvature``
+command label curvature samples with one rule, ``curvature_label``.  Rules
+are relative to the metric's scale, so a manifold reads alike at every gamma;
+an eigenvalue or a variation of g below RANK_TOL (the one absolute floor) is zero.
 """
 
 from __future__ import annotations
@@ -179,12 +181,12 @@ def curvature_label(k, g) -> str:
     """flat, sphere or generic from finite Gaussian curvature samples k and
     the metrics g (N, M, M) they were taken among.
 
-    Flat: each entry of g varies by at most FLAT_GRID_TOL max|g| and every
-    |k| max|g| <= FLAT_K_TOL (k scales as 1/g).  Sphere: two or more samples
+    Flat: each entry of g varies by at most max(FLAT_GRID_TOL max|g|, RANK_TOL)
+    and every |k| max|g| <= FLAT_K_TOL (k scales as 1/g).  Sphere: two or more samples
     with a positive mean and a spread within SPHERE_K_VARIATION of it.
     """
     scale = np.max(np.abs(g))
-    if (np.max(g.max(axis=0) - g.min(axis=0)) <= FLAT_GRID_TOL * scale
+    if (np.max(g.max(axis=0) - g.min(axis=0)) <= max(FLAT_GRID_TOL * scale, RANK_TOL)
             and np.max(np.abs(k)) * scale <= FLAT_K_TOL):
         return "flat"
     mean = float(np.mean(k))

@@ -22,12 +22,15 @@ def as_matrix(M) -> np.ndarray:
 
 
 def hermiticity(M):
-    """(defect, bound): max |M - M^dagger| and the largest passing defect,
-    HERM_TOL * max(1, max|M|), as roundoff grows with M; inf on overflow."""
+    """(defect, bound): max |M - M^dagger| (inf on overflow) and the largest
+    passing defect, HERM_TOL * max(1, max|M|), as roundoff grows with M; a
+    defect within HERM_TOL passes any bound, and M is then not read again."""
     M = as_matrix(M)
     with np.errstate(over="ignore"):
-        return (float(np.max(np.abs(M - M.conj().T))),
-                HERM_TOL * max(1.0, float(np.max(np.abs(M)))))
+        defect = float(np.max(np.abs(M - M.conj().T)))
+    if defect <= HERM_TOL:
+        return defect, HERM_TOL
+    return defect, HERM_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:

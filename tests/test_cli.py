@@ -138,6 +138,26 @@ class TestMetric:
         assert doc["flat"] is True
         assert np.allclose(doc["g"], np.diag([0.5, 0.5]), atol=1e-10)
 
+    def test_unmoved_state_is_flat(self, tmp_path, capsys):
+        # spin 1 plus a trivial block, rotated: no generator moves the state
+        # in that block, so g is rounding noise (rank 0) that the constancy
+        # rule, like the rank rule, reads as the zero metric
+        doc = json.loads(manifest.emit(spin_model(SpinModelSpec(s=1, m=0))))
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        for name, G in doc["generators"].items():
+            G = np.pad(np.array(G).view(complex)[..., 0], ((0, 1), (0, 1)))
+            rotated = Q @ G @ Q.conj().T
+            doc["generators"][name] = np.stack([rotated.real, rotated.imag], -1).tolist()
+        doc["dimension"] = 4
+        doc["initial_state"] = np.stack([Q[:, 3].real, Q[:, 3].imag], -1).tolist()
+        path = tmp_path / "unmoved.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["metric", str(path), "--defaults-zero"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rank"] == 0 and 0 < np.max(np.abs(doc["g"])) < 1e-20
+        assert doc["flat"] is True
+
     def test_unbound_parameter_is_usage_error(self, spin_manifest, capsys):
         assert cli.main(["metric", spin_manifest, "--at", "theta_1=0.2"]) == 2
 

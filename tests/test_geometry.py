@@ -338,6 +338,8 @@ class TestCurvatureLabel:
         assert curvature_label(np.array([0.0, 1e-3]), 1e-3 * self.g_flat) == "flat"
         assert curvature_label(np.array([0.0, 1e-6]), 1e2 * self.g_flat) == "generic"
         assert curvature_label(np.array([0.0, 0.0]), 1e-9 * self.g_varying) == "generic"
+        # a variation below RANK_TOL is none, as an eigenvalue below it is zero
+        assert curvature_label(np.array([0.0, 0.0]), 1e-20 * self.g_varying) == "flat"
 
     def test_sphere_needs_constant_positive_samples(self):
         assert curvature_label(np.array([4.0, 4.0 * (1 + 0.9e-4)]), self.g_varying) == "sphere"
