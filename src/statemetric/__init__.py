@@ -2,9 +2,9 @@
 generated by ordered products of Lie-algebra exponentials."""
 
 from . import errors, geometry, liealg, linalg, manifest, manifold, models, oracle, verify
-from .geometry import GridSpec, classify, gauss_curvature, metric_at, metric_field, rank_analysis
+from .geometry import GridSpec, classify, gauss_curvature, metric_field, metric_stack, ranks
 from .liealg import LieAlgebraRep, extract_structure_constants, validate_algebra
-from .manifold import CircuitSpec, MetricTensor, build_unitary, evolve
+from .manifold import CircuitSpec, MetricTensor, build_unitary
 from .models import (
     Model,
     OscillatorModelSpec,
@@ -17,6 +17,6 @@ from .models import (
     spin_operators,
     two_spin_model,
 )
-from .oracle import fd_metric, fidelity_metric
+from .oracle import fd_metric
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ from .errors import (
     UnknownModel,
 )
 from .geometry import GridSpec
-from .manifold import MetricTensor
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -72,20 +71,17 @@ def cmd_validate(args) -> int:
         return EXIT_DOMAIN
     rep = model.rep
     print(f"manifest: {model.name} (dimension {rep.dim}, {rep.size} generators)")
-    ok = True
+    # load_model has refused a generator over its Hermiticity bound and an
+    # open algebra, so those columns are ok; only the Jacobi residual can fail
     for name, G in zip(rep.names, rep.generators):
-        defect, bound = linalg.hermiticity(G)
-        ok = ok and defect <= bound
-        print(f"  hermiticity {name}: {defect:.3e} [{'ok' if defect <= bound else 'FAIL'}]")
-    closed = rep.closed
-    print(f"  closure residual: {rep.closure_residual:.3e} [{'ok' if closed else 'FAIL'}]")
+        print(f"  hermiticity {name}: {linalg.hermiticity(G)[0]:.3e} [ok]")
+    print(f"  closure residual: {rep.closure_residual:.3e} [ok]")
     jac = rep.jacobi_residual()
     jacobi_ok = jac <= rep.jacobi_bound()
-    ok = ok and closed and jacobi_ok
     print(f"  jacobi residual: {jac:.3e} [{'ok' if jacobi_ok else 'FAIL'}]")
     print(f"  structure-constant purity |Re c|: {rep.constant_purity():.3e}")
     print(f"  detected kind: {liealg.detect_kind(rep)}")
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return EXIT_OK if jacobi_ok else EXIT_DOMAIN
 
 
 def cmd_metric(args) -> int:
@@ -95,18 +91,17 @@ def cmd_metric(args) -> int:
     x = model.circuit.angles(point)
     shifts = np.random.default_rng(0).uniform(-0.5, 0.5, (3, len(x)))
     stack = geometry.metric_stack(model, np.vstack([x, x + shifts]))
-    g = MetricTensor(stack[0])
+    g = stack[0]
     g_fd = oracle.fd_metric(model.circuit, point, model.initial_state, model.gamma)
-    rank, _ = geometry.rank_analysis(g)
     _emit_json({
         "name": model.name,
         "point": {p: point[p] for p in model.parameter_names},
         "gamma": model.gamma,
         "parameters": list(model.parameter_names),
-        "g": [[float(v) for v in row] for row in g.g],
-        "rank": rank,
+        "g": [[float(v) for v in row] for row in g],
+        "rank": int(geometry.ranks(g)),
         "flat": geometry.curvature_label(np.zeros(1), stack) == "flat",  # constant g
-        "oracle_max_diff": float(np.max(np.abs(g.g - g_fd.g))),
+        "oracle_max_diff": float(np.max(np.abs(g - g_fd.g))),
     })
     return EXIT_OK
 

@@ -24,7 +24,8 @@ from .errors import (
     InsufficientGrid,
     MissingParameter,
 )
-from .manifold import MetricTensor, metric_batch, metric_jets
+from . import linalg
+from .manifold import metric_batch, metric_jets
 from .models import Model
 
 RANK_TOL = 1e-10
@@ -40,12 +41,6 @@ def metric_stack(model: Model, angles) -> np.ndarray:
     circuit-parameter order, from one kernel call."""
     g = metric_batch(model.circuit, angles, model.initial_state, model.gamma)
     return (g + g.swapaxes(-1, -2)) / 2
-
-
-def metric_at(model: Model, point) -> MetricTensor:
-    """Analytic metric of a model at one parameter point (derivative path)."""
-    angles = model.circuit.angles(point)[None]
-    return MetricTensor(metric_stack(model, angles)[0])
 
 
 @dataclass(frozen=True)
@@ -112,22 +107,17 @@ def metric_field(model: Model, grid: GridSpec) -> MetricField:
     return MetricField(grid, angles, metric_stack(model, angles), model)
 
 
-def _above_cutoff(w: np.ndarray) -> np.ndarray:
-    """Which eigenvalues (ascending along the last axis) count towards the rank."""
-    return w > RANK_TOL * np.fmax(1.0, w[..., -1:])
-
-
-def rank_analysis(metric: MetricTensor):
-    """(rank, null_directions) via eigendecomposition of the symmetric metric."""
-    w, V = np.linalg.eigh(metric.g)
-    keep = _above_cutoff(w)
-    return int(np.count_nonzero(keep)), V[:, ~keep]
+def ranks(g) -> np.ndarray:
+    """Rank of each metric in a (..., M, M) stack: the count of eigenvalues w
+    above RANK_TOL * max(1, w_max); 0 for a metric that is not finite."""
+    w = linalg.eigvalsh(g)
+    return np.count_nonzero(w > RANK_TOL * np.fmax(1.0, w[..., -1:]), axis=-1)
 
 
 def scalar_from_jets(g, dg, d2g) -> np.ndarray:
     """Scalar curvature (B,) of metrics g (B, n, n) from their exact
     derivatives dg[b, i, j, a] = d_a g_ij and d2g[b, i, j, a, c] = d_a d_c g_ij,
-    NaN where ``_above_cutoff`` finds g rank-deficient; twice K if n = 2.
+    NaN where ``ranks`` finds g rank-deficient; twice K if n = 2.
 
     R = g^jl R_jl, R_jl = d_i Gamma^i_jl - d_j Gamma^i_il + Gamma^i_ip Gamma^p_jl
     - Gamma^i_jp Gamma^p_il, Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk) / 2.
@@ -135,7 +125,7 @@ def scalar_from_jets(g, dg, d2g) -> np.ndarray:
     def first_kind(t):  # t[b, l, k, j, ...] = d_j g_lk  ->  Gamma_ljk
         return (t.swapaxes(2, 3) + t - np.moveaxis(t, 3, 1)) / 2
 
-    regular = np.all(_above_cutoff(np.linalg.eigvalsh(g)), axis=-1)
+    regular = ranks(g) == g.shape[-1]
     ginv = np.linalg.inv(np.where(regular[:, None, None], g, np.eye(g.shape[-1])))
     gam = np.einsum("bil,bljk->bijk", ginv, first_kind(dg))
     # d_a g^il = -g^ip d_a g_pq g^ql
@@ -199,7 +189,6 @@ def curvature_label(k, g) -> str:
 class CurvatureReport:
     classification: str  # flat | sphere | degenerate | generic
     rank: int
-    null_directions: np.ndarray
     gaussian_curvature: float | None
     radius: float | None
     scalar_curvature: float | None
@@ -238,15 +227,10 @@ def classify(field: MetricField) -> CurvatureReport:
     g = field.g
     nodes, dim = g.shape[:2]
 
-    w, V = np.linalg.eigh(g)
-    keep = _above_cutoff(w)
-    rank = int(np.max(np.count_nonzero(keep, axis=-1)))
-    null_dirs = V[nodes // 2][:, ~keep[nodes // 2]]
-
+    rank = int(np.max(ranks(g)))
     if rank < 2:  # a line has no intrinsic curvature
         flat = rank == 1 and curvature_label(np.zeros(1), g) == "flat"
-        return CurvatureReport("flat" if flat else "degenerate", rank, null_dirs,
-                               None, None, None, None)
+        return CurvatureReport("flat" if flat else "degenerate", rank, None, None, None, None)
 
     names = field.model.circuit.parameter_names
     section = tuple(names[k] for k in _best_section(g))
@@ -255,7 +239,7 @@ def classify(field: MetricField) -> CurvatureReport:
     k, jets = section_curvatures(field.model, samples, section)
     curvatures = k[np.isfinite(k)]
     if not curvatures.size:
-        return CurvatureReport("degenerate", rank, null_dirs, None, None, None, section)
+        return CurvatureReport("degenerate", rank, None, None, None, section)
     k_mean = float(np.mean(curvatures))
 
     scal = None
@@ -266,4 +250,4 @@ def classify(field: MetricField) -> CurvatureReport:
     if cls == "generic" and rank < dim:
         cls = "degenerate"
     radius = float(1.0 / np.sqrt(k_mean)) if cls == "sphere" else None
-    return CurvatureReport(cls, rank, null_dirs, k_mean, radius, scal, section)
+    return CurvatureReport(cls, rank, k_mean, radius, scal, section)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
-Hermiticity checks, the Hermitian eigendecomposition and unitary
-exponentials of Hermitian generators.  Everything operates on plain complex
-numpy arrays; matrices are square.
+Hermiticity checks, the Hermitian eigendecomposition, eigenvalues of
+metric stacks and unitary exponentials of Hermitian generators.  Everything
+operates on plain complex numpy arrays; matrices are square.
 """
 
 from __future__ import annotations
@@ -62,6 +62,15 @@ def herm_eig(M):
     M = require_hermitian(M)
     w, V = np.linalg.eigh(M)
     return w, _fix_phases(V)
+
+
+def eigvalsh(g) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix in a (..., M, M) stack,
+    NaN for a matrix with a non-finite entry: LAPACK raises on one or returns
+    finite values."""
+    finite = np.all(np.isfinite(g), axis=(-2, -1))[..., None]
+    w = np.linalg.eigvalsh(np.where(finite[..., None], g, 0.0))
+    return np.where(finite, w, np.nan)
 
 
 def expm_phase_eig(w, V, t: float) -> np.ndarray:

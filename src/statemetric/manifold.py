@@ -6,7 +6,9 @@ the adjoint coefficients C of the conjugated generators and the generators'
 covariance K; they agree to roundoff.  The first is the production kernel
 (``metric_batch``; ``metric_jets`` adds the metric's derivatives); the second
 (``tilde_metric_batch``), like the finite-difference oracles, is a check.
-Each takes a (B, M) array of angles; the point forms are batches of one.
+Each takes a (B, M) array of angles; a point is a batch of one.  The one
+point form, ``build_unitary``, forms the whole unitary for the Euler-angle
+bridge.
 """
 
 from __future__ import annotations
@@ -117,11 +119,6 @@ def evolve_batch(circuit: CircuitSpec, angles, psi_i) -> np.ndarray:
         w, V = circuit.algebra.generator_eig(circuit.factors[j][0])
         X = ((X @ V.conj()) * np.exp(-1j * angles[:, j, None] * w)) @ V.T
     return X
-
-
-def evolve(circuit: CircuitSpec, point, psi_i) -> np.ndarray:
-    """The evolved state at one point: ``evolve_batch`` for a batch of one."""
-    return evolve_batch(circuit, circuit.angles(point)[None], psi_i)[0]
 
 
 @functools.cache

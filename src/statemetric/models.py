@@ -25,7 +25,7 @@ from .errors import (
     UnknownModel,
 )
 from .liealg import LieAlgebraRep, extract_structure_constants
-from .manifold import CircuitSpec, build_unitary, evolve
+from .manifold import CircuitSpec, build_unitary, evolve_batch
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def oscillator_model(spec: OscillatorModelSpec) -> Model:
 
     # certify the truncation for the documented parameter range
     b = OSCILLATOR_PARAM_BOUND
-    worst = evolve(circuit, {"theta": b, "phi": b}, psi)
+    worst = evolve_batch(circuit, [[b, b]], psi)[0]
     tail = float(np.linalg.norm(worst[-4:]))
     if tail > 1e-8:
         raise TruncationTooSmall(

@@ -4,8 +4,8 @@ Two oracles: central differences of the state fed through the projector
 formula, and a fidelity-based quadratic form that never sees phases at all.
 Both know nothing about tilde operators or structure constants.  Each takes
 a (B, M) array of angles, builds the shifted points of ``manifold.BLOCK_NODES``
-points at a time as one array and evolves them in one ``evolve_batch`` call; the
-point forms are batches of one.
+points at a time as one array and evolves them in one ``evolve_batch`` call.
+``fd_metric`` is the one point form, a batch of one.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ def _evolve_shifted(circuit: CircuitSpec, angles, offsets, psi_i) -> np.ndarray:
     return psi.reshape(shifted.shape[:-1] + psi.shape[-1:])
 
 
-def _at_point(batch_fn, circuit: CircuitSpec, point, psi_i, gamma, h) -> MetricTensor:
-    return MetricTensor(batch_fn(circuit, circuit.angles(point)[None], psi_i, gamma, h)[0])
-
-
 def fd_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
                     h: float = DEFAULT_STEP) -> np.ndarray:
     """Metrics (B, M, M) from O(h^2) central differences of the evolved state."""
@@ -57,7 +53,8 @@ def fd_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
 def fd_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
               h: float = DEFAULT_STEP) -> MetricTensor:
     """``fd_metric_batch`` at one point."""
-    return _at_point(fd_metric_batch, circuit, point, psi_i, gamma, h)
+    angles = circuit.angles(point)[None]
+    return MetricTensor(fd_metric_batch(circuit, angles, psi_i, gamma, h)[0])
 
 
 def fidelity_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
@@ -90,9 +87,4 @@ def fidelity_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.
 
     return _by_block(block, circuit, angles)
 
-
-def fidelity_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
-                    h: float = DEFAULT_STEP) -> MetricTensor:
-    """``fidelity_metric_batch`` at one point."""
-    return _at_point(fidelity_metric_batch, circuit, point, psi_i, gamma, h)
 

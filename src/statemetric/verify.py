@@ -16,8 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import geometry, liealg, models, oracle
-from .geometry import GridSpec, metric_at, metric_stack
+from . import geometry, liealg, linalg, models, oracle
+from .geometry import GridSpec, metric_stack
 from .manifold import tilde_metric_batch
 from .models import (
     OscillatorModelSpec,
@@ -76,21 +76,34 @@ def _max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _peak(*values) -> float:
+    """The largest value, NaN if any is NaN, so that a NaN residual fails its
+    gate; builtin max drops a NaN that does not come first."""
+    return float(np.max(values))
+
+
+def _worst(pairs):
+    """(residual, name) of the largest residual in (name, residual) pairs; like
+    ``_peak``, np.argmax takes a NaN for the largest."""
+    names, values = zip(*pairs)
+    k = int(np.argmax(values))
+    return float(values[k]), names[k]
+
+
 def check_three_way_agreement(models=None) -> CheckResult:
     """Derivative vs tilde metric (gamma^2 Re(C^* K C^T), no d x d matrix) to
     1e-10, either vs fd oracle to 1e-6."""
     rng = np.random.default_rng(SEED)
-    worst_analytic, worst_fd, where = 0.0, 0.0, ""
+    analytic, worst_fd = [], 0.0
     for name, model in (models or catalog()).items():
         circuit, psi, gamma = model.circuit, model.initial_state, model.gamma
         angles = rng.uniform(-1.0, 1.0, (20, len(model.parameter_names)))
         g_d = metric_stack(model, angles)
         g_t = tilde_metric_batch(circuit, angles, psi, gamma)
         g_f = oracle.fd_metric_batch(circuit, angles, psi, gamma, h=1e-4)
-        da = _max_abs(g_d - g_t)
-        if da > worst_analytic:
-            worst_analytic, where = da, name
-        worst_fd = max(worst_fd, _max_abs(g_d - g_f), _max_abs(g_t - g_f))
+        analytic.append((name, _max_abs(g_d - g_t)))
+        worst_fd = _peak(worst_fd, _max_abs(g_d - g_f), _max_abs(g_t - g_f))
+    worst_analytic, where = _worst(analytic)
     ok = worst_analytic <= 1e-10 and worst_fd <= 1e-6
     return _result("three_way_agreement", ok,
                    f"max |deriv - tilde| = {worst_analytic:.2e} (worst: {where}), "
@@ -109,10 +122,10 @@ def check_sphere_metrics() -> CheckResult:
             expected = np.zeros((5, 3, 3))
             expected[:, 0, 0] = r2 * np.sin(angles[:, 1]) ** 2
             expected[:, 1, 1] = r2
-            worst_metric = max(worst_metric, _max_abs(metric_stack(model, angles) - expected))
+            worst_metric = _peak(worst_metric, _max_abs(metric_stack(model, angles) - expected))
             point = {"theta_1": 0.4, "theta_2": 1.1, "theta_3": -0.6}
             k = geometry.gauss_curvature(model, point, ("theta_1", "theta_2"))
-            worst_k = max(worst_k, abs(k - 1 / r2) * r2)
+            worst_k = _peak(worst_k, abs(k - 1 / r2) * r2)
     ok = worst_metric <= 1e-10 and worst_k <= 1e-3
     return _result("sphere_metrics", ok,
                    f"max metric deviation = {worst_metric:.2e}, "
@@ -128,11 +141,9 @@ def check_oscillator_flat(models=None) -> CheckResult:
         c = model.gamma**2 * (2 * n + 1) / 2
         g = geometry.metric_field(
             model, GridSpec({"theta": (-1.0, 1.0, 5), "phi": (-1.0, 1.0, 5)})).g
-        worst_diag = max(worst_diag,
-                         float(np.max(np.abs(g[:, 0, 0] - c))),
-                         float(np.max(np.abs(g[:, 1, 1] - c))))
-        worst_off = max(worst_off, float(np.max(np.abs(g[:, 0, 1]))))
-        worst_var = max(worst_var, float(np.max(g.max(axis=0) - g.min(axis=0))))
+        worst_diag = _peak(worst_diag, _max_abs(g[:, 0, 0] - c), _max_abs(g[:, 1, 1] - c))
+        worst_off = _peak(worst_off, _max_abs(g[:, 0, 1]))
+        worst_var = _peak(worst_var, np.max(g.max(axis=0) - g.min(axis=0)))
     ok = worst_diag <= 1e-6 and worst_off <= 1e-8 and worst_var <= 1e-6
     return _result("oscillator_flat", ok,
                    f"max diagonal error = {worst_diag:.2e}, max off-diagonal = "
@@ -169,7 +180,7 @@ def check_adjoint_equivalence(models=None) -> CheckResult:
         "two_spin_dm_xx": models["two_spin_dm_xx"],
         "two_spin_sum": models["two_spin_sum"],
     }
-    worst, where = 0.0, ""
+    residuals = []
     for name, model in cases.items():
         rep, circuit = model.rep, model.circuit
         m = len(circuit.factors)
@@ -179,8 +190,8 @@ def check_adjoint_equivalence(models=None) -> CheckResult:
             block = angles[start:start + step]
             d = rep.block_norm(liealg.tilde_by_adjoint(rep, circuit, block)
                                - liealg.tilde_by_conjugation(rep, circuit, block))
-            if d > worst:
-                worst, where = d, name
+            residuals.append((name, d))
+    worst, where = _worst(residuals)
     return _result("adjoint_equivalence", worst <= 1e-10,
                    f"max |adjoint - conjugation| = {worst:.2e} (worst: {where})")
 
@@ -194,11 +205,11 @@ def check_algebra_validation() -> CheckResult:
         expected = np.zeros_like(c)
         expected[0, 1, 2] = expected[1, 2, 0] = expected[2, 0, 1] = 1j
         expected[1, 0, 2] = expected[2, 1, 0] = expected[0, 2, 1] = -1j
-        worst_c = max(worst_c, float(np.max(np.abs(c - expected))))
-        worst_j = max(worst_j, rep.jacobi_residual())
+        worst_c = _peak(worst_c, _max_abs(c - expected))
+        worst_j = _peak(worst_j, rep.jacobi_residual())
     osc = oscillator_model(OscillatorModelSpec(n=0))
     heis = liealg.validate_algebra(osc.rep, "heisenberg", 1)
-    worst_h = max(ch.residual for ch in heis.checks)
+    worst_h = _peak(*(ch.residual for ch in heis.checks))
     ok = worst_c <= 1e-12 and worst_j <= 1e-10 and worst_h <= 1e-9
     return _result("algebra_validation", ok,
                    f"max |c - i_cyclic| = {worst_c:.2e}, jacobi = {worst_j:.2e}, "
@@ -211,10 +222,9 @@ def check_degeneracy() -> CheckResult:
     worst_null, bad_rank = 0.0, []
     for s, m in ((0.5, 0.5), (0.5, -0.5), (1.0, 1.0), (1.0, 0.0), (2.0, 1.0)):
         model = spin_model(SpinModelSpec(s=s, m=m))
-        w = np.linalg.eigvalsh(metric_stack(
-            model, _sphere_angles(rng, 10, len(model.parameter_names))))
-        ranks = np.count_nonzero(geometry._above_cutoff(w), axis=-1)
-        worst_null = max(worst_null, _max_abs(w[:, 0]))
+        g = metric_stack(model, _sphere_angles(rng, 10, len(model.parameter_names)))
+        ranks = geometry.ranks(g)
+        worst_null = _peak(worst_null, _max_abs(linalg.eigvalsh(g)[:, 0]))
         bad_rank += [(s, m, int(rank)) for rank in ranks if rank != 2]
     ok = worst_null <= 1e-10 and not bad_rank
     return _result("degeneracy", ok,
@@ -234,10 +244,10 @@ def check_euler_bridge() -> CheckResult:
             continue
         count += 1
         report = models.euler_bridge_report(j1, j2, hz, t)
-        worst_leak = max(worst_leak, report["subspace_leak"])
+        worst_leak = _peak(worst_leak, report["subspace_leak"])
         if not np.isnan(report["tan_residual"]):
-            worst_tan = max(worst_tan, report["tan_residual"])
-        worst_block = max(worst_block, report["block_mismatch"])
+            worst_tan = _peak(worst_tan, report["tan_residual"])
+        worst_block = _peak(worst_block, report["block_mismatch"])
     ok = worst_leak <= 1e-12 and worst_tan <= 1e-8 and worst_block <= 1e-10
     return _result("euler_bridge", ok,
                    f"max subspace leak = {worst_leak:.2e}, max tan residual = "
@@ -277,17 +287,19 @@ def check_oracle_quality(models=None) -> CheckResult:
     """fd oracle converges at order 2; fidelity oracle agrees with it."""
     model = (models or catalog())["spin_1_superposition"]
     pt = {"theta_1": 0.3, "theta_2": 0.7, "theta_3": 1.1}
-    g_a = metric_at(model, pt)
+    angles = model.circuit.angles(pt)[None]
+    g_a = metric_stack(model, angles)[0]
     steps = np.array([1e-2, 1e-3, 1e-4])
     errs = np.array([
-        float(np.max(np.abs(oracle.fd_metric(model.circuit, pt, model.initial_state,
-                                             model.gamma, h=h).g - g_a.g)))
+        _max_abs(oracle.fd_metric(model.circuit, pt, model.initial_state,
+                                  model.gamma, h=h).g - g_a)
         for h in steps
     ])
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     g_f = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma)
-    g_q = oracle.fidelity_metric(model.circuit, pt, model.initial_state, model.gamma)
-    agree = float(np.max(np.abs(g_f.g - g_q.g)))
+    g_q = oracle.fidelity_metric_batch(model.circuit, angles, model.initial_state,
+                                       model.gamma)[0]
+    agree = _max_abs(g_f.g - g_q)
     ok = abs(slope - 2.0) <= 0.3 and agree <= 1e-5
     return _result("oracle_quality", ok,
                    f"convergence slope = {slope:.3f}, |fd - fidelity| = {agree:.2e}")

@@ -17,13 +17,13 @@ from statemetric.geometry import (
     classify,
     curvature_label,
     gauss_curvature,
-    metric_at,
     metric_field,
-    rank_analysis,
+    metric_stack,
+    ranks,
     scalar_from_jets,
     section_curvatures,
 )
-from statemetric.manifold import BLOCK_NODES, MetricTensor, metric_jets
+from statemetric.manifold import BLOCK_NODES, metric_jets
 from statemetric.models import (
     OscillatorModelSpec,
     SpinModelSpec,
@@ -46,8 +46,9 @@ def osc():
 
 
 def pointwise(model, x):
-    """metric_at at one row of a field's angles."""
-    return metric_at(model, dict(zip(model.parameter_names, x))).g
+    """The metric at one row of a field's angles, as a batch of one."""
+    point = dict(zip(model.parameter_names, x))
+    return metric_stack(model, model.circuit.angles(point)[None])[0]
 
 
 class TestGridSpec:
@@ -146,7 +147,7 @@ LOG_GAMMA = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
 class TestFieldProperties:
     @settings(max_examples=50, deadline=None)
     @given(catalog_grids())
-    def test_nodes_match_metric_at(self, case):
+    def test_nodes_match_batches_of_one(self, case):
         model, grid = case
         field = metric_field(model, grid)
         counts = [int(c) for _lo, _hi, c in grid.sweeps.values()]
@@ -177,26 +178,35 @@ class TestFieldProperties:
 
 class TestRankAnalysis:
     def test_full_rank(self):
-        m = MetricTensor(np.diag([2.0, 1.0, 0.5]))
-        rank, null = rank_analysis(m)
-        assert rank == 3 and null.shape[1] == 0
+        assert ranks(np.diag([2.0, 1.0, 0.5])) == 3
 
     def test_eigenstate_sphere_rank_two(self, spin1):
-        m = metric_at(spin1, {"theta_1": 0.3, "theta_2": 1.1, "theta_3": -0.7})
-        rank, null = rank_analysis(m)
-        assert rank == 2
+        point = {"theta_1": 0.3, "theta_2": 1.1, "theta_3": -0.7}
+        g = metric_stack(spin1, spin1.circuit.angles(point)[None])[0]
+        assert ranks(g) == 2
         # the null direction is the pure-phase theta_3 axis
-        assert np.allclose(np.abs(null.ravel()), [0, 0, 1], atol=1e-8)
+        w, V = np.linalg.eigh(g)
+        assert np.allclose(np.abs(V[:, 0]), [0, 0, 1], atol=1e-8)
 
     def test_zero_metric(self):
-        m = MetricTensor(np.zeros((2, 2)))
-        rank, null = rank_analysis(m)
-        assert rank == 0 and null.shape[1] == 2
+        assert ranks(np.zeros((2, 2))) == 0
 
     def test_cutoff_scales_with_largest_eigenvalue(self):
-        m = MetricTensor(np.diag([1e6, 1e-5, 0.0]))
-        rank, null = rank_analysis(m)
-        assert rank == 1 and null.shape[1] == 2
+        assert ranks(np.diag([1e6, 1e-5, 0.0])) == 1
+
+    def test_stack_ranks_equal_per_metric_ranks(self, spin1):
+        angles = np.random.default_rng(13).uniform(0.2, 1.4, (4, 3))
+        stack = np.concatenate([metric_stack(spin1, angles),
+                                [np.diag([2.0, 1.0, 0.5]), np.zeros((3, 3))]])
+        stack = stack.reshape(2, 3, 3, 3)
+        expected = [[ranks(g) for g in row] for row in stack]
+        assert ranks(stack).tolist() == expected == [[2, 2, 2], [2, 3, 0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_metric_has_rank_zero(self, bad):
+        g = np.diag([2.0, 1.0, 0.5])
+        g[0, 0] = bad
+        assert ranks(np.stack([g, np.eye(3)])).tolist() == [0, 3]
 
 
 def surface(E, F, G):
@@ -416,15 +426,13 @@ class TestClassify:
         assert report.rank == 3
 
     def test_rank_matches_pointwise_analysis(self):
-        # the stacked eigendecomposition against rank_analysis node by node
+        # the field's rank against ranks node by node
         for model in CATALOG.values():
             first, second, *rest = model.parameter_names
             field = metric_field(model, GridSpec({first: (0.2, 1.0, 3), second: (0.6, 1.4, 3)},
                                                  fixed=dict.fromkeys(rest, 0.1)))
-            ranks = [rank_analysis(MetricTensor(g)) for g in field.g]
             report = classify(field)
-            assert report.rank == max(rank for rank, _ in ranks)
-            assert np.array_equal(report.null_directions, ranks[len(ranks) // 2][1])
+            assert report.rank == max(ranks(g) for g in field.g)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(CATALOG) + ["spin_1_rank3"]), LOG_GAMMA)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from statemetric import manifest
 from statemetric.errors import ManifestError, NotClosed, NotHermitian, StatemetricError
-from statemetric.geometry import metric_at
+from statemetric.geometry import metric_stack
 from statemetric.liealg import extract_structure_constants
 from statemetric.manifold import CircuitSpec
 from statemetric.models import (
@@ -52,8 +52,9 @@ class TestRoundTrip:
     def test_parsed_model_metrics_match_original(self, spin_doc):
         original = spin_model(SpinModelSpec(s=1, m=0))
         parsed = manifest.parse_manifest(spin_doc)
-        pt = {"theta_1": 0.3, "theta_2": 1.1, "theta_3": -0.4}
-        assert np.max(np.abs(metric_at(parsed, pt).g - metric_at(original, pt).g)) <= 1e-12
+        angles = original.circuit.angles({"theta_1": 0.3, "theta_2": 1.1, "theta_3": -0.4})
+        diff = metric_stack(parsed, angles[None]) - metric_stack(original, angles[None])
+        assert np.max(np.abs(diff)) <= 1e-12
 
     def test_load_model_from_file(self, tmp_path):
         path = tmp_path / "spin.json"

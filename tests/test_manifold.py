@@ -16,7 +16,6 @@ from statemetric.manifold import (
     CircuitSpec,
     _tangent_stack,
     build_unitary,
-    evolve,
     evolve_batch,
     metric_batch,
     projector_metric,
@@ -44,6 +43,11 @@ def half():
 @pytest.fixture(scope="module")
 def one_m0():
     return spin_model(SpinModelSpec(s=1, m=0))
+
+
+def state_at(circuit, point, psi_i):
+    """The evolved state at one point: a batch of one."""
+    return evolve_batch(circuit, circuit.angles(point)[None], psi_i)[0]
 
 
 def tangent_rows(circuit, point, psi_i):
@@ -114,19 +118,19 @@ class TestBuildUnitary:
 
 class TestEvolve:
     def test_pi_rotation_flips_spin(self, half):
-        psi = evolve(half.circuit, {"theta_1": 0.0, "theta_2": np.pi, "theta_3": 0.0},
-                     [1.0, 0.0])
+        psi = state_at(half.circuit, {"theta_1": 0.0, "theta_2": np.pi, "theta_3": 0.0},
+                       [1.0, 0.0])
         assert abs(abs(psi[1]) - 1.0) <= 1e-12
         assert abs(psi[0]) <= 1e-12
 
     def test_norm_preserved(self, one_m0):
         for pt in rand_points(one_m0, 5, 29):
-            psi = evolve(one_m0.circuit, pt, one_m0.initial_state)
+            psi = state_at(one_m0.circuit, pt, one_m0.initial_state)
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
     def test_dimension_mismatch(self, half):
         with pytest.raises(DimensionMismatch):
-            evolve(half.circuit, dict.fromkeys(half.parameter_names, 0.0), [1, 0, 0])
+            state_at(half.circuit, dict.fromkeys(half.parameter_names, 0.0), [1, 0, 0])
 
 
 class TestBatches:
@@ -166,7 +170,7 @@ class TestStateDerivatives:
         # <psi|d_j psi> = -i <psi_i|A~_j|psi_i>
         from statemetric.liealg import tilde_by_conjugation
         pt = {"theta_1": 0.3, "theta_2": 1.2, "theta_3": -0.4}
-        psi = evolve(one_m0.circuit, pt, one_m0.initial_state)
+        psi = state_at(one_m0.circuit, pt, one_m0.initial_state)
         derivs = tangent_rows(one_m0.circuit, pt, one_m0.initial_state)
         tildes = tilde_by_conjugation(one_m0.rep, one_m0.circuit,
                                       one_m0.circuit.angles(pt)[None])[0]
@@ -184,8 +188,8 @@ class TestStateDerivatives:
             for k, name in enumerate(one_m0.parameter_names):
                 up = dict(pt); up[name] += h
                 dn = dict(pt); dn[name] -= h
-                fd = (evolve(one_m0.circuit, up, one_m0.initial_state)
-                      - evolve(one_m0.circuit, dn, one_m0.initial_state)) / (2 * h)
+                fd = (state_at(one_m0.circuit, up, one_m0.initial_state)
+                      - state_at(one_m0.circuit, dn, one_m0.initial_state)) / (2 * h)
                 worst = max(worst, float(np.max(np.abs(fd - derivs[k]))))
             errs.append(worst)
         assert errs[1] <= 1e-6
@@ -198,7 +202,7 @@ class TestMetric:
         # eigenstate sphere of radius 1/2: g = diag(R^2 sin^2 t2, R^2, 0)-like
         pt = {"theta_1": 0.0, "theta_2": np.pi / 2, "theta_3": 0.0}
         derivs = tangent_rows(half.circuit, pt, half.initial_state)
-        psi = evolve(half.circuit, pt, half.initial_state)
+        psi = state_at(half.circuit, pt, half.initial_state)
         g = projector_metric(psi, np.stack(derivs))
         assert np.allclose(g, np.diag([0.25, 0.25, 0.0]), atol=1e-12)
 
@@ -210,7 +214,7 @@ class TestMetric:
 
     def test_two_routes_agree(self, one_m0):
         for pt in rand_points(one_m0, 10, 37):
-            psi = evolve(one_m0.circuit, pt, one_m0.initial_state)
+            psi = state_at(one_m0.circuit, pt, one_m0.initial_state)
             derivs = tangent_rows(one_m0.circuit, pt, one_m0.initial_state)
             g1 = projector_metric(psi, np.stack(derivs))
             g2 = tilde_metric(one_m0.circuit, pt, one_m0.initial_state)

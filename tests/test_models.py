@@ -12,7 +12,7 @@ from statemetric.errors import (
     TruncationTooSmall,
     UnknownModel,
 )
-from statemetric.geometry import metric_at
+from statemetric.geometry import metric_stack
 from statemetric.manifold import build_unitary
 from statemetric.models import (
     MAX_HILBERT_DIM,
@@ -29,6 +29,11 @@ from statemetric.models import (
     two_spin_generators,
     two_spin_model,
 )
+
+
+def point_metric(model, point):
+    """The analytic metric at one point: a batch of one."""
+    return metric_stack(model, model.circuit.angles(point)[None])[0]
 
 
 class TestSpinOperators:
@@ -70,12 +75,12 @@ class TestSpinModel:
         model = spin_model(SpinModelSpec(s=1.5, m=0.5))
         R2 = (1.5 * 2.5 - 0.25) / 2
         t2 = 1.2
-        g = metric_at(model, {"theta_1": 0.4, "theta_2": t2, "theta_3": -0.9}).g
+        g = point_metric(model, {"theta_1": 0.4, "theta_2": t2, "theta_3": -0.9})
         assert np.allclose(g, np.diag([R2 * np.sin(t2) ** 2, R2, 0.0]), atol=1e-12)
 
     def test_gamma_rescales_radius(self):
         model = spin_model(SpinModelSpec(s=0.5, m=0.5, gamma=3.0))
-        g = metric_at(model, {"theta_1": 0.0, "theta_2": np.pi / 2, "theta_3": 0.0}).g
+        g = point_metric(model, {"theta_1": 0.0, "theta_2": np.pi / 2, "theta_3": 0.0})
         assert g[1, 1] == pytest.approx(9.0 * 0.25, abs=1e-12)
 
     def test_coefficient_order_is_ascending_m(self):
@@ -90,7 +95,7 @@ class TestSpinModel:
                                                             1 / np.sqrt(2))))
         sy = model.rep.generator("Sy")
         assert np.max(np.abs(sy @ model.initial_state)) <= 1e-12
-        g = metric_at(model, {"theta_1": 0.7, "theta_2": 0.3, "theta_3": 1.1}).g
+        g = point_metric(model, {"theta_1": 0.7, "theta_2": 0.3, "theta_3": 1.1})
         assert np.linalg.matrix_rank(g, tol=1e-10) == 2
 
     def test_invalid_m(self):
@@ -122,13 +127,13 @@ class TestOscillatorModel:
     @pytest.mark.parametrize("n,diag", [(0, 0.5), (1, 1.5), (2, 2.5)])
     def test_flat_metric_level_n(self, n, diag):
         model = oscillator_model(OscillatorModelSpec(n=n))
-        g = metric_at(model, {"theta": 0.3, "phi": -0.4}).g
+        g = point_metric(model, {"theta": 0.3, "phi": -0.4})
         assert np.allclose(g, np.diag([diag, diag]), atol=1e-10)
 
     def test_mass_frequency_scaling(self):
         # <x^2> = (2n+1)/(2 m w), <p^2> = m w (2n+1)/2 in level n
         model = oscillator_model(OscillatorModelSpec(mass=2.0, omega=3.0, n=1))
-        g = metric_at(model, {"theta": 0.0, "phi": 0.0}).g
+        g = point_metric(model, {"theta": 0.0, "phi": 0.0})
         assert g[0, 0] == pytest.approx(3 / 12, abs=1e-10)
         assert g[1, 1] == pytest.approx(9.0, abs=1e-10)
         assert abs(g[0, 1]) <= 1e-10
@@ -198,19 +203,19 @@ class TestTwoSpinModel:
     def test_dm_xx_sphere_radius_half(self):
         model = two_spin_model(TwoSpinModelSpec(variant="dm_xx", initial="up_down"))
         t2 = 0.9
-        g = metric_at(model, {"theta_1": 0.2, "theta_2": t2, "theta_3": 0.5}).g
+        g = point_metric(model, {"theta_1": 0.2, "theta_2": t2, "theta_3": 0.5})
         assert np.allclose(g, np.diag([0.25 * np.sin(t2) ** 2, 0.25, 0.0]), atol=1e-12)
 
     def test_sum_variant_up_up(self):
         model = two_spin_model(TwoSpinModelSpec(variant="sum", initial="up_up"))
-        g = metric_at(model, {"theta_1": 0.1, "theta_2": np.pi / 2, "theta_3": 0.8}).g
+        g = point_metric(model, {"theta_1": 0.1, "theta_2": np.pi / 2, "theta_3": 0.8})
         assert g[1, 1] == pytest.approx(0.25, abs=1e-12)
 
     def test_directional_bloch_initial(self):
         model = two_spin_model(TwoSpinModelSpec(variant="directional", eta=np.pi / 2,
                                                 chi=0.0, initial="plus_minus"))
         assert abs(np.linalg.norm(model.initial_state) - 1.0) <= 1e-12
-        g = metric_at(model, {"theta_1": 0.3, "theta_2": 1.0, "theta_3": 0.2}).g
+        g = point_metric(model, {"theta_1": 0.3, "theta_2": 1.0, "theta_3": 0.2})
         assert np.linalg.matrix_rank(g, tol=1e-10) == 2
 
     def test_explicit_amplitudes(self):
@@ -314,6 +319,6 @@ class TestCatalog:
                             ("two_spin_sum", {"initial": "up_up"})):
             model = build_model(mid, **params)
             pt = dict.fromkeys(model.parameter_names, 0.8)
-            a = metric_at(model, pt)
+            a = point_metric(model, pt)
             b = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma)
-            assert np.max(np.abs(a.g - b.g)) <= 1e-6
+            assert np.max(np.abs(a - b.g)) <= 1e-6

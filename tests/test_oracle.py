@@ -26,6 +26,15 @@ def analytic(model, point):
                               model.initial_state, model.gamma)[0]
 
 
+def fd_at(circuit, point, psi_i, gamma=1.0, h=oracle.DEFAULT_STEP):
+    return oracle.fd_metric(circuit, point, psi_i, gamma, h).g
+
+
+def fidelity_at(circuit, point, psi_i, gamma=1.0, h=oracle.DEFAULT_STEP):
+    """The fidelity oracle at one point: a batch of one."""
+    return oracle.fidelity_metric_batch(circuit, circuit.angles(point)[None], psi_i, gamma, h)[0]
+
+
 @pytest.fixture(scope="module")
 def superpos():
     return spin_model(SpinModelSpec(s=1, coefficients=(0.6, 0.0, 0.8)))
@@ -67,35 +76,33 @@ class TestFidelityMetric:
         rng = np.random.default_rng(43)
         for _ in range(5):
             pt = dict(zip(superpos.parameter_names, rng.uniform(-2, 2, 3)))
-            a = oracle.fd_metric(superpos.circuit, pt, superpos.initial_state)
-            b = oracle.fidelity_metric(superpos.circuit, pt, superpos.initial_state)
-            assert np.max(np.abs(a.g - b.g)) <= 1e-5
+            a = fd_at(superpos.circuit, pt, superpos.initial_state)
+            b = fidelity_at(superpos.circuit, pt, superpos.initial_state)
+            assert np.max(np.abs(a - b)) <= 1e-5
 
     def test_matches_analytic_two_spin(self):
         model = two_spin_model(TwoSpinModelSpec(variant="dm_xx", initial="up_down"))
         pt = {"theta_1": 0.9, "theta_2": 1.3, "theta_3": -0.2}
-        g = oracle.fidelity_metric(model.circuit, pt, model.initial_state).g
+        g = fidelity_at(model.circuit, pt, model.initial_state)
         assert np.max(np.abs(analytic(model, pt) - g)) <= 1e-6
 
     def test_gamma_scaling(self, superpos):
         pt = {"theta_1": 0.2, "theta_2": 0.8, "theta_3": 0.4}
-        g1 = oracle.fidelity_metric(superpos.circuit, pt, superpos.initial_state,
-                                    gamma=1.0).g
-        g3 = oracle.fidelity_metric(superpos.circuit, pt, superpos.initial_state,
-                                    gamma=3.0).g
+        g1 = fidelity_at(superpos.circuit, pt, superpos.initial_state, gamma=1.0)
+        g3 = fidelity_at(superpos.circuit, pt, superpos.initial_state, gamma=3.0)
         assert np.max(np.abs(g3 - 9.0 * g1)) <= 1e-12
 
     def test_step_range_enforced(self, superpos):
         pt = dict.fromkeys(superpos.parameter_names, 0.1)
         with pytest.raises(StepOutOfRange):
-            oracle.fidelity_metric(superpos.circuit, pt, superpos.initial_state, h=1.0)
+            fidelity_at(superpos.circuit, pt, superpos.initial_state, h=1.0)
 
 
 # a row of a batch may differ from its batch-of-one call only by the rounding
 # of the states, which the oracles amplify by 1/h and 1/h^2
 BATCH_ROW_TOL = {"fd": 1e-12, "fidelity": 1e-7}
-ORACLES = {"fd": (oracle.fd_metric_batch, oracle.fd_metric),
-           "fidelity": (oracle.fidelity_metric_batch, oracle.fidelity_metric)}
+ORACLES = {"fd": (oracle.fd_metric_batch, fd_at),
+           "fidelity": (oracle.fidelity_metric_batch, fidelity_at)}
 
 
 class TestBatches:
@@ -111,7 +118,7 @@ class TestBatches:
         for row, a in zip(batch, angles):
             g = point_fn(model.circuit, dict(zip(names, a)), model.initial_state,
                          model.gamma)
-            assert np.max(np.abs(row - g.g)) <= BATCH_ROW_TOL[kind]
+            assert np.max(np.abs(row - g)) <= BATCH_ROW_TOL[kind]
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
     def test_blocks_bound_the_shifted_states(self, monkeypatch, superpos, kind):

@@ -1,7 +1,7 @@
 """The batched verify checks against point-by-point references.
 
 Each reference draws the same points in the same order as the check and
-evaluates them one at a time through the point APIs; the check must reach
+evaluates them one at a time, each as a batch of one; the check must reach
 the same verdict, name the same worst model and report the same residuals
 up to rounding.
 """
@@ -11,8 +11,8 @@ import re
 import numpy as np
 import pytest
 
-from statemetric import geometry, models, oracle, verify
-from statemetric.geometry import metric_at
+from statemetric import geometry, liealg, models, oracle, verify
+from statemetric.geometry import metric_stack
 from statemetric.manifold import tilde_metric_batch
 from statemetric.models import SpinModelSpec, spin_model
 
@@ -21,6 +21,10 @@ CATALOG = verify.catalog()
 
 def _numbers(detail):
     return [float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", detail)]
+
+
+def point_metric(model, point):
+    return metric_stack(model, model.circuit.angles(point)[None])[0]
 
 
 def _points(rng, names, count, low=-1.0, high=1.0):
@@ -32,7 +36,7 @@ def reference_three_way():
     worst_analytic, worst_fd, where = 0.0, 0.0, ""
     for name, model in CATALOG.items():
         for pt in _points(rng, model.parameter_names, 20):
-            g_d = metric_at(model, pt).g
+            g_d = point_metric(model, pt)
             g_t = tilde_metric_batch(model.circuit, model.circuit.angles(pt)[None],
                                      model.initial_state, model.gamma)[0]
             g_f = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma,
@@ -51,7 +55,7 @@ def reference_spin1_superposition():
     worst_fd = 0.0
     for pt in _points(rng, model.parameter_names, 10):
         g_f = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma)
-        worst_fd = max(worst_fd, float(np.max(np.abs(metric_at(model, pt).g - g_f.g))))
+        worst_fd = max(worst_fd, float(np.max(np.abs(point_metric(model, pt) - g_f.g))))
     return worst_fd <= 1e-6, worst_fd
 
 
@@ -62,9 +66,9 @@ def reference_degeneracy():
         model = spin_model(SpinModelSpec(s=s, m=m))
         for pt in _points(rng, model.parameter_names, 10, low=-np.pi, high=np.pi):
             pt["theta_2"] = float(rng.uniform(0.2, np.pi - 0.2))
-            g = metric_at(model, pt)
-            worst_null = max(worst_null, abs(float(np.linalg.eigvalsh(g.g)[0])))
-            rank, _ = geometry.rank_analysis(g)
+            g = point_metric(model, pt)
+            worst_null = max(worst_null, abs(float(np.linalg.eigvalsh(g)[0])))
+            rank = int(geometry.ranks(g))
             if rank != 2:
                 bad_rank.append((s, m, rank))
     return worst_null <= 1e-10 and not bad_rank, worst_null, bad_rank
@@ -95,11 +99,31 @@ def test_degeneracy_matches_pointwise():
 
 def test_degeneracy_reports_wrong_ranks(monkeypatch):
     # a rank rule that keeps every eigenvalue flags every point
-    monkeypatch.setattr(geometry, "_above_cutoff", lambda w: np.ones_like(w, dtype=bool))
+    monkeypatch.setattr(geometry, "ranks", lambda g: np.full(g.shape[:-2], g.shape[-1]))
     result = verify.check_degeneracy()
     assert not result.passed
     assert result.detail.count(", 3)") == 5 * 10
     assert "(0.5, 0.5, 3)" in result.detail and "(2.0, 1.0, 3)" in result.detail
+
+
+# a route whose output turns NaN, and the checks that read it
+NAN_ROUTES = {
+    "tilde_metric_batch": (verify, {"three_way_agreement"}),
+    "tilde_by_adjoint": (liealg, {"adjoint_equivalence"}),
+    "metric_stack": (verify, {"three_way_agreement", "sphere_metrics", "degeneracy",
+                              "spin1_superposition", "oracle_quality"}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NAN_ROUTES))
+def test_a_nan_route_fails_its_checks(monkeypatch, route):
+    # a NaN residual must reach its gate and fail, not drop out of a running max
+    module, readers = NAN_ROUTES[route]
+    real = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda *args: np.full_like(real(*args), np.nan))
+    results = verify.run_checks()
+    assert {r.check_id for r in results if not r.passed} == readers
+    assert all("nan" in r.detail for r in results if r.check_id in readers)
 
 
 def test_euler_bridge_sees_a_small_leak(monkeypatch):
