@@ -3,12 +3,15 @@
 Subcommands: validate, metric, grid, curvature, verify, models.  Exit codes:
 0 success, 1 domain failure (non-Hermitian generators, open algebra,
 degenerate section, failed verification), 2 usage or parse failure.
+``main`` can be called repeatedly in one process: it builds its parser once,
+on the first call, and dispatches each command by name to ``cmd_<command>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -227,7 +230,7 @@ def cmd_models(args) -> int:
         raise UnknownModel(f"models emit needs a model id from {models.MODEL_IDS}, "
                            f"got {args.model_id!r}")
     params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "func", "action", "model_id")}
+              if k not in ("command", "action", "model_id")}
     spec = {"spin": models.SpinModelSpec, "oscillator": models.OscillatorModelSpec}.get(
         args.model_id, models.TwoSpinModelSpec)
     fields = {f.name for f in dataclasses.fields(spec)}
@@ -254,14 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a manifest's generators and algebra")
     p.add_argument("manifest")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("metric", help="metric tensor at one parameter point")
     p.add_argument("manifest")
     p.add_argument("--at", action="append", metavar="NAME=VALUE")
     p.add_argument("--defaults-zero", action="store_true",
                    help="treat unbound parameters as 0")
-    p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("grid", help="metric field over a parameter grid")
     p.add_argument("manifest")
@@ -270,19 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", action="append", metavar="NAME=VALUE")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("curvature", help="Gaussian curvature of a 2-parameter section")
     p.add_argument("manifest")
     p.add_argument("--at", action="append", metavar="NAME=VALUE")
     p.add_argument("--defaults-zero", action="store_true")
     p.add_argument("--section", required=True, metavar="P,Q")
-    p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--only", metavar="SUBSTRING",
                    help="run only checks whose id contains SUBSTRING")
-    p.set_defaults(func=cmd_verify)
 
     # an option not given is absent from args; the model specs hold the defaults
     p = sub.add_parser("models", help="list catalog models or emit a manifest",
@@ -301,16 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=float)
     p.add_argument("--initial")
     p.add_argument("--gamma", type=float)
-    p.set_defaults(func=cmd_models)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  It holds no command function, so a
+    ``cmd_*`` rebound on this module after the first call is the one run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ManifestError, MissingParameter, EmptyGrid, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -77,9 +77,10 @@ class LieAlgebraRep:
         return self.generators[self.index(name)]
 
     def generator_eig(self, name: str):
-        """Cached eigendecomposition of a generator (they never change)."""
+        """Cached eigendecomposition of a generator (they never change);
+        ``extract_structure_constants`` has checked its Hermiticity."""
         if name not in self._eig_cache:
-            self._eig_cache[name] = linalg.herm_eig(self.generator(name))
+            self._eig_cache[name] = linalg.herm_eig(self.generator(name), check=False)
         return self._eig_cache[name]
 
     def adjoint_matrices(self) -> np.ndarray:

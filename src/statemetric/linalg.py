@@ -52,14 +52,16 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def herm_eig(M):
+def herm_eig(M, check: bool = True):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and each
     eigenvector phase-fixed so its first significant component is real
-    positive, which makes repeated runs reproducible.
+    positive, which makes repeated runs reproducible.  ``check=False`` skips
+    ``require_hermitian`` for a complex matrix that has already passed it.
     """
-    M = require_hermitian(M)
+    if check:
+        M = require_hermitian(M)
     w, V = np.linalg.eigh(M)
     return w, _fix_phases(V)
 

@@ -605,3 +605,78 @@ class TestModels:
         # ascending-m coefficients land reversed in the m = s..-s basis
         assert doc["initial_state"][0] == [0.8, 0.0]
         assert doc["initial_state"][2] == [0.6, 0.0]
+
+
+@pytest.mark.parametrize("command", ["metric", "grid", "curvature"])
+def test_non_hermitian_generator_fails_before_its_eigendecomposition(
+        command, tmp_path, spin_manifest, capsys):
+    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+    doc["generators"]["Sy"][0][0] = [0.0, 1.0]  # imaginary diagonal entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    extra = {"metric": ["--defaults-zero"], "grid": ["--sweep", "theta_1=0:1:2"],
+             "curvature": ["--defaults-zero", "--section", "theta_1,theta_2"]}
+    assert cli.main([command, str(bad)] + extra[command]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: generator 'Sy' is not Hermitian (defect 2.000e+00 > 1.0e-10)\n"
+
+
+class TestRepeatedCalls:
+    """cli.main builds one parser per process and carries nothing between calls."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def test_parser_built_once(self, spin_manifest, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in (["models", "list"], ["metric", spin_manifest, "--defaults-zero"],
+                     ["validate", spin_manifest], ["models", "list"]):
+            assert cli.main(argv) == 0
+        assert len(builds) == 1
+
+    def test_command_rebound_after_the_first_call_runs(self, spin_manifest, monkeypatch,
+                                                       capsys):
+        argv = ["metric", spin_manifest, "--defaults-zero"]
+        assert cli.main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_metric", lambda args: seen.append(args.manifest) or 7)
+        assert cli.main(argv) == 7
+        assert seen == [spin_manifest]
+
+    def test_omitted_option_takes_its_default(self, capsys):
+        argv = ["models", "emit", "spin", "--s", "1", "--m", "0"]
+        assert cli.main(argv + ["--gamma", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma"] == 2.0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == manifest.emit(spin_model(SpinModelSpec(s=1, m=0)))
+
+    def test_no_stale_at(self, spin_manifest, capsys):
+        at = ["--at", "theta_1=0.2", "--at", "theta_2=1.0", "--at", "theta_3=0.3"]
+        assert cli.main(["metric", spin_manifest] + at) == 0
+        assert json.loads(capsys.readouterr().out)["point"]["theta_2"] == 1.0
+        assert cli.main(["metric", spin_manifest, "--defaults-zero"]) == 0
+        point = json.loads(capsys.readouterr().out)["point"]
+        assert point == {"theta_1": 0.0, "theta_2": 0.0, "theta_3": 0.0}
+
+    @pytest.mark.parametrize("bad", [
+        ["metric", "{manifest}", "--no-such-option"],
+        ["grid", "{manifest}", "--format", "xml", "--sweep", "theta_1=0:1:2"],
+        ["metric", "{manifest}", "--at", "theta_1"],
+    ], ids=["unknown-option", "bad-choice", "malformed-at"])
+    def test_usage_error_between_good_calls(self, bad, spin_manifest, capsys):
+        good = [["metric", spin_manifest, "--defaults-zero", "--at", "theta_2=0.7"],
+                ["grid", spin_manifest, "--sweep", "theta_2=0:1:3", "--format", "csv"]]
+        alone = [self.run(argv, capsys) for argv in good]
+        first = self.run(good[0], capsys)
+        code, out, err = self.run([a.format(manifest=spin_manifest) for a in bad], capsys)
+        assert code == 2 and out == "" and err
+        assert [first, self.run(good[1], capsys)] == alone

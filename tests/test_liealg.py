@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import liealg, verify
+from statemetric import geometry, liealg, linalg, manifest, verify
 from statemetric.errors import (
     DependentGenerators,
     DimensionMismatch,
@@ -128,6 +128,28 @@ class TestExtractStructureConstants:
     def test_unknown_generator_lookup(self):
         with pytest.raises(UnknownGenerator):
             spin_rep().index("Sw")
+
+
+class TestGeneratorEig:
+    @pytest.mark.parametrize("key", ["spin_1_m0", "oscillator_n1", "two_spin_dm_xx"])
+    def test_one_hermiticity_pass_per_generator(self, key, monkeypatch):
+        # the load checks each generator; its eigendecomposition does not check it again
+        text = manifest.emit(catalog()[key])
+        checked = []
+        real = linalg.require_hermitian
+        monkeypatch.setattr(linalg, "require_hermitian",
+                            lambda M, name="matrix": checked.append(name) or real(M, name))
+        model = manifest.parse_manifest(manifest.loads(text))
+        geometry.metric_stack(model, np.full((2, len(model.parameter_names)), 0.4))
+        assert sorted(checked) == sorted(f"generator {n!r}" for n in model.rep.names)
+        assert len(model.rep._eig_cache) == len({g for g, _ in model.circuit.factors})
+
+    @pytest.mark.parametrize("key", ["spin_3half", "oscillator_n1", "two_spin_dm_xx"])
+    def test_eigenpairs_equal_the_checked_decomposition(self, key):
+        rep = catalog()[key].rep
+        for name, G in zip(rep.names, rep.generators):
+            for got, want in zip(rep.generator_eig(name), linalg.herm_eig(G)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestActiveBlockBracket:
