@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,10 @@ from statemetric.models import (
     spin_model,
 )
 from statemetric.verify import catalog
+
+from manifest_forms import SPARSE_REFUSALS, dense_doc, one_entry_doc
+
+SPIN = spin_model(SpinModelSpec(s=1, m=0))
 
 
 @pytest.fixture()
@@ -43,7 +49,7 @@ def osc_manifest(tmp_path):
 
 def scaled_manifest(tmp_path, model, scales) -> str:
     """Path of the model's manifest with each generator times its scale."""
-    doc = json.loads(manifest.emit(model))
+    doc = dense_doc(model)
     doc["generators"] = {k: (scale * np.array(v)).tolist()
                          for (k, v), scale in zip(doc["generators"].items(), scales)}
     path = tmp_path / "scaled.json"
@@ -85,8 +91,8 @@ class TestValidate:
         assert cli.main(["validate", osc_manifest]) == 0
         assert "heisenberg(1)" in capsys.readouterr().out
 
-    def test_non_hermitian_is_domain_failure(self, tmp_path, spin_manifest, capsys):
-        doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+    def test_non_hermitian_is_domain_failure(self, tmp_path, capsys):
+        doc = dense_doc(SPIN)
         doc["generators"]["Sy"][0][0] = [0.0, 1.0]  # imaginary diagonal entry
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -96,7 +102,7 @@ class TestValidate:
     def test_rotated_scaled_algebra_is_hermitian(self, tmp_path, capsys):
         # a unitary rotation leaves a Hermiticity defect that grows with the
         # entries: about 3e-10 at 1e6, held to HERM_TOL * max|M| like closure
-        doc = json.loads(manifest.emit(spin_model(SpinModelSpec(s=2, m=2))))
+        doc = dense_doc(spin_model(SpinModelSpec(s=2, m=2)))
         rng = np.random.default_rng(0)
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
         for name, G in doc["generators"].items():
@@ -142,7 +148,7 @@ class TestMetric:
         # spin 1 plus a trivial block, rotated: no generator moves the state
         # in that block, so g is rounding noise (rank 0) that the constancy
         # rule, like the rank rule, reads as the zero metric
-        doc = json.loads(manifest.emit(spin_model(SpinModelSpec(s=1, m=0))))
+        doc = dense_doc(SPIN)
         rng = np.random.default_rng(0)
         Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         for name, G in doc["generators"].items():
@@ -383,9 +389,8 @@ def test_bad_spin_exits_cleanly(argv, code, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "metric"])
 @pytest.mark.parametrize("entry", [1e308, 1e200])
-def test_overflowing_generator_is_domain_failure(command, entry, tmp_path, spin_manifest,
-                                                capsys):
-    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+def test_overflowing_generator_is_domain_failure(command, entry, tmp_path, capsys):
+    doc = dense_doc(SPIN)
     doc["generators"]["Sz"][0][0] = [entry, 0.0]
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -407,9 +412,8 @@ def test_overflowing_generator_is_domain_failure(command, entry, tmp_path, spin_
     ("grid", ("gamma",), 1e200),
 ], ids=["validate-nan-generator", "validate-inf-state", "metric-inf-gamma",
         "metric-huge-gamma", "grid-huge-gamma"])
-def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest,
-                                            tmp_path, capsys):
-    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+def test_non_finite_manifest_is_usage_error(command, field, value, tmp_path, capsys):
+    doc = dense_doc(SPIN)
     target = doc
     for key in field[:-1]:
         target = target[key]
@@ -420,6 +424,35 @@ def test_non_finite_manifest_is_usage_error(command, field, value, spin_manifest
     argv = [command, str(bad)] + extra.get(command, [])
     assert cli.main(argv) == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "metric"])
+@pytest.mark.parametrize("sx,message", SPARSE_REFUSALS)
+def test_sparse_refusal_is_usage_error(command, sx, message, spin_manifest, tmp_path,
+                                      capsys):
+    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+    doc["generators"]["Sx"] = copy.deepcopy(sx)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    extra = ["--defaults-zero"] if command == "metric" else []
+    assert cli.main([command, str(bad)] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.match("error: " + message, err), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "metric"])
+@pytest.mark.parametrize("dim", [10**6, 2**40])
+def test_huge_declared_dimension_is_usage_error(command, dim, tmp_path, capsys):
+    # a sparse manifest of a few hundred bytes can declare any dimension
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(one_entry_doc(dim)), encoding="utf-8")
+    assert bad.stat().st_size < 300
+    extra = ["--defaults-zero"] if command == "metric" else []
+    assert cli.main([command, str(bad)] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: dimension: expected an integer in [1, {MAX_HILBERT_DIM}]\n"
 
 
 @pytest.mark.parametrize("amplitude", [[1e200, 0.0], [1e-200, 0.0], [5e-324, 0.0],
@@ -609,8 +642,8 @@ class TestModels:
 
 @pytest.mark.parametrize("command", ["metric", "grid", "curvature"])
 def test_non_hermitian_generator_fails_before_its_eigendecomposition(
-        command, tmp_path, spin_manifest, capsys):
-    doc = json.loads(Path(spin_manifest).read_text(encoding="utf-8"))
+        command, tmp_path, capsys):
+    doc = dense_doc(SPIN)
     doc["generators"]["Sy"][0][0] = [0.0, 1.0]  # imaginary diagonal entry
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

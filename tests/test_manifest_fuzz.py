@@ -3,7 +3,8 @@ it invalid is refused with a StatemetricError, and the CLI reading it ends
 in exit code 1 or 2, never in a traceback.
 
 The document is the spin-1 (m = 0) manifest, dimension 3, so every example
-stays small.
+stays small: as ``models emit`` writes it, with sparse generators, and with
+the same generators in the dense form.
 """
 
 import contextlib
@@ -19,7 +20,10 @@ from statemetric import cli, manifest
 from statemetric.errors import StatemetricError
 from statemetric.models import SpinModelSpec, spin_model
 
-DOC = json.loads(manifest.emit(spin_model(SpinModelSpec(s=1, m=0))))
+from manifest_forms import dense_doc
+
+SPIN = spin_model(SpinModelSpec(s=1, m=0))
+DOCS = {"sparse": json.loads(manifest.emit(SPIN)), "dense": dense_doc(SPIN)}
 REQUIRED = ("name", "dimension", "generators", "circuit", "initial_state")
 NESTED = [[0.0, 0.0]]
 # replacement leaves; one of the same JSON kind as the leaf it replaces may
@@ -42,7 +46,7 @@ def leaf_paths(node, path=()):
         yield path
 
 
-LEAVES = list(leaf_paths(DOC))
+LEAVES = {form: list(leaf_paths(doc)) for form, doc in DOCS.items()}
 
 
 def kind(value) -> str:
@@ -63,12 +67,17 @@ def parent_of(doc, path):
 
 
 @st.composite
-def broken_documents(draw):
-    """DOC with one mutation that makes it invalid."""
-    doc = copy.deepcopy(DOC)
-    mutation = draw(st.sampled_from(["leaf", "drop", "ragged", "dimension"]))
+def broken_documents(draw, form):
+    """The document of this form with one mutation that makes it invalid."""
+    doc = copy.deepcopy(DOCS[form])
+    mutations = ["leaf", "drop", "ragged", "dimension"]
+    if form == "sparse":
+        mutations += ["entry_length", "repeat", "index_at_dimension", "negative_index"]
+    mutation = draw(st.sampled_from(mutations))
+    entries = [e for G in doc["generators"].values() if isinstance(G, dict)
+               for e in G["entries"]]
     if mutation == "leaf":
-        path = draw(st.sampled_from(LEAVES))
+        path = draw(st.sampled_from(LEAVES[form]))
         parent = parent_of(doc, path)
         allowed = [k for k in REPLACEMENTS if k != kind(parent[path[-1]])]
         parent[path[-1]] = copy.deepcopy(REPLACEMENTS[draw(st.sampled_from(allowed))])
@@ -79,15 +88,31 @@ def broken_documents(draw):
         key = draw(st.sampled_from([k for k in where if where is not doc or k in REQUIRED]))
         del where[key]
     elif mutation == "ragged":
-        # a generator row, or the state's list of amplitudes
-        rows = [row for G in doc["generators"].values() for row in G] + [doc["initial_state"]]
+        # a dense generator row, or the state's list of amplitudes
+        rows = [row for G in doc["generators"].values() if isinstance(G, list)
+                for row in G] + [doc["initial_state"]]
         row = draw(st.sampled_from(rows))
         if draw(st.booleans()):
             row.append([0.0, 0.0])
         else:
             row.pop()
+    elif mutation == "dimension":
+        doc["dimension"] = draw(st.sampled_from([-1, 0, 1, 2, 4, 9, 10**6]))
+    elif mutation == "entry_length":
+        entry = draw(st.sampled_from(entries))
+        if draw(st.booleans()):
+            entry.append(0.0)
+        else:
+            entry.pop()
+    elif mutation == "repeat":
+        G = draw(st.sampled_from([G for G in doc["generators"].values() if G["entries"]]))
+        G["entries"].insert(draw(st.integers(0, len(G["entries"]))),
+                            copy.deepcopy(draw(st.sampled_from(G["entries"]))))
     else:
-        doc["dimension"] = draw(st.sampled_from([-1, 0, 1, 2, 4, 9]))
+        entry = draw(st.sampled_from(entries))
+        index = (doc["dimension"] if mutation == "index_at_dimension"
+                 else draw(st.integers(-2**63, -1)))
+        entry[draw(st.integers(0, 1))] = index
     return doc
 
 
@@ -105,21 +130,42 @@ def path(tmp_path_factory):
 
 
 def test_document_is_valid():
-    manifest.parse_manifest(copy.deepcopy(DOC))
+    for doc in DOCS.values():
+        manifest.parse_manifest(copy.deepcopy(doc))
 
 
-@SETTINGS
-@given(doc=broken_documents())
-def test_parse_refuses_broken_documents(doc):
+def refused(doc):
     with pytest.raises(StatemetricError):
         manifest.parse_manifest(doc)
 
 
-@SETTINGS
-@given(doc=broken_documents())
-def test_cli_exits_cleanly_on_broken_documents(doc, path):
+def exits_cleanly(doc, path):
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for argv in (["validate", str(path)], ["metric", str(path), "--defaults-zero"]):
         code, err = run(argv)
         assert code in (1, 2), (argv, code)
         assert "Traceback" not in err
+
+
+@SETTINGS
+@given(doc=broken_documents("sparse"))
+def test_parse_refuses_broken_documents(doc):
+    refused(doc)
+
+
+@SETTINGS
+@given(doc=broken_documents("dense"))
+def test_parse_refuses_broken_dense_documents(doc):
+    refused(doc)
+
+
+@SETTINGS
+@given(doc=broken_documents("sparse"))
+def test_cli_exits_cleanly_on_broken_documents(doc, path):
+    exits_cleanly(doc, path)
+
+
+@SETTINGS
+@given(doc=broken_documents("dense"))
+def test_cli_exits_cleanly_on_broken_dense_documents(doc, path):
+    exits_cleanly(doc, path)
