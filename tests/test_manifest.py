@@ -1,6 +1,9 @@
 import copy
 import json
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statemetric import manifest
-from statemetric.errors import ManifestError, NotClosed, NotHermitian
+from statemetric.errors import ManifestError, NotClosed, NotHermitian, StatemetricError
 from statemetric.geometry import metric_stack
 from statemetric.liealg import extract_structure_constants
 from statemetric.manifold import CircuitSpec
@@ -460,10 +463,229 @@ class TestDenseForm:
             manifest.parse_manifest(manifest.loads(SPIN_TEXT)))
 
 
-def test_bytes_that_are_not_utf8(tmp_path):
-    path = tmp_path / "latin1.json"
-    data = SPIN_TEXT.replace('"theta_3"', '"theta\udcff3"').encode("utf-8", "surrogateescape")
-    path.write_bytes(data)
-    with pytest.raises(ManifestError, match=f"^manifest is not UTF-8 text: .* position "
-                                            f"{data.index(0xff)}:"):
-        manifest.read(path)
+
+# ---------------------------------------------------------------------------
+# Reading bytes: a manifest file's dense generators against json.loads and
+# numpy's float conversion
+
+DENSE_TEXT = dense_text(SPIN)
+DENSE_DOC = json.loads(DENSE_TEXT)
+GENERATORS = slice(DENSE_TEXT.index('"generators"'), DENSE_TEXT.index('"circuit"'))
+TOKENS = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", DENSE_TEXT[GENERATORS])]
+# tokens json.loads reads differently from np.loadtxt or float() or refuses,
+# or that the one numpy pass over a dense block leaves to the per-entry walk
+TRICKY = ["+1", "01", "-01", "00.5", "-01.5", "1.", ".5", "-.5", "1.e5", "1E+05", "2.5e-3",
+          "0e0", "-0", "-0.0", "-0e-0", "0", "7", "1e400", "-1e400", "1e-400", "5e-324",
+          "1" + "0" * 400, "1 2", "1,2", "[1.0]", "1e", "1e+", "--1", "1.2.3", "1e5e5",
+          "1e5.5", "-", "", "true", "null", '"0.5"', "NaN", "Infinity", "-Infinity", "1_0",
+          "0x1", " 1.0", "1.0 ", "\t1.0", "0.00", "00.0", "0.0e0", "0.0E0", "0.", ".0",
+          "1.0000000000000000000000000002", "1.5,2.5", "1.5\n2.5", "1" + "0" * 5000]
+# tokens made only of the bytes of 0.0 text, or that json.loads reads as a zero
+ZERO_LOOKALIKES = ["0.00", "00.0", "000", "0e0", "0.0e0", "0.0E0", "-0.0", "0.", ".0"]
+NUMBER_TEXT = st.text(alphabet="0123456789+-.eE", max_size=6)
+
+
+def read_bytes(data: bytes) -> dict:
+    """``manifest.read`` of a file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_bytes(data)
+        return manifest.read(path)
+
+
+def json_path(data: bytes) -> dict:
+    return manifest.loads(data.decode("utf-8"))
+
+
+def outcome(read, data: bytes):
+    """The model a document gives, as bytes, or its error's type and text."""
+    try:
+        return model_bytes(manifest.parse_manifest(read(data)))
+    except StatemetricError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def one_pass(block, dim: int) -> np.ndarray:
+    """A dense block's matrix, read with the per-entry walk disabled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(manifest, "_pair2c", None)  # a call fails
+        return manifest._generator_matrix(block, dim, "G")
+
+
+def assert_reads_as_json(data: bytes):
+    """The file reads as json.loads reads its text, and every dense block the
+    reader accepts holds the bits numpy converts json.loads's numbers to."""
+    assert outcome(read_bytes, data) == outcome(json_path, data)
+    try:
+        doc = read_bytes(data)
+    except ManifestError:
+        return
+    reference = json.loads(data.decode("utf-8"))["generators"]
+    for name, block in doc["generators"].items():
+        if not isinstance(block, list):
+            continue
+        try:
+            M = manifest._generator_matrix(block, len(block), name)
+        except ManifestError:
+            continue
+        assert M.tobytes() == np.array(reference[name], dtype=float).tobytes()  # signbit too
+
+
+def with_tokens(tokens: dict, text: str = DENSE_TEXT) -> bytes:
+    """The document with the generator tokens at these indices replaced."""
+    start = text.index('"generators"')
+    spans = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*",
+                                           text[start:text.index('"circuit"')])]
+    for index in sorted(tokens, reverse=True):
+        a, b = spans[index]
+        text = text[:start + a] + tokens[index] + text[start + b:]
+    return text.encode()
+
+
+def with_token(index: int, token: str) -> bytes:
+    return with_tokens({index: token})
+
+
+SPIN3_TEXT = dense_text(spin_model(SpinModelSpec(s=3, m=1)))
+SPIN3_SLOTS = 3 * 7 * 7 * 2
+
+
+def moved(index: int, offset: int) -> bytes:
+    """The document with one token moved ``offset`` bytes, over a bracket."""
+    start, stop = TOKENS[index]
+    text = DENSE_TEXT[GENERATORS]
+    token, rest = text[start:stop], text[:start] + text[stop:]
+    return (DENSE_TEXT[:GENERATORS.start] + rest[:start + offset] + token
+            + rest[start + offset:] + DENSE_TEXT[GENERATORS.stop:]).encode()
+
+
+def restructured(**changes) -> bytes:
+    doc = copy.deepcopy(DENSE_DOC)
+    for key, change in changes.items():
+        doc[key] = change(doc[key])
+    return indented(doc).encode()
+
+
+class TestByteReader:
+    """``manifest.read`` over the bytes of dense manifests, the form the
+    package's older writer emitted, with their tokens and layout varied."""
+
+    def test_emitted_blocks_take_the_numpy_pass(self):
+        assert all(one_pass(block, 3).shape == (3, 3)
+                   for block in DENSE_DOC["generators"].values())
+        assert_reads_as_json(DENSE_TEXT.encode())
+
+    @pytest.mark.parametrize("token", ["1E+05", "2.5e-3", "-0.0", "0e0", "-0e-0", "5e-324",
+                                       "1e-400", "7", "-0", "12345678901234567891"])
+    def test_other_json_floats_take_the_numpy_pass(self, token):
+        data = with_token(0, token)
+        one_pass(json.loads(data)["generators"]["Sz"], 3)
+        assert_reads_as_json(data)
+
+    @pytest.mark.parametrize("token", TRICKY)
+    def test_tricky_token_reads_as_json(self, token):
+        assert_reads_as_json(with_token(4, token))
+
+    @settings(max_examples=100, deadline=None)
+    @given(index=st.integers(0, len(TOKENS) - 1),
+           token=st.one_of(st.sampled_from(TRICKY), NUMBER_TEXT, st.floats().map(repr)))
+    def test_one_token_reads_as_json(self, index, token):
+        assert_reads_as_json(with_token(index, token))
+
+    # slots 0-17 are Sz, 18-35 Sx and 36-53 Sy, each block's slots in order
+    @pytest.mark.parametrize("index", [0, 18, 53])
+    @pytest.mark.parametrize("token", ZERO_LOOKALIKES)
+    def test_zero_lookalike_reads_as_json(self, token, index):
+        assert_reads_as_json(with_token(index, token))
+
+    # spin s = 3: slots 0-97 are Sz, 98-195 Sx and 196-293 Sy
+    @pytest.mark.parametrize("tokens", [
+        pytest.param({2: "1.0", 3: "2.0"}, id="same-length-adjacent"),
+        pytest.param({1: "2.0", 5: "1.0", 150: "2.0"}, id="same-length-apart"),
+        pytest.param({0: "-3.5"}, id="first-slot"),
+        pytest.param({98: "2.5"}, id="first-slot-of-block"),
+        pytest.param({195: "-2.5e-3"}, id="last-slot-of-block"),
+        pytest.param({293: "1.25"}, id="last-slot"),
+        pytest.param({101: "3.0", 102: "-1e-05", 103: "0.5"}, id="adjacent"),
+        pytest.param({97: "0.5", 98: "-0.5"}, id="adjacent-across-blocks"),
+        pytest.param({100: "1.0000000000000002", 101: "-1.0000000000000002e-05"},
+                     id="zeros-inside-a-token"),
+        pytest.param({100: "1.0000000000000000000000000002"}, id="long-zero-run"),
+    ])
+    def test_nonzero_tokens_read_as_json(self, tokens):
+        data = with_tokens(tokens, SPIN3_TEXT)
+        assert all(one_pass(block, 7).shape == (7, 7)
+                   for block in json.loads(data)["generators"].values())
+        assert_reads_as_json(data)
+
+    def test_dense_block_reads_as_json(self):
+        data = dense_text(rotated_spin(1)).encode()
+        assert all(np.all(one_pass(block, 3) != 0.0)
+                   for block in json.loads(data)["generators"].values())
+        assert_reads_as_json(data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, SPIN3_SLOTS))
+    def test_scattered_tokens_read_as_json(self, seed, count):
+        rng = np.random.default_rng(seed)
+        slots = rng.choice(SPIN3_SLOTS, count, replace=False)
+        values = rng.normal(size=count) * 10.0 ** rng.integers(-6, 6, count)
+        tokens = dict(zip(slots.tolist(), map(repr, values.tolist())))
+        assert_reads_as_json(with_tokens(tokens, SPIN3_TEXT))
+
+    def test_dimension_the_blocks_cannot_hold(self, monkeypatch):
+        # refused by the dimension bound, before any 10^6 x 10^6 matrix is built
+        data = restructured(dimension=lambda d: 10**6)
+        monkeypatch.setattr(manifest, "_generator_matrix", None)  # a call fails
+        assert outcome(read_bytes, data) == outcome(json_path, data) == (
+            "ManifestError", "dimension: expected an integer in [1, 1024]")
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(restructured(generators=lambda g: {**g, "Sy": g["Sy"][:2]}),
+                     id="short-block"),
+        pytest.param(restructured(generators=lambda g: {
+            **g, "Sy": [*g["Sy"][:2], g["Sy"][2] + [[0.0, 0.0]]]}), id="ragged-row"),
+        pytest.param(restructured(generators=lambda g: {**g, "Sy": "\u00000"}),
+                     id="placeholder-string"),
+        pytest.param(restructured(generators=lambda g: {**g, "Sy": [[[0.5, 0.0]] * 3] * 3}),
+                     id="shared-rows"),
+        pytest.param(restructured(generators=lambda g: {
+            **g, "Sy": [[[[v] for v in pair] for pair in row] for row in g["Sy"]]}),
+            id="pairs-split"),
+        pytest.param(restructured(dimension=lambda d: d + 1), id="dimension-mismatch"),
+        pytest.param(restructured(dimension=float), id="float-dimension"),
+        pytest.param(restructured(name=lambda n: "\u0000"), id="nul-name"),
+        pytest.param(restructured(circuit=lambda c: c + [{"Q": DENSE_DOC["generators"]["Sz"]}]),
+                     id="block-outside-generators"),
+        pytest.param(moved(2, -len("[\n          ")), id="before-bracket"),
+        pytest.param(moved(3, len("\n        ]")), id="after-bracket"),
+        pytest.param(DENSE_TEXT.replace("\n          ", "\n         ", 1).encode(),
+                     id="reindented"),
+        pytest.param(DENSE_TEXT.replace("\n          ", "\n\t", 1).encode(), id="tab"),
+        pytest.param(DENSE_TEXT.replace("\n", "\r\n").encode(), id="crlf"),
+        pytest.param(DENSE_TEXT.replace('"Sx": [', '"Sz": [').encode(), id="duplicate-key"),
+        pytest.param(DENSE_TEXT.replace("0.0\n", "0.0 \n", 1).encode(), id="trailing-space"),
+        pytest.param(DENSE_TEXT.replace('"spin"', '"sp\\u00e9n"').encode(), id="escaped-name"),
+        pytest.param(DENSE_TEXT.replace('"spin"', '"sp\u00e9n"').encode(), id="utf8-name"),
+        pytest.param(DENSE_TEXT.replace('"spin"', '"sp\\"n"').encode(), id="quote-in-name"),
+        pytest.param(json.dumps(DENSE_DOC).encode(), id="compact"),
+        pytest.param(DENSE_TEXT.encode()[:-30], id="truncated"),
+        pytest.param(b"\xef\xbb\xbf" + DENSE_TEXT.encode(), id="bom"),
+        pytest.param(DENSE_TEXT.replace("\n    ]\n  },", "\n  },").encode(), id="unclosed-block"),
+        pytest.param(restructured(generators=lambda g: {**g, "Z": [[[0.0, 0.0]] * 3] * 3}),
+                     id="zero-block"),
+        pytest.param(restructured(generators=lambda g: {
+            **g, "Z": [[[0.0, 0.0]] * 4, [[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3]}),
+            id="zero-block-ragged"),
+    ])
+    def test_other_layouts_read_as_json(self, data):
+        assert_reads_as_json(data)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        data = SPIN_TEXT.replace('"theta_3"', '"theta\udcff3"').encode("utf-8",
+                                                                      "surrogateescape")
+        path.write_bytes(data)
+        with pytest.raises(ManifestError, match=f"^manifest is not UTF-8 text: .* position "
+                                                f"{data.index(0xff)}:"):
+            manifest.read(path)
