@@ -95,7 +95,7 @@ def cmd_metric(args) -> int:
     shifts = np.random.default_rng(0).uniform(-0.5, 0.5, (3, len(x)))
     stack = geometry.metric_stack(model, np.vstack([x, x + shifts]))
     g = stack[0]
-    g_fd = oracle.fd_metric(model.circuit, point, model.initial_state, model.gamma)
+    g_fd = oracle.fd_metric_batch(model.circuit, x[None], model.initial_state, model.gamma)[0]
     _emit_json({
         "name": model.name,
         "point": {p: point[p] for p in model.parameter_names},
@@ -104,7 +104,7 @@ def cmd_metric(args) -> int:
         "g": [[float(v) for v in row] for row in g],
         "rank": int(geometry.ranks(g)),
         "flat": geometry.curvature_label(np.zeros(1), stack) == "flat",  # constant g
-        "oracle_max_diff": float(np.max(np.abs(g - g_fd.g))),
+        "oracle_max_diff": float(np.max(np.abs(g - g_fd))),
     })
     return EXIT_OK
 
@@ -125,20 +125,41 @@ def _parse_sweeps(items):
     return sweeps
 
 
+def _float_texts(values, fmt) -> list:
+    """``list(map(fmt, values.ravel().tolist()))``, with ``fmt`` called once
+    per distinct bit pattern: -0.0 and 0.0, or two NaN payloads, are
+    formatted apart, and repeated values share one text."""
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    texts = np.array(list(map(fmt, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _json_floats(values) -> list:
+    """Each float as ``json.dumps`` renders it: repr, unless it is not finite."""
+    values = np.asarray(values, dtype=float)
+    fmt = float.__repr__ if np.all(np.isfinite(values)) else json.dumps
+    return _float_texts(values, fmt)
+
+
 def _grid_json(doc: dict, points, metrics) -> str:
     """``json.dumps(doc, indent=2) + "\n"`` with doc["nodes"] built from
     points and metrics, without the pure-Python encoder on every node.
 
-    The header comes from json.dumps; the nodes are one joined row
-    template filled with the rendered floats in one ``%``.
+    The header and one node come from json.dumps, the node with the slot
+    ``%s`` for each value; the nodes are that text repeated and filled with
+    the rendered floats in one ``%``.
     """
     # "nodes" is the last key, so the header ends in its placeholder
     head = json.dumps({**doc, "nodes": None}, indent=2).removesuffix("null\n}")
-    point = manifest.json_object([(p.replace("%", "%%"), "%s") for p in doc["parameters"]], 3)
-    template = "    " + manifest.json_object(
-        [("point", point), ("g", manifest.array_template(metrics.shape[1:], 3))], 2)
+    node = {"point": {p.replace("%", "%%"): "%s" for p in doc["parameters"]},
+            "g": np.full(metrics.shape[1:], "%s").tolist()}
+    text = json.dumps({"nodes": [node]}, indent=2)  # the node at its depth
+    template = text.removeprefix('{\n  "nodes": [\n').removesuffix("\n  ]\n}")
+    template = template.replace('"%s"', "%s")
     fields = np.concatenate([points, metrics.reshape(len(metrics), -1)], axis=1)
-    nodes = ",\n".join([template] * len(fields)) % tuple(manifest.json_floats(fields))
+    nodes = ",\n".join([template] * len(fields)) % tuple(_json_floats(fields))
     return head + "[\n" + nodes + "\n  ]\n}\n"
 
 
@@ -159,7 +180,7 @@ def cmd_grid(args) -> int:
         swept = field.angles[:, [parameters.index(n) for n in names]]
         fields = np.concatenate([swept, field.g[:, upper[0], upper[1]]], axis=1)
         row = ",".join(["%s"] * fields.shape[1]) + "\n"
-        text = manifest.float_texts(fields, repr)  # repr keeps nan and inf
+        text = _float_texts(fields, repr)  # repr keeps nan and inf
         payload = header + "\n" + (row * len(fields)) % tuple(text)
     else:
         payload = _grid_json({

@@ -14,11 +14,10 @@ Both routes take a (B, M) array of angles in factor order, as
 ``manifold.metric_batch`` does, and return the (B, M, d, d) stack of tilde
 generators; a single point is a batch of one.  The adjoint route sums the
 generators with their (B, M, n) coefficients (``tilde_coefficients``, all
-that ``manifold.tilde_metric_batch`` needs).  Each route makes a fixed
-number of calls per batch: one stacked exponential (``_expm``, scaling and
-squaring of a Taylor series in ``einsum``) for all B M n x n adjoint
-exponentials, and products of a fixed matrix with the whole stack for the
-conjugation.
+that ``manifold.tilde_metric_batch`` needs) from one stacked exponential
+(``_expm``, scaling and squaring of a Taylor series in ``einsum``) for all
+B M n x n adjoint exponentials; the conjugation applies each factor to the
+whole stack in stacked matrix products.
 """
 
 from __future__ import annotations
@@ -298,16 +297,6 @@ def _factor_indices(rep: LieAlgebraRep, circuit) -> list:
     return [rep.index(gname) for gname, _pname in circuit.factors]
 
 
-def _sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """L X_n R for every d x d matrix X_n of a stack, as two matrix products.
-
-    A stacked ``matmul`` makes one BLAS call per matrix; folding the stack
-    into the rows of one tall product makes one call per side.
-    """
-    LX = np.tensordot(L, X, axes=(1, -2))  # (d, *stack, d): row a of each L X_n
-    return np.moveaxis((LX.reshape(-1, X.shape[-1]) @ R).reshape(LX.shape), 0, -2)
-
-
 def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     """Conjugate each circuit generator by the downstream factors.
 
@@ -315,8 +304,7 @@ def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     with [b, j] = W^dagger A_j W, W the product of the circuit factors after
     factor j at point b.  The conjugation is applied one
     factor at a time, F^dagger X F = V P^* (V^dagger X V) P V^dagger with
-    F = V P V^dagger on the cached eigenbasis, so every matrix product is a
-    fixed matrix times the whole stack.
+    F = V P V^dagger on the cached eigenbasis, as stacked matrix products.
     """
     angles = circuit.angle_batch(angles)
     idx = _factor_indices(rep, circuit)
@@ -327,9 +315,9 @@ def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     for k in range(1, m):
         w, V = rep.generator_eig(rep.names[idx[k]])
         p = np.exp(-1j * angles[:, k, None] * w)[:, None]  # (B, 1, d)
-        Z = _sandwich(V.conj().T, tildes[:, :k], V)
+        Z = V.conj().T @ tildes[:, :k] @ V
         Z *= p.conj()[..., :, None] * p[..., None, :]
-        tildes[:, :k] = _sandwich(V, Z, V.conj().T)
+        tildes[:, :k] = V @ Z @ V.conj().T
     return tildes
 
 

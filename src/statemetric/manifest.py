@@ -7,15 +7,13 @@ survives.  ``emit`` is the one writer: ``json.dumps(doc, indent=2)`` of the
 model's document with its keys in a fixed order, so emit -> parse -> re-emit
 is byte-identical.  ``read`` and ``loads`` read a manifest with
 ``json.loads``; ``parse_manifest`` also accepts a generator as a dense
-nested list of ``dimension`` rows of pairs, the form older manifests hold.
-``float_texts``, ``json_floats``, ``array_template`` and ``json_object``
-render ``cli``'s grid CSV and JSON.
+nested list of ``dimension`` rows of pairs, the form older manifests hold,
+and reads it entry by entry.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -63,42 +61,6 @@ def require_gamma(gamma) -> float:
         raise ManifestError(f"gamma: expected a finite number with a finite square, "
                             f"got {gamma!r}")
     return gamma
-
-
-def float_texts(values, fmt) -> list:
-    """``list(map(fmt, values.ravel().tolist()))``, with ``fmt`` called once
-    per distinct bit pattern: -0.0 and 0.0, or two NaN payloads, are
-    formatted apart, and repeated values share one text."""
-    values = np.ascontiguousarray(values, dtype=float).ravel()
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    texts = np.array(list(map(fmt, values[first].tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-def json_floats(values) -> list:
-    """Each float as ``json.dumps`` renders it: repr, unless it is not finite."""
-    values = np.asarray(values, dtype=float)
-    fmt = float.__repr__ if np.all(np.isfinite(values)) else json.dumps
-    return float_texts(values, fmt)
-
-
-def array_template(shape, level: int, slot: str = "%s") -> str:
-    """The layout ``json.dumps(indent=2)`` gives a nested list of this shape
-    (no zero length) at nesting depth ``level``, ``slot`` for each entry."""
-    if not shape:
-        return slot
-    pad = "\n" + "  " * (level + 1)
-    inner = array_template(shape[1:], level + 1, slot)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
-
-
-def json_object(items, level: int) -> str:
-    """A non-empty JSON object of (key, rendered value) items at nesting
-    depth ``level``, laid out as ``json.dumps(indent=2)`` lays it out."""
-    pad = "\n" + "  " * (level + 1)
-    return ("{" + pad + ("," + pad).join(f"{json.dumps(k)}: {v}" for k, v in items)
-            + "\n" + "  " * level + "}")
 
 
 def _entries(G) -> dict:
@@ -173,26 +135,12 @@ def _sparse_matrix(value: dict, dim: int, path: str) -> np.ndarray:
 
 def _generator_matrix(value, dim: int, path: str) -> np.ndarray:
     """A generator's dim x dim complex matrix, from its sparse object or from
-    a nested list of ``dim`` rows of [re, im] pairs.
-
-    A dense list converts in one pass when every row is a list of ``dim``
-    pairs, every pair a list of two, and every number a plain int or float;
-    anything else takes the per-entry walk, which names the offending entry.
-    """
+    a nested list of ``dim`` rows of [re, im] pairs, read entry by entry so
+    that an error names the offending entry."""
     if isinstance(value, dict):
         return _sparse_matrix(value, dim, path)
     if not isinstance(value, list) or len(value) != dim:
         raise ManifestError(f'{path}: expected {dim} rows or {{"entries": [...]}}')
-    pairs = (list(chain.from_iterable(value))
-             if all(type(row) is list and len(row) == dim for row in value) else [])
-    if {*map(type, pairs)} == {list} and {*map(len, pairs)} == {2}:
-        numbers = list(chain.from_iterable(pairs))
-        if {*map(type, numbers)} <= {int, float}:
-            try:
-                return _require_finite(np.array(numbers, dtype=float).view(complex)
-                                       .reshape(dim, dim), path)
-            except OverflowError:  # an integer beyond the float range
-                pass
     M = np.empty((dim, dim), dtype=complex)
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:

@@ -57,24 +57,36 @@ class CircuitSpec:
         return self.algebra.dim
 
     def angles(self, point) -> np.ndarray:
-        """Parameter values in factor order; raises MissingParameter."""
+        """Parameter values in factor order; raises MissingParameter, and
+        NonFiniteAngle as ``angle_batch`` does."""
         try:
             vals = [float(point[p]) for p in self.parameter_names]
         except KeyError as exc:
             raise MissingParameter(f"no value for parameter {exc.args[0]!r}") from None
-        if not all(np.isfinite(vals)):
-            raise NonFiniteAngle("parameter values must be finite")
-        return np.asarray(vals)
+        return self.angle_batch([vals])[0]
+
+    @functools.cached_property
+    def _spectral_radii(self) -> np.ndarray:
+        """max |w| over the eigenvalues w of each factor's generator."""
+        return np.array([np.max(np.abs(self.algebra.generator_eig(g)[0]))
+                         for g, _p in self.factors])
 
     def angle_batch(self, angles) -> np.ndarray:
-        """A (B, M) array of finite angles in factor order, as a float array."""
+        """A (B, M) array of angles in factor order, as a float array; raises
+        NonFiniteAngle, naming the parameter, unless every phase theta * w of
+        every factor is finite (so a finite angle can still be refused)."""
         m = len(self.factors)
         angles = np.asarray(angles, dtype=float)
         if angles.ndim != 2 or angles.shape[1] != m:
             raise DimensionMismatch(
                 f"expected a (B, {m}) array of angles, got shape {angles.shape}")
-        if not np.all(np.isfinite(angles)):
-            raise NonFiniteAngle("parameter values must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(angles * self._spectral_radii)
+        if not finite.all():
+            b, j = np.argwhere(~finite)[0]
+            raise NonFiniteAngle(f"parameter {self.factors[j][1]!r}: angle "
+                                 f"{angles[b, j].item()!r} gives a phase theta * w that "
+                                 "is not finite")
         return angles
 
 

@@ -77,11 +77,11 @@ MAX_HILBERT_DIM = 1024
 def spin_operators(s):
     """(S_x, S_y, S_z) for spin s in the S_z eigenbasis ordered m = s..-s."""
     two_s = 2 * s
+    if np.isfinite(s) and two_s + 1 > MAX_HILBERT_DIM:  # 2s may overflow to inf
+        raise InvalidSpin(f"spin {s} needs dimension 2s + 1 = {two_s + 1:.0f}, "
+                          f"above the maximum {MAX_HILBERT_DIM}")
     if not (np.isfinite(s) and abs(two_s - round(two_s)) <= 1e-12 and s >= 0.5):
         raise InvalidSpin(f"spin must be a positive half-integer, got {s}")
-    if round(two_s) + 1 > MAX_HILBERT_DIM:
-        raise InvalidSpin(f"spin {s} needs dimension 2s + 1 = {round(two_s) + 1}, "
-                          f"above the maximum {MAX_HILBERT_DIM}")
     s = round(two_s) / 2
     m = np.arange(s, -s - 0.5, -1.0)
     sz = np.diag(m).astype(complex)

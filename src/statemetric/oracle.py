@@ -5,7 +5,8 @@ formula, and a fidelity-based quadratic form that never sees phases at all.
 Both know nothing about tilde operators or structure constants.  Each takes
 a (B, M) array of angles, builds the shifted points of ``manifold.BLOCK_NODES``
 points at a time as one array and evolves them in one ``evolve_batch`` call.
-``fd_metric`` is the one point form, a batch of one.
+``fd_metric`` is the one point form, a batch of one; no module of the package
+calls it, and ``perfbench/workloads.py`` reads it.
 """
 
 from __future__ import annotations

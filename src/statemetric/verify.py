@@ -291,15 +291,15 @@ def check_oracle_quality(models=None) -> CheckResult:
     g_a = metric_stack(model, angles)[0]
     steps = np.array([1e-2, 1e-3, 1e-4])
     errs = np.array([
-        _max_abs(oracle.fd_metric(model.circuit, pt, model.initial_state,
-                                  model.gamma, h=h).g - g_a)
+        _max_abs(oracle.fd_metric_batch(model.circuit, angles, model.initial_state,
+                                        model.gamma, h=h)[0] - g_a)
         for h in steps
     ])
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
-    g_f = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma)
+    g_f = oracle.fd_metric_batch(model.circuit, angles, model.initial_state, model.gamma)[0]
     g_q = oracle.fidelity_metric_batch(model.circuit, angles, model.initial_state,
                                        model.gamma)[0]
-    agree = _max_abs(g_f.g - g_q)
+    agree = _max_abs(g_f - g_q)
     ok = abs(slope - 2.0) <= 0.3 and agree <= 1e-5
     return _result("oracle_quality", ok,
                    f"convergence slope = {slope:.3f}, |fd - fidelity| = {agree:.2e}")

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +177,21 @@ class TestMetric:
     def test_malformed_at(self, spin_manifest, capsys):
         assert cli.main(["metric", spin_manifest, "--at", "theta_1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--at=theta_2=0", "--at=theta_3=0"],
+        ["grid", "--sweep", "theta_2=0:1:2"],
+        ["curvature", "--section", "theta_1,theta_2", "--at=theta_2=0", "--at=theta_3=0"],
+    ], ids=["metric", "grid", "curvature"])
+    def test_overflowing_phase_is_domain_error(self, tmp_path, argv, capsys):
+        # a finite angle whose phase theta * w is not: refused by name, not a
+        # NaN metric (pytest turns the RuntimeWarnings it once raised into errors)
+        path = tmp_path / "spin.json"
+        path.write_text(manifest.emit(catalog()["spin_3half"]), encoding="utf-8")
+        assert cli.main([argv[0], str(path), "--at=theta_1=1.7e308", *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: parameter 'theta_1': angle 1.7e+308 gives a "
+                                     "phase theta * w that is not finite\n")
+
     def test_deterministic_output(self, spin_manifest, capsys):
         argv = ["metric", spin_manifest, "--defaults-zero", "--at", "theta_2=0.9"]
         cli.main(argv)
@@ -207,18 +225,33 @@ class TestGrid:
     def test_json_equals_json_dumps(self, key, tmp_path, capsys):
         self._check_json(catalog()[key], tmp_path, capsys)
 
+    @staticmethod
+    def _check_grid_json(parameters, points, metrics):
+        doc = {"name": "spin", "gamma": 1.0, "parameters": parameters,
+               "sweeps": {parameters[0]: [0.0, 1.0, len(points)]},
+               "fixed": dict(zip(parameters[1:], points[0, 1:].tolist()))}
+        expected = json.dumps({**doc, "nodes": [
+            {"point": dict(zip(parameters, x)), "g": g.tolist()}
+            for x, g in zip(points.tolist(), metrics)]}, indent=2) + "\n"
+        assert cli._grid_json(doc, points, metrics) == expected
+
     def test_json_non_finite_equals_json_dumps(self):
         # the manifest now rejects the infinite gamma that once put inf and
         # nan into a metric field, so the writer gets such a field directly
-        doc = {"name": "spin", "gamma": 1.0, "parameters": ["a", "b"],
-               "sweeps": {"a": [0.0, 1.0, 2]}, "fixed": {"b": 0.5}}
-        points = np.array([[0.0, 0.5], [1.0, 0.5]])
-        metrics = np.array([[[np.inf, np.nan], [np.nan, 1.0]],
-                            [[-np.inf, 0.25], [0.25, -0.0]]])
-        expected = json.dumps({**doc, "nodes": [
-            {"point": dict(zip(doc["parameters"], x)), "g": g.tolist()}
-            for x, g in zip(points.tolist(), metrics)]}, indent=2) + "\n"
-        assert cli._grid_json(doc, points, metrics) == expected
+        self._check_grid_json(["a", "b"], np.array([[0.0, 0.5], [1.0, 0.5]]),
+                              np.array([[[np.inf, np.nan], [np.nan, 1.0]],
+                                        [[-np.inf, 0.25], [0.25, -0.0]]]))
+
+    @pytest.mark.parametrize("parameters", [
+        ["a%b", "%s"], ["a\\b", "c"], ["\u00e9", "\u03b8_2%"], ["%%", "%(x)s", "\\%"],
+        ["t"],
+    ], ids=["percent", "backslash", "non-ascii", "format-specs", "one-parameter"])
+    def test_json_names_and_shapes_equal_json_dumps(self, parameters):
+        m = len(parameters)
+        points = np.array([[0.0, 0.5, -0.0][:m], [1.0, 0.5, np.nan][:m]])
+        metrics = np.arange(2.0 * m * m).reshape(2, m, m) - 1.5
+        metrics[1, 0, 0] = np.inf
+        self._check_grid_json(parameters, points, metrics)
 
     @staticmethod
     def _check_json(model, tmp_path, capsys):
@@ -366,9 +399,10 @@ def test_bad_oscillator_is_domain_error(flag, value, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["spin", "--s", str(MAX_HILBERT_DIM / 2)], ["spin", "--s", "1e9", "--m", "0"],
+    ["spin", "--s", "1e308"],  # 2s overflows to inf
     ["oscillator", "--trunc", str(MAX_HILBERT_DIM + 1)],
     ["oscillator", "--trunc", "1000000000"],
-], ids=["spin-max", "spin-1e9", "trunc-max", "trunc-1e9"])
+], ids=["spin-max", "spin-1e9", "spin-1e308", "trunc-max", "trunc-1e9"])
 def test_oversized_emit_is_domain_error(argv, capsys):
     # refused before any matrix is allocated
     assert cli.main(["models", "emit"] + argv) == 1
@@ -592,6 +626,18 @@ class TestVerify:
         monkeypatch.setattr(models_mod, "spin_operators", flipped)
         assert cli.main(["verify", "--only", "algebra_validation"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_loads_no_scipy():
+    # numpy and scipy each bundle an OpenBLAS; the package must load only numpy's
+    code = ("import sys, statemetric\n"
+            "from statemetric import cli\n"
+            "assert cli.main(['verify', '--only', 'degeneracy']) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    src = str(Path(cli.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
 
 
 class TestModels:

@@ -2,7 +2,8 @@
 1 or 2 and never in a traceback.
 
 Sizes stay bounded (spin s <= 3, truncation <= 64, at most 4 nodes per
-sweep), so no example asks for a large allocation.
+sweep; spin 1e308 is refused before any allocation), so no example asks for
+a large allocation.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from statemetric import cli, manifest
 from statemetric.verify import catalog
 
 NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e200", "-1e200", "0.5", "1", "2.5",
-           "-0.3", "abc", "", "1e-300"]
+           "-0.3", "abc", "", "1e-300", "1.7e308"]
 COUNTS = ["-1", "0", "1", "2", "3", "4", "2.5", "x", "nan", ""]
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -103,7 +104,7 @@ def test_curvature(manifests, data):
     assert_clean(["curvature", path, "--section", section] + data.draw(bindings(names)))
 
 
-SPIN = ["0.5", "1", "1.5", "2", "3", "0", "-1", "0.7", "nan", "inf", "x"]
+SPIN = ["0.5", "1", "1.5", "2", "3", "0", "-1", "0.7", "nan", "inf", "x", "1e308"]
 OPTIONS = {
     "spin": {"--s": SPIN, "--m": NUMBERS + ["-0.5", "7"],
              "--coeffs": ["0.6,0,0.8", "1", "nan,0,1", "1e200,0,1", "0,0,0", "x,y", "1j,0,0"]},

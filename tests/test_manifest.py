@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import manifest
+from statemetric import cli, manifest
 from statemetric.errors import ManifestError, NotClosed, NotHermitian, StatemetricError
 from statemetric.geometry import metric_stack
 from statemetric.liealg import extract_structure_constants
@@ -189,6 +189,8 @@ POOL = [0.0, -0.0, float("nan"), NAN_PAYLOAD, float("inf"), float("-inf"),
 
 
 class TestFloatTexts:
+    """``cli._float_texts``, which renders the grid CSV and JSON."""
+
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 5).flatmap(lambda width: st.lists(
                st.lists(st.sampled_from(POOL), min_size=width, max_size=width),
@@ -196,7 +198,7 @@ class TestFloatTexts:
            fmt=st.sampled_from([float.__repr__, repr, json.dumps]))
     def test_equals_per_entry_map(self, rows, fmt):
         values = np.array(rows).T  # not C-contiguous
-        assert manifest.float_texts(values, fmt) == list(map(fmt, values.ravel().tolist()))
+        assert cli._float_texts(values, fmt) == list(map(fmt, values.ravel().tolist()))
 
     def test_formats_each_bit_pattern_once(self):
         values = np.array(POOL * 4).reshape(4, -1)
@@ -207,11 +209,11 @@ class TestFloatTexts:
             seen.append(bits(x))
             return repr(x)
 
-        assert manifest.float_texts(values, counting) == list(map(repr, POOL * 4))
+        assert cli._float_texts(values, counting) == list(map(repr, POOL * 4))
         assert sorted(seen) == sorted(bits(x) for x in POOL)
 
     def test_empty(self):
-        assert manifest.float_texts(np.empty((0, 3)), repr) == []
+        assert cli._float_texts(np.empty((0, 3)), repr) == []
 
 
 class TestParseErrors:
@@ -472,8 +474,7 @@ DENSE_TEXT = dense_text(SPIN)
 DENSE_DOC = json.loads(DENSE_TEXT)
 GENERATORS = slice(DENSE_TEXT.index('"generators"'), DENSE_TEXT.index('"circuit"'))
 TOKENS = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", DENSE_TEXT[GENERATORS])]
-# tokens json.loads reads differently from np.loadtxt or float() or refuses,
-# or that the one numpy pass over a dense block leaves to the per-entry walk
+# tokens json.loads reads differently from np.loadtxt or float() or refuses
 TRICKY = ["+1", "01", "-01", "00.5", "-01.5", "1.", ".5", "-.5", "1.e5", "1E+05", "2.5e-3",
           "0e0", "-0", "-0.0", "-0e-0", "0", "7", "1e400", "-1e400", "1e-400", "5e-324",
           "1" + "0" * 400, "1 2", "1,2", "[1.0]", "1e", "1e+", "--1", "1.2.3", "1e5e5",
@@ -503,13 +504,6 @@ def outcome(read, data: bytes):
         return model_bytes(manifest.parse_manifest(read(data)))
     except StatemetricError as exc:
         return type(exc).__name__, str(exc)
-
-
-def one_pass(block, dim: int) -> np.ndarray:
-    """A dense block's matrix, read with the per-entry walk disabled."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(manifest, "_pair2c", None)  # a call fails
-        return manifest._generator_matrix(block, dim, "G")
 
 
 def assert_reads_as_json(data: bytes):
@@ -570,17 +564,13 @@ class TestByteReader:
     """``manifest.read`` over the bytes of dense manifests, the form the
     package's older writer emitted, with their tokens and layout varied."""
 
-    def test_emitted_blocks_take_the_numpy_pass(self):
-        assert all(one_pass(block, 3).shape == (3, 3)
-                   for block in DENSE_DOC["generators"].values())
+    def test_emitted_blocks_read_as_json(self):
         assert_reads_as_json(DENSE_TEXT.encode())
 
     @pytest.mark.parametrize("token", ["1E+05", "2.5e-3", "-0.0", "0e0", "-0e-0", "5e-324",
                                        "1e-400", "7", "-0", "12345678901234567891"])
-    def test_other_json_floats_take_the_numpy_pass(self, token):
-        data = with_token(0, token)
-        one_pass(json.loads(data)["generators"]["Sz"], 3)
-        assert_reads_as_json(data)
+    def test_other_json_floats_read_as_json(self, token):
+        assert_reads_as_json(with_token(0, token))
 
     @pytest.mark.parametrize("token", TRICKY)
     def test_tricky_token_reads_as_json(self, token):
@@ -613,14 +603,11 @@ class TestByteReader:
         pytest.param({100: "1.0000000000000000000000000002"}, id="long-zero-run"),
     ])
     def test_nonzero_tokens_read_as_json(self, tokens):
-        data = with_tokens(tokens, SPIN3_TEXT)
-        assert all(one_pass(block, 7).shape == (7, 7)
-                   for block in json.loads(data)["generators"].values())
-        assert_reads_as_json(data)
+        assert_reads_as_json(with_tokens(tokens, SPIN3_TEXT))
 
     def test_dense_block_reads_as_json(self):
         data = dense_text(rotated_spin(1)).encode()
-        assert all(np.all(one_pass(block, 3) != 0.0)
+        assert all(np.all(manifest._generator_matrix(block, 3, "G") != 0.0)
                    for block in json.loads(data)["generators"].values())
         assert_reads_as_json(data)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from statemetric.errors import (
     DimensionMismatch,
     DuplicateParameter,
     MissingParameter,
+    NonFiniteAngle,
     NotClosed,
     StatemetricError,
 )
@@ -90,6 +93,14 @@ class TestCircuitSpec:
             half.circuit.angles({"theta_1": 0.0, "theta_2": np.inf, "theta_3": 0.0})
         with pytest.raises(StatemetricError, match="finite"):
             half.circuit.angle_batch([[0.0, 0.0, np.nan]])
+
+    @pytest.mark.parametrize("s,angle", [(1.5, 1.7e308), (1.5, -1.7e308), (2, 1e308)])
+    def test_overflowing_phase_rejected(self, s, angle):
+        # finite angles whose phase theta * w, w = s an eigenvalue of S_x, overflows
+        circuit = spin_model(SpinModelSpec(s=s, m=0.5 if s == 1.5 else 0)).circuit
+        circuit.angle_batch([[0.0, np.finfo(float).max / (2 * s), 0.0]])  # a finite phase
+        with pytest.raises(NonFiniteAngle, match=re.escape(f"parameter 'theta_2': angle {angle!r} ")):
+            circuit.angle_batch([[0.0, 0.0, 0.0], [0.0, angle, 0.0]])
 
 
 class TestBuildUnitary:

@@ -61,7 +61,7 @@ class TestSpinOperators:
         with pytest.raises(InvalidSpin):
             spin_operators(0)
 
-    @pytest.mark.parametrize("s", [MAX_HILBERT_DIM / 2, 1e9, 1e300])
+    @pytest.mark.parametrize("s", [MAX_HILBERT_DIM / 2, 1e9, 1e300, 1e308])  # 2s = inf at 1e308
     def test_dimension_above_maximum(self, s):
         with pytest.raises(InvalidSpin, match="maximum"):
             spin_operators(s)
