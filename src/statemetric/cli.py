@@ -25,7 +25,6 @@ from .errors import (
     ManifestError,
     MissingParameter,
     StatemetricError,
-    UnknownModel,
 )
 from .geometry import GridSpec
 
@@ -248,8 +247,8 @@ def cmd_models(args) -> int:
             print(model_id)
         return EXIT_OK
     if args.model_id not in models.MODEL_IDS:
-        raise UnknownModel(f"models emit needs a model id from {models.MODEL_IDS}, "
-                           f"got {args.model_id!r}")
+        raise ManifestError(f"models emit needs a model id from {models.MODEL_IDS}, "
+                            f"got {args.model_id!r}")
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "action", "model_id")}
     spec = {"spin": models.SpinModelSpec, "oscillator": models.OscillatorModelSpec}.get(
@@ -264,6 +263,9 @@ def cmd_models(args) -> int:
         params["coefficients"] = _complex_list(params["coefficients"])
     if "gamma" in params:
         manifest.require_gamma(params["gamma"])  # the rule parse_manifest applies
+    if args.model_id == "spin" and not {"m", "coefficients"} & params.keys():
+        models._half_integer_spin(params.get("s", models.SpinModelSpec.s))  # bad --s: exit 1
+        raise ManifestError("spin model needs either m or a coefficient list")
     model = models.build_model(args.model_id, **params)
     sys.stdout.write(manifest.emit(model))
     return EXIT_OK

@@ -15,9 +15,9 @@ Both routes take a (B, M) array of angles in factor order, as
 generators; a single point is a batch of one.  The adjoint route sums the
 generators with their (B, M, n) coefficients (``tilde_coefficients``, all
 that ``manifold.tilde_metric_batch`` needs) from one stacked exponential
-(``_expm``, scaling and squaring of a Taylor series in ``einsum``) for all
-B M n x n adjoint exponentials; the conjugation applies each factor to the
-whole stack in stacked matrix products.
+(``_expm``, scaling and squaring of a Taylor series in ``einsum``) for the
+B (M - 1) adjoint exponentials of factors 1..M-1; the conjugation applies
+each factor from ``linalg.expm_phase_eig`` to the whole stack at once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DependentGenerators, NotClosed, UnknownGenerator
+from .errors import DependentGenerators, NonFiniteAngle, NotClosed, UnknownGenerator
 
 # bracket residual bounds for generators (closure) and structure constants
 # (Jacobi) with entries of at most 1; see closure_bound and jacobi_bound
@@ -302,9 +302,9 @@ def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
 
     ``angles`` is a (B, M) array in factor order; the result is (B, M, d, d)
     with [b, j] = W^dagger A_j W, W the product of the circuit factors after
-    factor j at point b.  The conjugation is applied one
-    factor at a time, F^dagger X F = V P^* (V^dagger X V) P V^dagger with
-    F = V P V^dagger on the cached eigenbasis, as stacked matrix products.
+    factor j at point b.  The conjugation is applied one factor at a time,
+    F^dagger X F, with the (B, d, d) stack of factors F from
+    ``linalg.expm_phase_eig`` on the generator's cached eigenbasis.
     """
     angles = circuit.angle_batch(angles)
     idx = _factor_indices(rep, circuit)
@@ -314,10 +314,8 @@ def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     # row j takes factor k for every k > j, innermost (k = j + 1) first
     for k in range(1, m):
         w, V = rep.generator_eig(rep.names[idx[k]])
-        p = np.exp(-1j * angles[:, k, None] * w)[:, None]  # (B, 1, d)
-        Z = V.conj().T @ tildes[:, :k] @ V
-        Z *= p.conj()[..., :, None] * p[..., None, :]
-        tildes[:, :k] = V @ Z @ V.conj().T
+        F = linalg.expm_phase_eig(w, V, angles[:, k, None, None])[:, None]
+        tildes[:, :k] = F.conj().swapaxes(-1, -2) @ tildes[:, :k] @ F
     return tildes
 
 
@@ -325,20 +323,22 @@ def _expm(A: np.ndarray) -> np.ndarray:
     """exp(A) for every n x n matrix of a (..., n, n) stack.
 
     Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
-    2005) with a Taylor series in place of the Pade approximant: the whole
-    stack is scaled by 2^-s, s set by its largest 1-norm, the series is
-    summed to EXPM_TAYLOR_ORDER by Horner's rule, and the result is squared
-    s times.  Every product is one ``einsum`` over the stack.
+    2005) with a Taylor series in place of the Pade approximant: each matrix
+    is scaled by 2^-s, s set by its own 1-norm, the series is summed to
+    EXPM_TAYLOR_ORDER by Horner's rule, and each result is squared its own s
+    times, so no matrix depends on the rest of the stack.  Every product is
+    one ``einsum`` over the stack, or over the matrices still to be squared.
     """
-    norm = float(np.max(np.abs(A).sum(axis=-2), initial=0.0))
-    s = max(0, int(np.ceil(np.log2(norm / EXPM_SCALED_NORM)))) if norm > 0 else 0
-    A = A * 2.0**-s
+    with np.errstate(divide="ignore"):  # a zero matrix takes s = 0
+        s = np.ceil(np.log2(np.abs(A).sum(axis=-2).max(axis=-1) / EXPM_SCALED_NORM))
+    s = np.maximum(s, 0).astype(int)
+    A = A * 2.0**-s[..., None, None]
     eye = np.eye(A.shape[-1], dtype=A.dtype)
     E = eye + A / EXPM_TAYLOR_ORDER
     for k in range(EXPM_TAYLOR_ORDER - 1, 0, -1):
         E = eye + np.einsum("...ij,...jk->...ik", A, E) / k
-    for _ in range(s):
-        E = np.einsum("...ij,...jk->...ik", E, E)
+    for k in range(s.max(initial=0)):
+        E[s > k] = np.einsum("...ij,...jk->...ik", E[s > k], E[s > k])
     return E
 
 
@@ -346,20 +346,32 @@ def tilde_coefficients(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     """Coefficients C (B, M, n) of the tilde generators, A~_j = sum_k C_jk A_k,
     for a (B, M) array of angles in factor order.  Row j is e_{idx_j} carried
     through exp(i theta_k ad_k) for each downstream factor k, from one stacked
-    ``_expm`` call.  Raises NotClosed for an open algebra.
+    ``_expm`` call.  Raises NotClosed for an open algebra, and NonFiniteAngle,
+    naming the parameter, for an angle whose exponential is not finite.
     """
     if not rep.closed:
         raise NotClosed(f"closure residual {rep.closure_residual:.3e} exceeds its bound")
     angles = circuit.angle_batch(angles)
     idx = _factor_indices(rep, circuit)
     b, m = angles.shape
-    exps = _expm(1j * angles[:, :, None, None] * rep.adjoint_matrices()[idx])
+    # factor 0 acts on no row: exps[:, k - 1] belongs to factor k.  A phase whose
+    # 1-norm overflows is zeroed for _expm, and refused with any non-finite exps
+    with np.errstate(over="ignore"):
+        phase = 1j * angles[:, 1:, None, None] * rep.adjoint_matrices()[idx[1:]]
+        ok = np.isfinite(np.abs(phase).sum(axis=-2) / EXPM_SCALED_NORM).all(axis=-1)
+    exps = _expm(np.where(ok[..., None, None], phase, 0))
+    ok &= np.isfinite(exps).all(axis=(-2, -1))
+    if not ok.all():
+        p, k = np.argwhere(~ok)[0] + (0, 1)
+        raise NonFiniteAngle(f"parameter {circuit.factors[k][1]!r}: angle "
+                             f"{angles[p, k].item()!r} gives an adjoint exponential "
+                             "that is not finite")
     # row j starts as e_{idx_j}; factor k acts on the rows j < k, innermost
     # (k = j + 1) first, as an (n, n) matrix on row vectors: C @ E^T
     coeff = np.zeros((b, m, rep.size), dtype=complex)
     coeff[:, np.arange(m), idx] = 1.0
     for k in range(1, m):
-        coeff[:, :k] = np.einsum("bjl,bkl->bjk", coeff[:, :k], exps[:, k])
+        coeff[:, :k] = np.einsum("bjl,bkl->bjk", coeff[:, :k], exps[:, k - 1])
     return coeff
 
 

@@ -75,6 +75,6 @@ def eigvalsh(g) -> np.ndarray:
     return np.where(finite, w, np.nan)
 
 
-def expm_phase_eig(w, V, t: float) -> np.ndarray:
-    """exp(-i t A) from a precomputed eigendecomposition of A."""
+def expm_phase_eig(w, V, t) -> np.ndarray:
+    """exp(-i t A) from an eigendecomposition of A; t a scalar or a (..., 1, 1) stack."""
     return (V * np.exp(-1j * t * w)) @ V.conj().T

@@ -22,9 +22,9 @@ from . import liealg, linalg
 from .errors import DimensionMismatch, DuplicateParameter, MissingParameter, NonFiniteAngle
 from .liealg import LieAlgebraRep
 
-# points per block of metric_batch and the oracles; bounds their work stacks
-# on large grids
-BLOCK_NODES = 128
+# complex entries per work stack of a block of metric_batch, the oracles and
+# verify's adjoint_equivalence; bounds their memory on large batches
+BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -183,14 +183,15 @@ def _tangent_stack(circuit: CircuitSpec, angles: np.ndarray, psi_i: np.ndarray,
     return X
 
 
-def _by_block(block_fn, circuit: CircuitSpec, angles) -> np.ndarray:
-    """Metrics (B, M, M) from ``block_fn`` on BLOCK_NODES points at a time, so
-    the work stacks stay bounded on large batches."""
+def _by_block(block_fn, circuit: CircuitSpec, angles, vectors: int) -> np.ndarray:
+    """Metrics (B, M, M) from ``block_fn`` on as many points at a time as keep
+    its work stack of ``vectors`` d-vectors per point within BLOCK_ENTRIES."""
     angles = circuit.angle_batch(angles)
     m = len(circuit.factors)
+    step = max(1, BLOCK_ENTRIES // (vectors * circuit.dim))
     out = np.empty((angles.shape[0], m, m))
-    for start in range(0, angles.shape[0], BLOCK_NODES):
-        out[start:start + BLOCK_NODES] = block_fn(angles[start:start + BLOCK_NODES])
+    for start in range(0, angles.shape[0], step):
+        out[start:start + step] = block_fn(angles[start:start + step])
     return out
 
 
@@ -198,8 +199,8 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
     """Metrics (B, M, M) for a (B, M) array of angles in factor order.
 
     The production metric kernel: g_mn = gamma^2 Re(<psi_m|psi_n> -
-    <psi_m|psi><psi|psi_n>) from the rows of ``_tangent_stack``, taken
-    BLOCK_NODES points at a time so memory stays flat on large grids.
+    <psi_m|psi><psi|psi_n>) from the M + 1 rows of ``_tangent_stack``, in
+    blocks of at most BLOCK_ENTRIES entries so memory stays flat on large grids.
     """
     psi_i = _initial_state(circuit, psi_i)
     m = len(circuit.factors)
@@ -208,7 +209,7 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
         X = _tangent_stack(circuit, a, psi_i)
         return projector_metric(X[m], X[:m].swapaxes(0, 1))
 
-    return gamma**2 * _by_block(block, circuit, angles)
+    return gamma**2 * _by_block(block, circuit, angles, m + 1)
 
 
 def metric_jets(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0):

@@ -74,15 +74,20 @@ MAX_HILBERT_DIM = 1024
 # spin-s rotations
 
 
-def spin_operators(s):
-    """(S_x, S_y, S_z) for spin s in the S_z eigenbasis ordered m = s..-s."""
+def _half_integer_spin(s) -> float:
+    """s as a positive half-integer of dimension 2s + 1 <= MAX_HILBERT_DIM, or InvalidSpin."""
     two_s = 2 * s
     if np.isfinite(s) and two_s + 1 > MAX_HILBERT_DIM:  # 2s may overflow to inf
         raise InvalidSpin(f"spin {s} needs dimension 2s + 1 = {two_s + 1:.0f}, "
                           f"above the maximum {MAX_HILBERT_DIM}")
     if not (np.isfinite(s) and abs(two_s - round(two_s)) <= 1e-12 and s >= 0.5):
         raise InvalidSpin(f"spin must be a positive half-integer, got {s}")
-    s = round(two_s) / 2
+    return round(two_s) / 2
+
+
+def spin_operators(s):
+    """(S_x, S_y, S_z) for spin s in the S_z eigenbasis ordered m = s..-s."""
+    s = _half_integer_spin(s)
     m = np.arange(s, -s - 0.5, -1.0)
     sz = np.diag(m).astype(complex)
     # raising operator: <m+1|S+|m> = sqrt(s(s+1) - m(m+1))

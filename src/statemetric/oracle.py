@@ -3,8 +3,8 @@
 Two oracles: central differences of the state fed through the projector
 formula, and a fidelity-based quadratic form that never sees phases at all.
 Both know nothing about tilde operators or structure constants.  Each takes
-a (B, M) array of angles, builds the shifted points of ``manifold.BLOCK_NODES``
-points at a time as one array and evolves them in one ``evolve_batch`` call.
+a (B, M) array of angles and evolves the shifted points of each block (up to
+``manifold.BLOCK_ENTRIES`` state entries) as one array in one ``evolve_batch`` call.
 ``fd_metric`` is the one point form, a batch of one; no module of the package
 calls it, and ``perfbench/workloads.py`` reads it.
 """
@@ -48,7 +48,7 @@ def fd_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
         derivs = (psi[:, 1:m + 1] - psi[:, m + 1:]) / (2 * h)
         return projector_metric(psi[:, 0], derivs, gamma)
 
-    return _by_block(block, circuit, angles)
+    return _by_block(block, circuit, angles, len(offsets))
 
 
 def fd_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
@@ -86,6 +86,6 @@ def fidelity_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.
         g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = mixed
         return g
 
-    return _by_block(block, circuit, angles)
+    return _by_block(block, circuit, angles, len(offsets))
 
 

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import geometry, liealg, linalg, models, oracle
+from . import geometry, liealg, linalg, manifold, models, oracle
 from .geometry import GridSpec, metric_stack
 from .manifold import tilde_metric_batch
 from .models import (
@@ -29,10 +29,6 @@ from .models import (
 )
 
 SEED = 20240811
-
-# tilde entries (points x M d^2) per adjoint_equivalence block; bounds the
-# (B, M, d, d) stacks of both routes
-BLOCK_ENTRIES = 2**15
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -169,7 +165,7 @@ def check_adjoint_equivalence(models=None) -> CheckResult:
     """Adjoint-representation tilde operators equal direct conjugation.
 
     Both routes take the 50 points of each model in blocks of at most
-    BLOCK_ENTRIES // (M d^2) points and are compared block by block on the
+    manifold.BLOCK_ENTRIES // (M d^2) points and are compared block by block on the
     active block of each tilde generator.
     """
     models = models or catalog()
@@ -185,7 +181,7 @@ def check_adjoint_equivalence(models=None) -> CheckResult:
         rep, circuit = model.rep, model.circuit
         m = len(circuit.factors)
         angles = rng.uniform(-1.0, 1.0, (50, m))
-        step = max(1, BLOCK_ENTRIES // (m * rep.dim**2))
+        step = max(1, manifold.BLOCK_ENTRIES // (m * rep.dim**2))
         for start in range(0, len(angles), step):
             block = angles[start:start + step]
             d = rep.block_norm(liealg.tilde_by_adjoint(rep, circuit, block)
@@ -289,17 +285,14 @@ def check_oracle_quality(models=None) -> CheckResult:
     pt = {"theta_1": 0.3, "theta_2": 0.7, "theta_3": 1.1}
     angles = model.circuit.angles(pt)[None]
     g_a = metric_stack(model, angles)[0]
-    steps = np.array([1e-2, 1e-3, 1e-4])
-    errs = np.array([
-        _max_abs(oracle.fd_metric_batch(model.circuit, angles, model.initial_state,
-                                        model.gamma, h=h)[0] - g_a)
-        for h in steps
-    ])
+    steps = np.array([1e-2, 1e-3, oracle.DEFAULT_STEP])
+    g_f = [oracle.fd_metric_batch(model.circuit, angles, model.initial_state,
+                                  model.gamma, h=h)[0] for h in steps]
+    errs = np.array([_max_abs(g - g_a) for g in g_f])
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
-    g_f = oracle.fd_metric_batch(model.circuit, angles, model.initial_state, model.gamma)[0]
     g_q = oracle.fidelity_metric_batch(model.circuit, angles, model.initial_state,
                                        model.gamma)[0]
-    agree = _max_abs(g_f - g_q)
+    agree = _max_abs(g_f[-1] - g_q)  # both at the default step
     ok = abs(slope - 2.0) <= 0.3 and agree <= 1e-5
     return _result("oracle_quality", ok,
                    f"convergence slope = {slope:.3f}, |fd - fidelity| = {agree:.2e}")

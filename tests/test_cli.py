@@ -372,6 +372,9 @@ class TestGrid:
     ["models", "emit", "two_spin_sum", "--m", "3"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--trunc", "5"],
     ["models", "emit", "spin", "--s", "1", "--m", "0", "--coeffs", "0,1,0"],
+    ["models", "emit", "foo"],
+    ["models", "emit", "spin"],
+    ["models", "emit", "spin", "--s", "40"],
     # a parameter name the CLI cannot address
     ["grid", "{comma}", "--sweep", "theta_2=0:1:3", "--format", "csv"],
 ], ids=["metric-nan", "metric-inf", "grid-inf", "curvature-nan", "validate-dir",
@@ -382,7 +385,8 @@ class TestGrid:
         "emit-nan-gamma", "emit-inf-gamma", "emit-zero-gamma", "emit-negative-gamma",
         "emit-huge-gamma", "metric-repeated-at", "grid-repeated-at", "curvature-repeated-at",
         "grid-swept-at", "emit-oscillator-s", "emit-two-spin-m", "emit-spin-trunc",
-        "emit-spin-m-and-coeffs", "grid-comma-in-parameter-name"])
+        "emit-spin-m-and-coeffs", "emit-unknown-model", "emit-spin-no-state",
+        "emit-spin-s40-no-state", "grid-comma-in-parameter-name"])
 def test_bad_input_is_usage_error(argv, spin_manifest, comma_manifest, tmp_path, capsys):
     argv = [a.format(manifest=spin_manifest, dir=tmp_path, comma=comma_manifest) for a in argv]
     assert cli.main(argv) == 2  # an exception escaping main fails the test too
@@ -668,7 +672,7 @@ class TestModels:
         assert capsys.readouterr().out == ""
 
     def test_emit_requires_model_id(self, capsys):
-        assert cli.main(["models", "emit"]) == 1
+        assert cli.main(["models", "emit"]) == 2
 
     def test_emit_defaults_come_from_the_spec(self, capsys):
         # no --s: the spec's spin 1/2; no --gamma: the spec's 1

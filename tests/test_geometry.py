@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import geometry
+from statemetric import geometry, manifold
 from statemetric.errors import (
     DegenerateSection,
     EmptyGrid,
@@ -23,7 +23,7 @@ from statemetric.geometry import (
     scalar_from_jets,
     section_curvatures,
 )
-from statemetric.manifold import BLOCK_NODES, metric_jets
+from statemetric.manifold import metric_jets
 from statemetric.models import (
     OscillatorModelSpec,
     SpinModelSpec,
@@ -114,12 +114,14 @@ class TestMetricField:
         for x, g in zip(field.angles, field.g):
             assert np.max(np.abs(g - pointwise(model, x))) <= 1e-14
 
-    def test_batch_crosses_block_boundary(self, spin1):
-        count = 2 * BLOCK_NODES + 3
+    def test_batch_crosses_block_boundary(self, monkeypatch, spin1):
+        block = 128  # points per block: M + 1 = 4 rows of d = 3 entries each
+        monkeypatch.setattr(manifold, "BLOCK_ENTRIES", block * 4 * 3)
+        count = 2 * block + 3
         grid = GridSpec({"theta_1": (-1.0, 1.0, count), "theta_2": (0.3, 2.5, 2)},
                         fixed={"theta_3": 0.4})
         field = metric_field(spin1, grid)
-        assert len(field.g) > 4 * BLOCK_NODES
+        assert len(field.g) > 4 * block
         for x, g in zip(field.angles, field.g):
             assert np.max(np.abs(g - pointwise(spin1, x))) <= 1e-14
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import geometry, liealg, linalg, manifest, verify
+from statemetric import geometry, liealg, linalg, manifest, manifold, verify
 from statemetric.errors import (
     DependentGenerators,
     DimensionMismatch,
@@ -402,7 +402,7 @@ class TestBatchedRoutes:
         # blockwise give the same worst residual
         model = CATALOG["oscillator_n0"]
         rep, circuit = model.rep, model.circuit
-        step = verify.BLOCK_ENTRIES // (len(circuit.factors) * rep.dim**2)
+        step = manifold.BLOCK_ENTRIES // (len(circuit.factors) * rep.dim**2)
         angles = np.random.default_rng(9).uniform(-1.0, 1.0, (3 * step + 1, 2))
 
         def worst(batch):
@@ -416,7 +416,7 @@ class TestBatchedRoutes:
 
     def test_check_residual_does_not_depend_on_blocking(self, monkeypatch):
         blocked = verify.check_adjoint_equivalence()
-        monkeypatch.setattr(verify, "BLOCK_ENTRIES", 2**30)  # one block per model
+        monkeypatch.setattr(manifold, "BLOCK_ENTRIES", 2**30)  # one block per model
         assert verify.check_adjoint_equivalence() == blocked
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -441,12 +441,16 @@ class TestBatchedRoutes:
         monkeypatch.setattr(liealg, "_expm", counting_expm)
         result = verify.check_adjoint_equivalence()
         assert result.passed
-        blocks = 0
+        blocks, stacks = 0, []
         for key in ("spin_1_m0", "oscillator_n0", "two_spin_dm_xx", "two_spin_sum"):
             rep, m = CATALOG[key].rep, len(CATALOG[key].circuit.factors)
-            blocks += -(-50 // (verify.BLOCK_ENTRIES // (m * rep.dim**2)))
+            count = -(-50 // (manifold.BLOCK_ENTRIES // (m * rep.dim**2)))
+            blocks += count
+            # factor 0 acts on no row: only factors 1..M-1 are exponentiated
+            stacks += [(m - 1, rep.size, rep.size)] * count
         assert len(calls) == blocks
         assert sum(shape[0] for shape in calls) == 4 * 50
+        assert [shape[1:] for shape in calls] == stacks
 
     @settings(max_examples=40, deadline=None)
     @given(key=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import liealg, verify
+from statemetric import liealg, manifold, oracle, verify
 from statemetric.errors import (
     DimensionMismatch,
     DuplicateParameter,
@@ -167,6 +167,18 @@ class TestBatches:
                              model.initial_state, model.gamma)
             assert np.max(np.abs(row - g)) <= 1e-14
 
+    @pytest.mark.parametrize("kernel", [metric_batch, oracle.fd_metric_batch,
+                                        oracle.fidelity_metric_batch],
+                             ids=["metric", "fd", "fidelity"])
+    def test_block_size_changes_no_bit(self, monkeypatch, kernel):
+        model = CATALOG["two_spin_directional"]
+        angles = np.random.default_rng(73).uniform(-1.0, 1.0, (7, 3))
+        blocks = []
+        for entries in (1, 2**40):  # one point per block; one block
+            monkeypatch.setattr(manifold, "BLOCK_ENTRIES", entries)
+            blocks.append(kernel(model.circuit, angles, model.initial_state, model.gamma))
+        assert blocks[0].tobytes() == blocks[1].tobytes()
+
     def test_bad_angle_arrays(self, half):
         with pytest.raises(DimensionMismatch):
             evolve_batch(half.circuit, np.zeros((2, 2)), half.initial_state)
@@ -280,6 +292,27 @@ class TestTildeRouteContract:
         circuit = CircuitSpec(broken, ((rep.names[0], "a"), (rep.names[1], "b")))
         with pytest.raises(NotClosed):
             tilde_metric_batch(circuit, np.zeros((7, 2)), [1.0, 0.0])
+
+    def test_row_does_not_depend_on_the_batch(self, one_m0):
+        # each adjoint exponential is scaled and squared on its own, so a
+        # large angle elsewhere in the batch changes no bit of this row
+        a = np.array([[0.1, 0.7, 0.3]])
+        alone = tilde_metric_batch(one_m0.circuit, a, one_m0.initial_state)
+        beside = tilde_metric_batch(one_m0.circuit, np.vstack([a, [[0.1, 1e6, 0.3]]]),
+                                    one_m0.initial_state)
+        assert alone[0].tobytes() == beside[0].tobytes()
+
+    @pytest.mark.parametrize("route", ["metric", "adjoint"])
+    @pytest.mark.parametrize("theta", [1e300, 1e308])
+    def test_non_finite_exponential_refused(self, one_m0, route, theta):
+        # 1e300 squares to NaN; 1e308 overflows the scaling norm.  A
+        # RuntimeWarning on the way fails the test (pyproject filterwarnings)
+        angles = np.array([[0.1, 0.7, 0.3], [0.1, theta, 0.3]])
+        with pytest.raises(NonFiniteAngle, match="parameter 'theta_2': angle 1e\\+30"):
+            if route == "metric":
+                tilde_metric_batch(one_m0.circuit, angles, one_m0.initial_state)
+            else:
+                liealg.tilde_by_adjoint(one_m0.rep, one_m0.circuit, angles)
 
     def test_needs_no_conjugation(self, one_m0, monkeypatch):
         def refuse(*args):

@@ -123,7 +123,8 @@ class TestBatches:
     @pytest.mark.parametrize("kind", sorted(ORACLES))
     def test_blocks_bound_the_shifted_states(self, monkeypatch, superpos, kind):
         # 10 points in blocks of 4: three evolve calls of at most 4 points'
-        # shifted states each, and the same rows as one unblocked call
+        # shifted states each, and the same rows as one unblocked call; a
+        # point takes 2M + 1 (fd) or M(M + 1) (fidelity) states of d = 3
         batch_fn = ORACLES[kind][0]
         angles = np.random.default_rng(5).uniform(-1.0, 1.0, (10, 3))
         whole = batch_fn(superpos.circuit, angles, superpos.initial_state)
@@ -133,7 +134,8 @@ class TestBatches:
             sizes.append(len(shifted))
             return manifold.evolve_batch(circuit, shifted, psi_i)
 
-        monkeypatch.setattr(manifold, "BLOCK_NODES", 4)
+        states = {"fd": 7, "fidelity": 12}[kind]
+        monkeypatch.setattr(manifold, "BLOCK_ENTRIES", 4 * states * 3)
         monkeypatch.setattr(oracle, "evolve_batch", counting)
         blocked = batch_fn(superpos.circuit, angles, superpos.initial_state)
         per_point = sizes[-1] // 2
