@@ -143,7 +143,8 @@ def extract_structure_constants(
     names=None,
     active_dim: int | None = None,
 ) -> LieAlgebraRep:
-    """Fit c_ij^k by least squares on vectorized generators.
+    """Fit c_ij^k by least squares on vectorized generators, every pair from
+    one QR factorization of the generator basis.
 
     Only pairs i < j are solved; antisymmetry is enforced by negation.
     Raises NotClosed if any commutator leaves the generator span by more than
@@ -182,22 +183,26 @@ def extract_structure_constants(
             f"generator Gram matrix condition number {cond:.3e} exceeds {GRAM_COND_MAX:.1e}"
         )
 
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coms = np.empty((basis.shape[0], len(pairs)), dtype=complex)
+    for c, (i, j) in enumerate(pairs):
+        coms[:, c] = _bracket(gens[i], gens[j], active_dim).ravel()
+    Q, R = np.linalg.qr(basis)
+    coeffs = np.linalg.solve(R, Q.conj().T @ coms)
+    resids = np.max(np.abs(coms - basis @ coeffs), axis=0)
+
     constants = np.zeros((n, n, n), dtype=complex)
     residual = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            com = _bracket(gens[i], gens[j], active_dim).ravel()
-            coeff, *_ = np.linalg.lstsq(basis, com, rcond=None)
-            resid = float(np.max(np.abs(com - basis @ coeff)))
-            bound = closure_bound(peak[[i, j]])
-            if not resid <= bound:
-                raise NotClosed(
-                    f"[{names[i]}, {names[j]}] leaves the span "
-                    f"(residual {resid:.3e} > {bound:.1e})"
-                )
-            residual = max(residual, resid)
-            constants[i, j] = coeff
-            constants[j, i] = -coeff
+    for (i, j), coeff, resid in zip(pairs, coeffs.T, resids):
+        bound = closure_bound(peak[[i, j]])
+        if not resid <= bound:
+            raise NotClosed(
+                f"[{names[i]}, {names[j]}] leaves the span "
+                f"(residual {resid:.3e} > {bound:.1e})"
+            )
+        residual = max(residual, float(resid))
+        constants[i, j] = coeff
+        constants[j, i] = -coeff
     return LieAlgebraRep(names, gens, constants, residual, active_dim)
 
 

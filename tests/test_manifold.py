@@ -272,6 +272,20 @@ class TestMetric:
         g = tilde_metric(model.circuit, pt, model.initial_state)
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
+    @pytest.mark.parametrize("s, m", [(20, 20), (20, -20), (20, 0), (20, 7),
+                                      (40, 40), (40, -40), (40, 0), (40, -13)])
+    def test_large_spin_eigenstate_sphere(self, s, m):
+        # the closed form to the benchmark's SPIN_METRIC_TOL (1e-10); at s = 40
+        # the worst of these reads 5e-11
+        model = spin_model(SpinModelSpec(s=s, m=m, gamma=2.0))
+        angles = np.random.default_rng(100 * s + m).uniform(-np.pi, np.pi, (200, 3))
+        g = metric_batch(model.circuit, angles, model.initial_state, model.gamma)
+        r2 = 0.5 * model.gamma**2 * (s * (s + 1) - m * m)
+        want = np.zeros_like(g)
+        want[:, 0, 0] = r2 * np.sin(angles[:, 1]) ** 2
+        want[:, 1, 1] = r2
+        assert np.max(np.abs(g - want)) <= 1e-10
+
     def test_metric_tensor_symmetrized(self):
         from statemetric.manifold import MetricTensor
         m = MetricTensor(np.array([[1.0, 2.0], [0.0, 3.0]]))
