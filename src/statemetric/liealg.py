@@ -14,31 +14,124 @@ Both routes take a (B, M) array of angles in factor order, as
 ``manifold.metric_batch`` does, and return the (B, M, d, d) stack of tilde
 generators; a single point is a batch of one.  The adjoint route sums the
 generators with their (B, M, n) coefficients (``tilde_coefficients``, all
-that ``manifold.tilde_metric_batch`` needs) from one stacked exponential
-(``_expm``, scaling and squaring of a Taylor series in ``einsum``) for the
-B (M - 1) adjoint exponentials of factors 1..M-1; the conjugation applies
-each factor from ``linalg.expm_phase_eig`` to the whole stack at once.
+that the metric kernel ``manifold.metric_batch`` needs).  Each factor
+carries the coefficient rows through exp(i theta ad_k) by a plan built once
+per generator and cached on the rep (``LieAlgebraRep.adjoint_plan``): a
+finite series when ad_k is nilpotent, and otherwise its eigenbasis, from
+``eigh`` after symmetrizing by the generators' Gram matrix, so every phase
+has modulus 1 and the coefficients stay bounded at any angle.  Nothing
+there has the size of the Hilbert dimension.  The conjugation applies each
+factor from ``linalg.expm_phase_eig`` to the whole stack at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import DependentGenerators, NonFiniteAngle, NotClosed, UnknownGenerator
+from .errors import DependentGenerators, NotClosed, UnknownGenerator
 
 # bracket residual bounds for generators (closure) and structure constants
 # (Jacobi) with entries of at most 1; see closure_bound and jacobi_bound
 CLOSURE_TOL = 1e-9
 JACOBI_TOL = 1e-10
 GRAM_COND_MAX = 1e8
+# the structure-constant fit's roundoff, relative to max(1, max|ad_k|)^j for
+# a j-th power: an adjoint entry within it is zero, and an ad_k whose j-th
+# power over j! is within it is nilpotent (the Heisenberg x and p)
+NILPOTENT_TOL = 1e-14
+# relative departure of ad_k from self-adjointness in the Gram metric that
+# the eigen plan still symmetrizes away
+ADJOINT_HERM_TOL = 1e-10
 
-# _expm scales the stack to a 1-norm of at most EXPM_SCALED_NORM, where the
-# Taylor remainder after EXPM_TAYLOR_ORDER terms is far below roundoff
-EXPM_SCALED_NORM = 0.25
-EXPM_TAYLOR_ORDER = 18
+
+class AdjointPlan:
+    """exp(i theta ad_k) on coefficient row vectors, for a stack of angles.
+
+    With ``lam`` set, it is the eigen plan: rows -> ((rows @ left) *
+    exp(i theta lam)) @ right.  Otherwise it is the finite series: ``terms``
+    lists (ad_k^j / j!)^T for j = 1..J (none for ad_k = 0), and rows ->
+    rows + sum_j (i theta)^j rows @ (ad_k^j / j!)^T.
+    """
+
+    __slots__ = ("left", "lam", "right", "terms")
+
+    def __init__(self, left=None, lam=None, right=None, terms=None):
+        self.left, self.lam, self.right, self.terms = left, lam, right, terms
+
+    def carry(self, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """rows (B, k, n) times exp(i theta[b] ad_k)^T, point by point."""
+        b, k, n = rows.shape
+        if self.lam is not None:
+            Y = (rows.reshape(-1, n) @ self.left).reshape(b, k, n)
+            Y *= np.exp(1j * theta[:, None, None] * self.lam)
+            return (Y.reshape(-1, n) @ self.right).reshape(b, k, n)
+        out, power = rows, 1
+        for term in self.terms:  # (i theta)^j rows @ (ad_k^j / j!)^T
+            power = power * 1j * theta[:, None, None]
+            out = out + power * (rows @ term)
+        return out
+
+
+def gram_root(gram: np.ndarray):
+    """(R, R^-1) for a positive definite Gram matrix: R = L^dagger, upper
+    triangular, from its Cholesky factor, so Gram = R^dagger R."""
+    R = np.linalg.cholesky(gram).conj().T
+    return R, np.linalg.inv(R)
+
+
+def adjoint_plan(ad: np.ndarray, root) -> AdjointPlan:
+    """The plan for exp(i theta ad) of one adjoint matrix, given the
+    ``gram_root`` (R, R^-1) of the Gram matrix of the generators it acts on.
+
+    For a compact algebra, ad is self-adjoint in the Hilbert-Schmidt inner
+    product x^dagger Gram y, so H = R ad R^-1 is Hermitian: ``eigh`` of its
+    Hermitian part gives real eigenvalues, and |exp(i theta lam)| = 1 at
+    every theta (an H within roundoff of zero, a central generator, gives
+    the identity).  Otherwise, if ad is nilpotent, the finite series
+    (``_nilpotent_series``; the Heisenberg x and p).  An ad that is neither
+    (a truncated non-compact algebra) takes a general ``eig``, and a
+    defective one raises DependentGenerators.
+    """
+    R, R_inv = root
+    H = R @ ad @ R_inv
+    size = float(np.max(np.abs(H)))
+    if np.max(np.abs(H - H.conj().T)) <= ADJOINT_HERM_TOL * max(1.0, size):
+        if size <= NILPOTENT_TOL:
+            return AdjointPlan(terms=[])
+        lam, U = np.linalg.eigh((H + H.conj().T) / 2)
+        # ad = P diag(lam) P^-1 with P = R^-1 U; on row vectors,
+        # rows @ exp(i theta ad)^T = ((rows @ P^-T) * phases) @ P^T
+        return AdjointPlan(left=(U.conj().T @ R).T, lam=lam, right=(R_inv @ U).T)
+    terms = _nilpotent_series(ad)
+    if terms is not None:
+        return AdjointPlan(terms=terms)
+    lam, P = np.linalg.eig(ad)
+    cond = np.linalg.cond(P)
+    if not cond <= GRAM_COND_MAX:
+        raise DependentGenerators("an adjoint matrix is neither nilpotent nor "
+                                  f"diagonalizable (eigenbasis condition number {cond:.3e})")
+    return AdjointPlan(left=np.linalg.inv(P).T, lam=lam, right=P.T)
+
+
+def _nilpotent_series(ad: np.ndarray):
+    """The list of (ad^j / j!)^T for j = 1..J, or None when ad is not
+    nilpotent.  Entries within NILPOTENT_TOL * max(1, max|ad|) are the
+    fit's roundoff and read as zero; the series stops before the first power
+    ad^j / j! within NILPOTENT_TOL * max(1, max|ad|)^j."""
+    n = len(ad)
+    scale = max(1.0, float(np.max(np.abs(ad))))
+    a = np.where(np.abs(ad) > NILPOTENT_TOL * scale, ad, 0)
+    terms, power = [], np.eye(n)
+    for j in range(1, n + 1):
+        power = power @ a / j
+        if np.max(np.abs(power)) <= NILPOTENT_TOL * scale**j:
+            return terms
+        terms.append(power.T)
+    return None
 
 
 @dataclass(frozen=True)
@@ -57,6 +150,7 @@ class LieAlgebraRep:
     closure_residual: float
     active_dim: int | None = None
     _eig_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -86,6 +180,18 @@ class LieAlgebraRep:
         """ad_m with (ad_m)_{k,l} = c_{m,l}^k; exponentiates to conjugation."""
         return np.transpose(self.constants, (0, 2, 1))
 
+    def adjoint_plan(self, k: int) -> AdjointPlan:
+        """Cached ``adjoint_plan`` of generator k, with the Gram matrix of the
+        generators' active blocks, on which the structure constants were fit."""
+        if k not in self._plan_cache:
+            self._plan_cache[k] = adjoint_plan(self.adjoint_matrices()[k], self._gram_root)
+        return self._plan_cache[k]
+
+    @functools.cached_property
+    def _gram_root(self):
+        basis = _basis(self.generators, self.active_dim)
+        return gram_root(basis.conj().T @ basis)
+
     def active_block(self, M: np.ndarray) -> np.ndarray:
         """The active block of a matrix or a stack of matrices (all of it
         when no active block is set)."""
@@ -113,7 +219,7 @@ class LieAlgebraRep:
         """Max |Re c|; purely imaginary constants for Hermitian generators."""
         return float(np.max(np.abs(self.constants.real)))
 
-    @property
+    @functools.cached_property
     def closed(self) -> bool:
         """Whether the fit residual is within the closure bound of the
         generators' active blocks."""
@@ -130,6 +236,12 @@ def closure_bound(peaks) -> float:
     that is the pair's own product.
     """
     return CLOSURE_TOL * max(1.0, float(np.prod(np.sort(peaks)[-2:])))
+
+
+def _basis(generators, k: int | None) -> np.ndarray:
+    """The leading k x k blocks of the generators (all of them when k is
+    None), vectorized as the columns of a (k^2, n) matrix."""
+    return np.stack([G[:k, :k].ravel() for G in generators], axis=1)
 
 
 def _bracket(X: np.ndarray, Y: np.ndarray, k: int | None) -> np.ndarray:
@@ -167,11 +279,10 @@ def extract_structure_constants(
         if G.shape[0] != d:
             raise DependentGenerators("generators have mixed dimensions")
 
-    block = (slice(active_dim), slice(active_dim))  # all of M when active_dim is None
-    basis = np.stack([G[block].ravel() for G in gens], axis=1)
+    basis = _basis(gens, active_dim)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = basis.conj().T @ basis
-        peak = np.array([np.max(np.abs(G[block])) for G in gens])  # per generator: contiguous
+        peak = np.array([np.max(np.abs(G[:active_dim, :active_dim])) for G in gens])
         if not np.all(np.isfinite(gram)):
             top = int(np.argmax(peak))
             raise DependentGenerators(
@@ -324,59 +435,27 @@ def tilde_by_conjugation(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     return tildes
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) for every n x n matrix of a (..., n, n) stack.
-
-    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
-    2005) with a Taylor series in place of the Pade approximant: each matrix
-    is scaled by 2^-s, s set by its own 1-norm, the series is summed to
-    EXPM_TAYLOR_ORDER by Horner's rule, and each result is squared its own s
-    times, so no matrix depends on the rest of the stack.  Every product is
-    one ``einsum`` over the stack, or over the matrices still to be squared.
-    """
-    with np.errstate(divide="ignore"):  # a zero matrix takes s = 0
-        s = np.ceil(np.log2(np.abs(A).sum(axis=-2).max(axis=-1) / EXPM_SCALED_NORM))
-    s = np.maximum(s, 0).astype(int)
-    A = A * 2.0**-s[..., None, None]
-    eye = np.eye(A.shape[-1], dtype=A.dtype)
-    E = eye + A / EXPM_TAYLOR_ORDER
-    for k in range(EXPM_TAYLOR_ORDER - 1, 0, -1):
-        E = eye + np.einsum("...ij,...jk->...ik", A, E) / k
-    for k in range(s.max(initial=0)):
-        E[s > k] = np.einsum("...ij,...jk->...ik", E[s > k], E[s > k])
-    return E
-
-
 def tilde_coefficients(rep: LieAlgebraRep, circuit, angles) -> np.ndarray:
     """Coefficients C (B, M, n) of the tilde generators, A~_j = sum_k C_jk A_k,
     for a (B, M) array of angles in factor order.  Row j is e_{idx_j} carried
-    through exp(i theta_k ad_k) for each downstream factor k, from one stacked
-    ``_expm`` call.  Raises NotClosed for an open algebra, and NonFiniteAngle,
-    naming the parameter, for an angle whose exponential is not finite.
+    through exp(i theta_k ad_k) for each downstream factor k, by the cached
+    ``LieAlgebraRep.adjoint_plan`` of its generator.  Raises NotClosed for an
+    open algebra, and NonFiniteAngle, naming the parameter of the largest
+    phase at the point, for coefficients that are not finite.
     """
     if not rep.closed:
         raise NotClosed(f"closure residual {rep.closure_residual:.3e} exceeds its bound")
     angles = circuit.angle_batch(angles)
     idx = _factor_indices(rep, circuit)
     b, m = angles.shape
-    # factor 0 acts on no row: exps[:, k - 1] belongs to factor k.  A phase whose
-    # 1-norm overflows is zeroed for _expm, and refused with any non-finite exps
-    with np.errstate(over="ignore"):
-        phase = 1j * angles[:, 1:, None, None] * rep.adjoint_matrices()[idx[1:]]
-        ok = np.isfinite(np.abs(phase).sum(axis=-2) / EXPM_SCALED_NORM).all(axis=-1)
-    exps = _expm(np.where(ok[..., None, None], phase, 0))
-    ok &= np.isfinite(exps).all(axis=(-2, -1))
-    if not ok.all():
-        p, k = np.argwhere(~ok)[0] + (0, 1)
-        raise NonFiniteAngle(f"parameter {circuit.factors[k][1]!r}: angle "
-                             f"{angles[p, k].item()!r} gives an adjoint exponential "
-                             "that is not finite")
     # row j starts as e_{idx_j}; factor k acts on the rows j < k, innermost
-    # (k = j + 1) first, as an (n, n) matrix on row vectors: C @ E^T
+    # (k = j + 1) first
     coeff = np.zeros((b, m, rep.size), dtype=complex)
     coeff[:, np.arange(m), idx] = 1.0
-    for k in range(1, m):
-        coeff[:, :k] = np.einsum("bjl,bkl->bjk", coeff[:, :k], exps[:, k - 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m):
+            coeff[:, :k] = rep.adjoint_plan(idx[k]).carry(coeff[:, :k], angles[:, k])
+    circuit.require_finite(angles, coeff, "adjoint coefficients")
     return coeff
 
 

@@ -13,6 +13,8 @@ any other takes a complex ``eigh``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
@@ -58,6 +60,26 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return np.multiply(V, unit, out=V.copy(), where=turn)
 
 
+@functools.lru_cache(maxsize=16)
+def _below(d: int) -> np.ndarray:
+    """Mask of the strict lower triangle of a d x d matrix (a few dimensions
+    recur in a process; the bound keeps large ones from piling up)."""
+    return np.tri(d, k=-1, dtype=bool)
+
+
+def _route(M):
+    """(route, diagonal, subdiagonal) of a Hermitian matrix, from its lower
+    triangle alone: "diagonal", "ladder" (tridiagonal, zero diagonal) or
+    "dense"."""
+    diag, sub = M.diagonal().real, M.diagonal(-1)
+    below = np.count_nonzero(M[_below(len(M))])
+    if below == 0:
+        return "diagonal", diag, sub
+    if below == np.count_nonzero(sub) and not diag.any():
+        return "ladder", diag, sub
+    return "dense", diag, sub
+
+
 def herm_eig(M, check: bool = True):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -74,16 +96,36 @@ def herm_eig(M, check: bool = True):
     """
     if check:
         M = require_hermitian(M)
-    diag, sub = M.diagonal().real, M.diagonal(-1)
-    below = np.count_nonzero(np.tril(M, -1))
-    if below == 0:  # the identity's columns are phase-fixed already
+    route, diag, sub = _route(M)
+    if route == "diagonal":  # the identity's columns are phase-fixed already
         order = np.argsort(diag, kind="stable")
         return diag[order], np.eye(len(diag), dtype=complex)[:, order]
-    if below == np.count_nonzero(sub) and not diag.any():
-        w, V = _ladder_eig(sub)
-    else:
-        w, V = np.linalg.eigh(M)
+    w, V = _ladder_eig(sub) if route == "ladder" else np.linalg.eigh(M)
     return w, _fix_phases(V)
+
+
+def herm_eigvals(M) -> np.ndarray:
+    """The eigenvalues of ``herm_eig``, by the same route and without its
+    eigenvectors: the sorted diagonal, plus and minus the singular values of
+    the ladder's even-odd block, or ``np.linalg.eigvalsh``."""
+    route, diag, sub = _route(M)
+    if route == "diagonal":
+        return np.sort(diag)
+    if route == "dense":
+        return np.linalg.eigvalsh(M)
+    s = np.linalg.svd(_ladder_block(np.abs(sub)), compute_uv=False)
+    return np.concatenate([-s, np.zeros(len(sub) + 1 - 2 * len(s)), s[::-1]])
+
+
+def _ladder_block(mag) -> np.ndarray:
+    """The even-odd block B of the real ladder with subdiagonal ``mag``:
+    sub[2i] couples even site 2i to odd site 2i + 1 (B's diagonal), and
+    sub[2i + 1] couples even site 2i + 2 to it (B's subdiagonal)."""
+    d = len(mag) + 1
+    n = d // 2
+    B = np.zeros((d - n) * n)
+    B[::n + 1], B[n::n + 1] = mag[0::2], mag[1::2]
+    return B.reshape(d - n, n)
 
 
 def _ladder_eig(sub):
@@ -101,19 +143,16 @@ def _ladder_eig(sub):
     n = d // 2
     mag = np.abs(sub)
     phase = np.ones(d, dtype=complex)  # a zero entry passes the phase on unchanged
-    np.cumprod(np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0), out=phase[1:])
-    B = np.zeros((d - n, n))  # even sites by odd sites
-    np.fill_diagonal(B, mag[0::2])  # sub[2i] couples sites 2i and 2i + 1
-    np.fill_diagonal(B[1:], mag[1::2])  # sub[2i + 1] couples sites 2i + 2 and 2i + 1
-    U, s, Wt = np.linalg.svd(B)
-    u, v = U[:, :n] * 0.5**0.5, Wt.T * 0.5**0.5
-    V = np.zeros((d, d), dtype=complex)
-    V[0::2] = np.hstack([u, U[:, n:], u[:, ::-1]])  # -s (s descends), 0, +s
-    V[1::2, :n], V[1::2, d - n:] = -v, v[:, ::-1]
-    V *= phase[:, None]
-    w = np.zeros(d)
-    w[:n], w[d - n:] = -s, s[::-1]
-    return w, V
+    np.divide(sub, mag, out=phase[1:], where=mag > 0)
+    np.multiply.accumulate(phase[1:], out=phase[1:])
+    U, s, Wt = np.linalg.svd(_ladder_block(mag))
+    V = np.zeros((d, d))
+    V[0::2, n:d - n] = U[:, n:]  # 0
+    U[:, :n] *= 0.5**0.5
+    Wt *= 0.5**0.5
+    V[0::2, :n], V[0::2, d - n:] = U[:, :n], U[:, n - 1::-1]  # -s (s descends), +s
+    V[1::2, :n], V[1::2, d - n:] = -Wt.T, Wt[::-1].T
+    return np.concatenate([-s, np.zeros(d - 2 * n), s[::-1]]), V * phase[:, None]
 
 
 def eigvalsh(g) -> np.ndarray:

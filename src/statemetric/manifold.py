@@ -1,14 +1,15 @@
 """Circuit unitaries, state evolution and the analytic Fubini-Study metric.
 
-Two independent closed-form routes: exact state derivatives of the ordered
-exponential product, and, for a closed algebra, gamma^2 Re(C^* K C^T) from
-the adjoint coefficients C of the conjugated generators and the generators'
-covariance K; they agree to roundoff.  The first is the production kernel
-(``metric_batch``; ``metric_jets`` adds the metric's derivatives); the second
-(``tilde_metric_batch``), like the finite-difference oracles, is a check.
-Each takes a (B, M) array of angles; a point is a batch of one.  The one
-point form, ``build_unitary``, forms the whole unitary for the Euler-angle
-bridge.
+The production kernel ``metric_batch`` is the paper's general-algebra
+result, g = gamma^2 Re(C^* K C^T): C holds the adjoint coefficients of the
+conjugated generators (``liealg.tilde_coefficients``) and K the generators'
+covariance in the initial state, so nothing it forms has the size of the
+Hilbert dimension.  ``derivative_metric_batch``, from exact state derivatives
+of the ordered exponential product, is an independent check, as are the
+finite-difference oracles; ``metric_jets`` adds the metric's derivatives on
+that route.  Each takes a (B, M) array of angles; a point is a batch of one.
+The one point form, ``build_unitary``, forms the whole unitary for the
+Euler-angle bridge.
 """
 
 from __future__ import annotations
@@ -19,12 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, linalg
-from .errors import DimensionMismatch, DuplicateParameter, MissingParameter, NonFiniteAngle
+from .errors import (
+    DimensionMismatch,
+    DuplicateParameter,
+    MissingParameter,
+    NonFiniteAngle,
+    TruncationTooSmall,
+)
 from .liealg import LieAlgebraRep
 
 # complex entries per work stack of a block of metric_batch, the oracles and
 # verify's adjoint_equivalence; bounds their memory on large batches
 BLOCK_ENTRIES = 2**15
+# a generator leaves the initial state fixed when |Delta A psi_i| is within
+# this of |A psi_i|, the roundoff of the mean subtracted; a truncated rep
+# keeps psi_i and every A psi_i within its active block to this relative norm
+STATE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -67,9 +78,22 @@ class CircuitSpec:
 
     @functools.cached_property
     def _spectral_radii(self) -> np.ndarray:
-        """max |w| over the eigenvalues w of each factor's generator."""
-        return np.array([np.max(np.abs(self.algebra.generator_eig(g)[0]))
-                         for g, _p in self.factors])
+        """max |w| over the eigenvalues w of each factor's generator, from
+        ``linalg.herm_eigvals`` (no eigenvectors)."""
+        radius = {g: np.max(np.abs(linalg.herm_eigvals(self.algebra.generator(g))))
+                  for g, _p in self.factors}
+        return np.array([radius[g] for g, _p in self.factors])
+
+    def require_finite(self, angles: np.ndarray, values: np.ndarray, what: str):
+        """Raise NonFiniteAngle unless every entry of ``values`` (B, ...) is
+        finite, naming the parameter of the largest phase |theta w| at the
+        first point that is not."""
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        if not finite.all():
+            b = int(np.argmin(finite))
+            j = int(np.argmax(np.abs(angles[b]) * self._spectral_radii))
+            raise NonFiniteAngle(f"parameter {self.factors[j][1]!r}: angle "
+                                 f"{angles[b, j].item()!r} gives {what} that are not finite")
 
     def angle_batch(self, angles) -> np.ndarray:
         """A (B, M) array of angles in factor order, as a float array; raises
@@ -183,25 +207,77 @@ def _tangent_stack(circuit: CircuitSpec, angles: np.ndarray, psi_i: np.ndarray,
     return X
 
 
-def _by_block(block_fn, circuit: CircuitSpec, angles, vectors: int) -> np.ndarray:
+def _by_block(block_fn, circuit: CircuitSpec, angles, entries: int) -> np.ndarray:
     """Metrics (B, M, M) from ``block_fn`` on as many points at a time as keep
-    its work stack of ``vectors`` d-vectors per point within BLOCK_ENTRIES."""
+    its work stack of ``entries`` complex entries per point within
+    BLOCK_ENTRIES."""
     angles = circuit.angle_batch(angles)
     m = len(circuit.factors)
-    step = max(1, BLOCK_ENTRIES // (vectors * circuit.dim))
+    step = max(1, BLOCK_ENTRIES // entries)
     out = np.empty((angles.shape[0], m, m))
     for start in range(0, angles.shape[0], step):
         out[start:start + step] = block_fn(angles[start:start + step])
     return out
 
 
+def _covariance(rep: LieAlgebraRep, psi_i: np.ndarray):
+    """(K, moved): K_kl = <Delta A_k psi_i|Delta A_l psi_i> over the generators
+    ``moved`` (an index array) whose Delta A_k psi_i = A_k psi_i - <A_k> psi_i
+    is more than roundoff; the others leave psi_i fixed, and their K rows are
+    zero, so the kernel contracts over ``moved`` only.
+
+    For a truncated rep (``active_dim`` set), K is the untruncated one only
+    when psi_i and every A_k psi_i stay within the active block; raises
+    TruncationTooSmall, naming the generator, when they do not.
+    """
+    A_psi = np.stack([G @ psi_i for G in rep.generators])
+    norms = np.linalg.norm(A_psi, axis=1)
+    if rep.active_dim is not None:
+        k = rep.active_dim
+        if np.linalg.norm(psi_i[k:]) > STATE_TOL * np.linalg.norm(psi_i):
+            raise TruncationTooSmall(f"the initial state has weight beyond the active "
+                                     f"block of {k} levels")
+        tails = np.linalg.norm(A_psi[:, k:], axis=1)
+        if np.any(tails > STATE_TOL * norms):
+            name = rep.names[int(np.argmax(tails > STATE_TOL * norms))]
+            raise TruncationTooSmall(f"generator {name!r} takes the initial state beyond "
+                                     f"the active block of {k} levels")
+    dA_psi = A_psi - (A_psi @ psi_i.conj()).real[:, None] * psi_i
+    moved = np.flatnonzero(np.linalg.norm(dA_psi, axis=1) > STATE_TOL * norms)
+    dA_psi = dA_psi[moved]
+    return dA_psi.conj() @ dA_psi.T, moved
+
+
 def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.ndarray:
     """Metrics (B, M, M) for a (B, M) array of angles in factor order.
 
-    The production metric kernel: g_mn = gamma^2 Re(<psi_m|psi_n> -
-    <psi_m|psi><psi|psi_n>) from the M + 1 rows of ``_tangent_stack``, in
-    blocks of at most BLOCK_ENTRIES entries so memory stays flat on large grids.
+    The production kernel: g = gamma^2 Re(C^* K C^T), where row j of C
+    (``liealg.tilde_coefficients``) expands the conjugated generator A~_j
+    over the algebra and K is ``_covariance`` in the initial state, in blocks
+    of at most BLOCK_ENTRIES coefficient entries (M n per point).  Forms no
+    d x d matrix and no eigenvector.  Raises NotClosed for an open algebra,
+    TruncationTooSmall as ``_covariance`` does, and NonFiniteAngle for a
+    metric that is not finite.
     """
+    psi_i = _initial_state(circuit, psi_i)
+    rep = circuit.algebra
+    K, moved = _covariance(rep, psi_i)
+
+    def block(a):
+        C = liealg.tilde_coefficients(rep, circuit, a)[..., moved]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (C.conj() @ K @ C.swapaxes(-1, -2)).real
+        circuit.require_finite(a, g, "metrics")
+        return g
+
+    return gamma**2 * _by_block(block, circuit, angles, len(circuit.factors) * rep.size)
+
+
+def derivative_metric_batch(circuit: CircuitSpec, angles, psi_i,
+                            gamma: float = 1.0) -> np.ndarray:
+    """``metric_batch`` from exact state derivatives, as a check on it:
+    g_mn = gamma^2 Re(<psi_m|psi_n> - <psi_m|psi><psi|psi_n>) from the M + 1
+    rows of ``_tangent_stack``, in blocks of at most BLOCK_ENTRIES entries."""
     psi_i = _initial_state(circuit, psi_i)
     m = len(circuit.factors)
 
@@ -209,7 +285,7 @@ def metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0) -> np.
         X = _tangent_stack(circuit, a, psi_i)
         return projector_metric(X[m], X[:m].swapaxes(0, 1))
 
-    return gamma**2 * _by_block(block, circuit, angles, m + 1)
+    return gamma**2 * _by_block(block, circuit, angles, (m + 1) * circuit.dim)
 
 
 def metric_jets(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0):
@@ -254,19 +330,3 @@ def projector_metric(psi, derivs, gamma: float = 1.0) -> np.ndarray:
     g = (np.einsum("...md,...nd->...mn", derivs.conj(), derivs)
          - proj[..., :, None] * proj[..., None, :].conj()).real
     return gamma**2 * g
-
-
-def tilde_metric_batch(circuit: CircuitSpec, angles, psi_i,
-                       gamma: float = 1.0) -> np.ndarray:
-    """g = gamma^2 Re(C^* K C^T), (B, M, M) for a (B, M) array of angles in
-    factor order: row j of C (``liealg.tilde_coefficients``) expands A~_j over
-    the algebra, and K_kl = <Delta A_k psi_i|Delta A_l psi_i> is the generators'
-    covariance in the initial state (Delta subtracts the mean).  Forms no
-    d x d matrix; raises NotClosed for an open algebra.
-    """
-    psi_i = _initial_state(circuit, psi_i)
-    C = liealg.tilde_coefficients(circuit.algebra, circuit, angles)
-    A_psi = np.stack([G @ psi_i for G in circuit.algebra.generators])
-    dA_psi = A_psi - (A_psi @ psi_i.conj()).real[:, None] * psi_i
-    K = dA_psi.conj() @ dA_psi.T
-    return gamma**2 * np.einsum("bmk,kl,bnl->bmn", C.conj(), K, C).real

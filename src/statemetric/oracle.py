@@ -48,7 +48,7 @@ def fd_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.0,
         derivs = (psi[:, 1:m + 1] - psi[:, m + 1:]) / (2 * h)
         return projector_metric(psi[:, 0], derivs, gamma)
 
-    return _by_block(block, circuit, angles, len(offsets))
+    return _by_block(block, circuit, angles, len(offsets) * circuit.dim)
 
 
 def fd_metric(circuit: CircuitSpec, point, psi_i, gamma: float = 1.0,
@@ -86,6 +86,6 @@ def fidelity_metric_batch(circuit: CircuitSpec, angles, psi_i, gamma: float = 1.
         g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = mixed
         return g
 
-    return _by_block(block, circuit, angles, len(offsets))
+    return _by_block(block, circuit, angles, len(offsets) * circuit.dim)
 
 

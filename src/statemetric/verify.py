@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, liealg, linalg, manifold, models, oracle
 from .geometry import GridSpec, metric_stack
-from .manifold import tilde_metric_batch
+from .manifold import derivative_metric_batch
 from .models import (
     OscillatorModelSpec,
     SpinModelSpec,
@@ -87,22 +87,23 @@ def _worst(pairs):
 
 
 def check_three_way_agreement(models=None) -> CheckResult:
-    """Derivative vs tilde metric (gamma^2 Re(C^* K C^T), no d x d matrix) to
-    1e-10, either vs fd oracle to 1e-6."""
+    """Three independent routes: the state-derivative metric vs the kernel
+    (gamma^2 Re(C^* K C^T), no d x d matrix) to 1e-10, either vs fd oracle
+    to 1e-6."""
     rng = np.random.default_rng(SEED)
     analytic, worst_fd = [], 0.0
     for name, model in (models or catalog()).items():
         circuit, psi, gamma = model.circuit, model.initial_state, model.gamma
         angles = rng.uniform(-1.0, 1.0, (20, len(model.parameter_names)))
-        g_d = metric_stack(model, angles)
-        g_t = tilde_metric_batch(circuit, angles, psi, gamma)
+        g_d = derivative_metric_batch(circuit, angles, psi, gamma)
+        g_k = metric_stack(model, angles)
         g_f = oracle.fd_metric_batch(circuit, angles, psi, gamma, h=1e-4)
-        analytic.append((name, _max_abs(g_d - g_t)))
-        worst_fd = _peak(worst_fd, _max_abs(g_d - g_f), _max_abs(g_t - g_f))
+        analytic.append((name, _max_abs(g_d - g_k)))
+        worst_fd = _peak(worst_fd, _max_abs(g_d - g_f), _max_abs(g_k - g_f))
     worst_analytic, where = _worst(analytic)
     ok = worst_analytic <= 1e-10 and worst_fd <= 1e-6
     return _result("three_way_agreement", ok,
-                   f"max |deriv - tilde| = {worst_analytic:.2e} (worst: {where}), "
+                   f"max |deriv - kernel| = {worst_analytic:.2e} (worst: {where}), "
                    f"max |analytic - fd| = {worst_fd:.2e}")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statemetric import cli, geometry, manifest
+from statemetric import cli, geometry, liealg, linalg, manifest
 from statemetric.geometry import GridSpec
 from statemetric.models import (
     MAX_HILBERT_DIM,
@@ -763,3 +763,90 @@ class TestRepeatedCalls:
         code, out, err = self.run([a.format(manifest=spin_manifest) for a in bad], capsys)
         assert code == 2 and out == "" and err
         assert [first, self.run(good[1], capsys)] == alone
+
+
+def emit(tmp_path, capsys, *argv) -> str:
+    """Path of the manifest ``models emit`` writes for argv."""
+    assert cli.main(["models", "emit", *argv]) == 0
+    path = tmp_path / "model.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    return str(path)
+
+
+class TestAlgebraKernel:
+    """The metric is gamma^2 Re(C^* K C^T), from the algebra alone."""
+
+    @pytest.fixture(autouse=True)
+    def _tmp(self, tmp_path):
+        self.tmp_path = tmp_path
+
+    def catalog_manifest(self, key, edit=None) -> str:
+        """Path of a catalog model's manifest, after ``edit`` on its document."""
+        doc = json.loads(manifest.emit(catalog()[key]))
+        if edit:
+            edit(doc)
+        path = self.tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_truncated_oscillator_reads_the_untruncated_metric(self, tmp_path, capsys):
+        # the truncated space's own metric here is g_11 = 3.0699; the orbit of
+        # |1> under the Heisenberg group is flat with g = 1.5 I
+        path = emit(tmp_path, capsys, "oscillator", "--n", "1", "--trunc", "32")
+        argv = ["metric", path, "--at", "theta=-1.24492605", "--at", "phi=-5.93010486"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert np.max(np.abs(np.array(doc["g"]) - 1.5 * np.eye(2))) <= 1e-12
+        assert doc["flat"] is True
+
+    @pytest.mark.parametrize("state", [None, [[0.5**0.5, 0.0]] * 2 + [[0.0, 0.0]] * 62],
+                             ids=["fock_1", "superposition"])
+    def test_huge_angle_on_the_central_generator_stays_finite(self, state, capsys):
+        # the coefficient of the central 1 grows to ~theta, but 1 leaves psi_i
+        # fixed, so the kernel does not contract over its K row, which is zero
+        # up to roundoff (1e-16 for (|0> + |1>) / sqrt(2)); the orbit is flat
+        path = self.catalog_manifest(
+            "oscillator_n1", state and (lambda doc: doc.update(initial_state=state)))
+        metrics = []
+        for at in ("0", "1e200"):
+            assert cli.main(["metric", path, "--at", f"theta={at}", "--at", f"phi={at}"]) == 0
+            metrics.append(np.array(json.loads(capsys.readouterr().out)["g"]))
+        assert np.max(np.abs(metrics[1] - metrics[0])) <= 1e-12
+        if state is None:
+            assert np.max(np.abs(metrics[1] - 1.5 * np.eye(2))) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["metric", "grid"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(active_dim=2),
+         "generator 'x' takes the initial state beyond the active block of 2 levels"),
+        (lambda doc: doc.update(initial_state=[[0.0, 0.0]] * 20 + [[1.0, 0.0]]
+                                + [[0.0, 0.0]] * 43),
+         "the initial state has weight beyond the active block of 16 levels"),
+    ], ids=["generator", "state"])
+    def test_state_beyond_the_active_block_is_refused(self, command, edit, message, capsys):
+        # K is exact only while psi_i and every A_k psi_i stay in the block
+        path = self.catalog_manifest("oscillator_n1", edit)
+        extra = {"metric": ["--defaults-zero"], "grid": ["--sweep", "theta=0:1:3"]}
+        assert cli.main([command, path] + extra[command]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, sweeps", [
+        (["spin", "--s", "40", "--m", "3"], ["theta_1=-1:1:7", "theta_2=0.2:3:5"]),
+        (["oscillator", "--n", "1", "--trunc", "256"], ["theta=-1:1:7", "phi=-2:2:5"]),
+    ], ids=["spin_40", "oscillator_256"])
+    def test_grid_forms_no_eigenvector(self, argv, sweeps, tmp_path, capsys, monkeypatch):
+        # a d^3 eigendecomposition on the grid path would cost more than the
+        # whole algebra-space kernel at these sizes
+        path = emit(tmp_path, capsys, *argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigendecomposition on the grid path")
+
+        monkeypatch.setattr(linalg, "herm_eig", refuse)
+        monkeypatch.setattr(liealg.LieAlgebraRep, "generator_eig", refuse)
+        grid = ["grid", path] + [arg for s in sweeps for arg in ("--sweep", s)]
+        assert cli.main(grid) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["nodes"]) == 35
+        assert all(np.all(np.isfinite(node["g"])) for node in doc["nodes"])

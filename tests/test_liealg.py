@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemetric import geometry, liealg, linalg, manifest, manifold, verify
+from statemetric import liealg, linalg, manifest, manifold, verify
 from statemetric.errors import (
     DependentGenerators,
     DimensionMismatch,
@@ -180,7 +180,8 @@ class TestGeneratorEig:
         monkeypatch.setattr(linalg, "require_hermitian",
                             lambda M, name="matrix": checked.append(name) or real(M, name))
         model = manifest.parse_manifest(manifest.loads(text))
-        geometry.metric_stack(model, np.full((2, len(model.parameter_names)), 0.4))
+        angles = np.full((2, len(model.parameter_names)), 0.4)
+        manifold.derivative_metric_batch(model.circuit, angles, model.initial_state)
         assert sorted(checked) == sorted(f"generator {n!r}" for n in model.rep.names)
         assert len(model.rep._eig_cache) == len({g for g, _ in model.circuit.factors})
 
@@ -470,27 +471,17 @@ class TestBatchedRoutes:
         with pytest.raises(ValueError):
             fn(model.rep, model.circuit, np.array([[0.0, np.nan, 0.0]]))
 
-    def test_check_makes_one_expm_call_per_block(self, monkeypatch):
+    def test_check_builds_each_plan_once(self, monkeypatch):
+        # one plan per generator of factors 1..M-1 (factor 0 acts on no row),
+        # cached on the rep across the check's blocks
         calls = []
-        expm = liealg._expm
-
-        def counting_expm(A):
-            calls.append(A.shape)
-            return expm(A)
-
-        monkeypatch.setattr(liealg, "_expm", counting_expm)
-        result = verify.check_adjoint_equivalence()
-        assert result.passed
-        blocks, stacks = 0, []
-        for key in ("spin_1_m0", "oscillator_n0", "two_spin_dm_xx", "two_spin_sum"):
-            rep, m = CATALOG[key].rep, len(CATALOG[key].circuit.factors)
-            count = -(-50 // (manifold.BLOCK_ENTRIES // (m * rep.dim**2)))
-            blocks += count
-            # factor 0 acts on no row: only factors 1..M-1 are exponentiated
-            stacks += [(m - 1, rep.size, rep.size)] * count
-        assert len(calls) == blocks
-        assert sum(shape[0] for shape in calls) == 4 * 50
-        assert [shape[1:] for shape in calls] == stacks
+        plan = liealg.adjoint_plan
+        monkeypatch.setattr(liealg, "adjoint_plan",
+                            lambda ad, root: calls.append(ad.shape) or plan(ad, root))
+        assert verify.check_adjoint_equivalence().passed
+        # spin_1_m0, two_spin_dm_xx, two_spin_sum: (Sz|A1, Sx|A2, Sz|A1), two
+        # plans each; oscillator_n0: (x, p), one
+        assert calls == [(3, 3)] * 7
 
     @settings(max_examples=40, deadline=None)
     @given(key=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1),
@@ -515,39 +506,60 @@ def _heisenberg_ad():
     return ad
 
 
+def plan_exp(plan, theta, n=3):
+    """exp(i theta ad) (B, n, n) from a plan, for a (B,) array of angles: the
+    plan carries the rows of the identity to exp(i theta ad)^T."""
+    rows = np.broadcast_to(np.eye(n, dtype=complex), (len(theta), n, n))
+    return plan.carry(rows, theta).swapaxes(-1, -2)
+
+
 class TestExpm:
+    """exp(i theta ad) through ``liealg.adjoint_plan``."""
+
     def test_so3_gives_rodrigues_rotation(self):
         # i theta ad_m = theta K with K real antisymmetric and K^3 = -K, so
         # exp(theta K) = I + sin(theta) K + (1 - cos(theta)) K^2
-        K = 1j * spin_rep(1).adjoint_matrices()
-        assert np.max(np.abs(K @ K @ K + K)) <= 1e-15
+        rep = spin_rep(1)
         theta = np.array([-7.0, -2.5, -0.3, 0.0, 1e-3, 0.9, 3.1, 12.0])
-        t = theta[:, None, None, None]
-        rodrigues = np.eye(3) + np.sin(t) * K + (1 - np.cos(t)) * (K @ K)
-        assert np.max(np.abs(liealg._expm(t * K) - rodrigues)) <= 1e-14
+        t = theta[:, None, None]
+        for m in range(3):
+            K = 1j * rep.adjoint_matrices()[m]
+            assert np.max(np.abs(K @ K @ K + K)) <= 1e-15
+            rodrigues = np.eye(3) + np.sin(t) * K + (1 - np.cos(t)) * (K @ K)
+            assert np.max(np.abs(plan_exp(rep.adjoint_plan(m), theta) - rodrigues)) <= 1e-14
 
     def test_heisenberg_gives_exactly_identity_plus_generator(self):
-        # nilpotent: ad^2 = 0, so the series stops after the linear term and
-        # squaring (I + X)^2 = I + 2X adds no rounding
+        # nilpotent: ad^2 = 0, so the series stops after the linear term, and
+        # the central generator's ad = 0 gives the identity
         ad = _heisenberg_ad()
-        a = np.array([0.0, 0.37, -2.0, 11.0, 1e3])[:, None, None, None]
-        b = np.array([1.5, 0.0, -0.7, 40.0, -3.0])[:, None, None, None]
-        X = 1j * (a * ad[0] + b * ad[1] + (a - b) * ad[2])
-        assert np.array_equal(liealg._expm(X), np.eye(3) + X)
+        theta = np.array([0.0, 0.37, -2.0, 11.0, 1e3, 1e200])
+        for m in range(3):
+            plan = liealg.adjoint_plan(ad[m], liealg.gram_root(np.eye(3)))
+            assert plan.lam is None
+            want = np.eye(3) + 1j * theta[:, None, None] * ad[m]
+            assert np.array_equal(plan_exp(plan, theta), want)
 
     def test_zero_gives_identity(self):
-        zero = 0.0 * spin_rep(1).adjoint_matrices()
-        assert np.array_equal(liealg._expm(zero), np.broadcast_to(np.eye(3), zero.shape))
+        zero = 0.0 * spin_rep(1).adjoint_matrices()[0]
+        theta = np.array([0.0, 1.0, 1e300])
+        got = plan_exp(liealg.adjoint_plan(zero, liealg.gram_root(np.eye(3))), theta)
+        assert np.array_equal(got, np.broadcast_to(np.eye(3), got.shape))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), n=st.integers(1, 6),
            norm=st.floats(2.0, 40.0))
     def test_inverse_is_exponential_of_negative(self, seed, count, n, norm):
-        # anti-Hermitian stack scaled to a largest 1-norm of 2..40, so the
-        # result is squared 3 to 8 times
+        # an ad self-adjoint in a random Gram metric, ad = L^-dagger H L^dagger
+        # with Gram = L L^dagger and H Hermitian, takes the eigen plan
         rng = np.random.default_rng(seed)
-        H = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-        Y = 1j * (H + H.conj().swapaxes(-1, -2))
-        Y *= norm / np.max(np.abs(Y).sum(axis=-2))
-        product = liealg._expm(Y) @ liealg._expm(-Y)
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gram = X @ X.conj().T + n * np.eye(n)
+        L = np.linalg.cholesky(gram)
+        H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        H = (H + H.conj().T) * norm / np.max(np.abs(H + H.conj().T))
+        ad = np.linalg.solve(L.conj().T, H @ L.conj().T)
+        plan = liealg.adjoint_plan(ad, liealg.gram_root(gram))
+        assert plan.lam is not None and plan.lam.dtype == float  # phases of modulus 1
+        theta = rng.uniform(-1.0, 1.0, count)
+        product = plan_exp(plan, theta, n) @ plan_exp(plan, -theta, n)
         assert np.max(np.abs(product - np.eye(n))) <= 1e-12

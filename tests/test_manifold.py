@@ -19,10 +19,10 @@ from statemetric.manifold import (
     CircuitSpec,
     _tangent_stack,
     build_unitary,
+    derivative_metric_batch,
     evolve_batch,
     metric_batch,
     projector_metric,
-    tilde_metric_batch,
 )
 from statemetric.models import (
     OSCILLATOR_PARAM_BOUND,
@@ -59,7 +59,8 @@ def tangent_rows(circuit, point, psi_i):
 
 
 def tilde_metric(circuit, point, psi_i, gamma=1.0):
-    return tilde_metric_batch(circuit, circuit.angles(point)[None], psi_i, gamma)[0]
+    """The kernel, gamma^2 Re(C^* K C^T) from the tilde coefficients, at one point."""
+    return metric_batch(circuit, circuit.angles(point)[None], psi_i, gamma)[0]
 
 
 def departure_from_unitary(U):
@@ -161,7 +162,7 @@ class TestBatches:
         model = CATALOG[key]
         names = model.parameter_names
         angles = np.random.default_rng(67).uniform(-1.0, 1.0, (5, len(names)))
-        batch = tilde_metric_batch(model.circuit, angles, model.initial_state, model.gamma)
+        batch = metric_batch(model.circuit, angles, model.initial_state, model.gamma)
         for row, a in zip(batch, angles):
             g = tilde_metric(model.circuit, dict(zip(names, a)),
                              model.initial_state, model.gamma)
@@ -293,11 +294,11 @@ class TestMetric:
 
 
 class TestTildeRouteContract:
-    """``tilde_metric_batch`` is gamma^2 Re(C^* K C^T) over the algebra."""
+    """The kernel ``metric_batch`` is gamma^2 Re(C^* K C^T) over the algebra."""
 
     def test_dimension_mismatch(self, one_m0):
         with pytest.raises(DimensionMismatch):
-            tilde_metric_batch(one_m0.circuit, np.full((1, 3), 0.1), [1.0, 0.0])
+            metric_batch(one_m0.circuit, np.full((1, 3), 0.1), [1.0, 0.0])
 
     def test_refuses_unclosed_rep(self):
         rep = spin_model(SpinModelSpec(s=0.5, m=0.5)).rep
@@ -305,28 +306,31 @@ class TestTildeRouteContract:
                                closure_residual=1e-3)
         circuit = CircuitSpec(broken, ((rep.names[0], "a"), (rep.names[1], "b")))
         with pytest.raises(NotClosed):
-            tilde_metric_batch(circuit, np.zeros((7, 2)), [1.0, 0.0])
+            metric_batch(circuit, np.zeros((7, 2)), [1.0, 0.0])
 
     def test_row_does_not_depend_on_the_batch(self, one_m0):
-        # each adjoint exponential is scaled and squared on its own, so a
+        # each point carries its own phases through the same plans, so a
         # large angle elsewhere in the batch changes no bit of this row
         a = np.array([[0.1, 0.7, 0.3]])
-        alone = tilde_metric_batch(one_m0.circuit, a, one_m0.initial_state)
-        beside = tilde_metric_batch(one_m0.circuit, np.vstack([a, [[0.1, 1e6, 0.3]]]),
-                                    one_m0.initial_state)
+        alone = metric_batch(one_m0.circuit, a, one_m0.initial_state)
+        beside = metric_batch(one_m0.circuit, np.vstack([a, [[0.1, 1e6, 0.3]]]),
+                              one_m0.initial_state)
         assert alone[0].tobytes() == beside[0].tobytes()
 
     @pytest.mark.parametrize("route", ["metric", "adjoint"])
     @pytest.mark.parametrize("theta", [1e300, 1e308])
-    def test_non_finite_exponential_refused(self, one_m0, route, theta):
-        # 1e300 squares to NaN; 1e308 overflows the scaling norm.  A
-        # RuntimeWarning on the way fails the test (pyproject filterwarnings)
+    def test_large_angle_stays_bounded(self, one_m0, route, theta):
+        # eigen-phases of modulus 1: the coefficients cannot grow with theta.
+        # A RuntimeWarning on the way fails the test (pyproject filterwarnings)
         angles = np.array([[0.1, 0.7, 0.3], [0.1, theta, 0.3]])
-        with pytest.raises(NonFiniteAngle, match="parameter 'theta_2': angle 1e\\+30"):
-            if route == "metric":
-                tilde_metric_batch(one_m0.circuit, angles, one_m0.initial_state)
-            else:
-                liealg.tilde_by_adjoint(one_m0.rep, one_m0.circuit, angles)
+        if route == "metric":
+            g = metric_batch(one_m0.circuit, angles, one_m0.initial_state)
+            diag = np.diagonal(g, axis1=1, axis2=2)
+            assert np.all(diag >= -1e-15) and np.all(diag <= 1.0 + 1e-12)  # gamma rho = 1
+        else:
+            tildes = liealg.tilde_by_adjoint(one_m0.rep, one_m0.circuit, angles)
+            assert np.all(np.isfinite(tildes))
+            assert one_m0.rep.block_norm(tildes) <= 1.0 + 1e-12  # the spectrum of A_j
 
     def test_needs_no_conjugation(self, one_m0, monkeypatch):
         def refuse(*args):
@@ -334,8 +338,8 @@ class TestTildeRouteContract:
 
         monkeypatch.setattr(liealg, "tilde_by_conjugation", refuse)
         angles = np.random.default_rng(71).uniform(-1.0, 1.0, (4, 3))
-        g_t = tilde_metric_batch(one_m0.circuit, angles, one_m0.initial_state)
-        g_d = metric_batch(one_m0.circuit, angles, one_m0.initial_state)
+        g_t = metric_batch(one_m0.circuit, angles, one_m0.initial_state)
+        g_d = derivative_metric_batch(one_m0.circuit, angles, one_m0.initial_state)
         assert np.max(np.abs(g_t - g_d)) <= 1e-13
         assert verify.check_three_way_agreement(CATALOG).passed
 
@@ -360,6 +364,84 @@ class TestReparametrization:
         g = metric_batch(model.circuit, theta, model.initial_state, model.gamma)
         expected = cj[:, None] * g * cj
         tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
-        for route in (metric_batch, tilde_metric_batch):
+        for route in (metric_batch, derivative_metric_batch):
             got = route(circuit, theta / cj, model.initial_state, model.gamma)
             assert np.max(np.abs(got - expected)) <= tol, route.__name__
+
+
+SPIN_40 = spin_model(SpinModelSpec(s=40, m=3, gamma=2.0))
+LARGE_ANGLE_MODELS = {**CATALOG, "spin_40": SPIN_40}
+
+
+class TestLargeAngles:
+    """Eigen-phases have modulus 1, and a finite series only grows on the
+    central generator, whose K row is zero: no accepted angle gives an
+    unbounded metric."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(sorted(LARGE_ANGLE_MODELS)), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(0.0, 300.0))
+    def test_diagonal_within_the_variance_bound(self, key, seed, exponent):
+        # g_mm = gamma^2 Var(A~_m) in psi_i, and A~_m has the spectrum of A_m
+        model = LARGE_ANGLE_MODELS[key]
+        circuit = model.circuit
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-1.0, 1.0, (4, len(circuit.factors))) * 10.0**exponent
+        circuit.angle_batch(angles)  # accepted: theta * w is finite up to 1e300
+        g = metric_batch(circuit, angles, model.initial_state, model.gamma)
+        bound = model.gamma**2 * circuit._spectral_radii**2
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        assert np.all(diag >= -1e-12 * bound) and np.all(diag <= bound * (1 + 1e-12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.sampled_from(sorted(k for k, m in LARGE_ANGLE_MODELS.items()
+                                      if m.rep.active_dim is None)),
+           seed=st.integers(0, 2**32 - 1), exponent=st.floats(0.0, 9.0))
+    def test_routes_agree_to_the_angle_ulp(self, key, seed, exponent):
+        # an angle is known to ulp(theta), a phase to ulp(theta) rho; the
+        # worst of the catalog and spin 40 read 8 units of this bound
+        model = LARGE_ANGLE_MODELS[key]
+        circuit = model.circuit
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-1.0, 1.0, (4, len(circuit.factors))) * 10.0**exponent
+        rho = float(np.max(circuit._spectral_radii))
+        unit = model.gamma**2 * rho**2 * (np.spacing(np.max(np.abs(angles))) * rho
+                                          + np.finfo(float).eps)
+        g_k = metric_batch(circuit, angles, model.initial_state, model.gamma)
+        g_d = derivative_metric_batch(circuit, angles, model.initial_state, model.gamma)
+        assert np.max(np.abs(g_k - g_d)) <= 100 * unit
+
+
+def su11_model(truncation=48, k=1.0):
+    """The discrete series of su(1,1) with Bargmann index k, truncated:
+    K0 |n> = (n + k) |n>, K+ |n> = sqrt((n + 1)(n + 2k)) |n + 1>, K1 and K2
+    the Hermitian parts of K+, with [K1, K2] = -i K0, from |0>."""
+    n = np.arange(truncation)
+    raise_ = np.diag(np.sqrt((n[:-1] + 1) * (n[:-1] + 2 * k)), -1).astype(complex)
+    k1 = (raise_ + raise_.conj().T) / 2
+    k2 = (raise_ - raise_.conj().T) / 2j
+    k0 = np.diag(n + k).astype(complex)
+    rep = extract_structure_constants((k1, k2, k0), ("K1", "K2", "K0"),
+                                      active_dim=truncation // 2)
+    psi = np.zeros(truncation, dtype=complex)
+    psi[0] = 1.0
+    return CircuitSpec(rep, (("K1", "a"), ("K2", "b"), ("K0", "c"))), psi
+
+
+class TestNonCompactAlgebra:
+    def test_boost_takes_the_general_eigenbasis(self):
+        # ad_K2 is not self-adjoint in any positive Gram metric: its plan
+        # grows as exp(|theta|), from eigenvalues +-i
+        circuit, _ = su11_model()
+        rep = circuit.algebra
+        boost, rotation = rep.adjoint_plan(rep.index("K2")), rep.adjoint_plan(rep.index("K0"))
+        assert np.max(np.abs(boost.lam.imag)) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rotation.lam.imag)) == 0.0
+
+    def test_kernel_equals_the_derivative_route(self):
+        # within angles where the truncation does not reach the last levels
+        circuit, psi = su11_model()
+        angles = np.random.default_rng(97).uniform(-0.5, 0.5, (20, 3))
+        g_k = metric_batch(circuit, angles, psi)
+        g_d = derivative_metric_batch(circuit, angles, psi)
+        assert np.max(np.abs(g_k - g_d)) <= 1e-10

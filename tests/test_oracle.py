@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from statemetric import manifold, oracle
 from statemetric.errors import StepOutOfRange
 from statemetric.geometry import metric_stack
-from statemetric.manifold import tilde_metric_batch
+from statemetric.manifold import derivative_metric_batch
 from statemetric.models import (
     OSCILLATOR_PARAM_BOUND,
     OscillatorModelSpec,
@@ -22,8 +22,8 @@ CATALOG = catalog()
 
 
 def analytic(model, point):
-    return tilde_metric_batch(model.circuit, model.circuit.angles(point)[None],
-                              model.initial_state, model.gamma)[0]
+    return derivative_metric_batch(model.circuit, model.circuit.angles(point)[None],
+                                   model.initial_state, model.gamma)[0]
 
 
 def fd_at(circuit, point, psi_i, gamma=1.0, h=oracle.DEFAULT_STEP):

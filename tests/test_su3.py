@@ -11,7 +11,7 @@ import pytest
 
 from statemetric import cli, geometry, liealg, manifest, oracle
 from statemetric.geometry import GridSpec
-from statemetric.manifold import CircuitSpec, metric_batch, metric_jets, tilde_metric_batch
+from statemetric.manifold import CircuitSpec, derivative_metric_batch, metric_batch, metric_jets
 from statemetric.models import Model
 
 
@@ -55,8 +55,8 @@ def test_algebra_closes_and_is_generic():
 @pytest.mark.parametrize("names", [ORBIT, ALL_EIGHT], ids=["orbit", "all_eight"])
 def test_routes_agree(names, psi_i):
     c, a = circuit(names), angles(len(names))
-    g_d = metric_batch(c, a, psi_i)
-    g_t = tilde_metric_batch(c, a, psi_i)
+    g_d = derivative_metric_batch(c, a, psi_i)
+    g_t = metric_batch(c, a, psi_i)
     assert np.max(np.abs(g_t - g_d)) <= 1e-13
     for oracle_fn in (oracle.fd_metric_batch, oracle.fidelity_metric_batch):
         g_o = oracle_fn(c, a, psi_i)

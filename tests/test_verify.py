@@ -13,7 +13,7 @@ import pytest
 
 from statemetric import geometry, liealg, models, oracle, verify
 from statemetric.geometry import metric_stack
-from statemetric.manifold import tilde_metric_batch
+from statemetric.manifold import derivative_metric_batch
 from statemetric.models import SpinModelSpec, spin_model
 
 CATALOG = verify.catalog()
@@ -36,9 +36,9 @@ def reference_three_way():
     worst_analytic, worst_fd, where = 0.0, 0.0, ""
     for name, model in CATALOG.items():
         for pt in _points(rng, model.parameter_names, 20):
-            g_d = point_metric(model, pt)
-            g_t = tilde_metric_batch(model.circuit, model.circuit.angles(pt)[None],
-                                     model.initial_state, model.gamma)[0]
+            g_d = derivative_metric_batch(model.circuit, model.circuit.angles(pt)[None],
+                                          model.initial_state, model.gamma)[0]
+            g_t = point_metric(model, pt)
             g_f = oracle.fd_metric(model.circuit, pt, model.initial_state, model.gamma,
                                    h=1e-4).g
             da = float(np.max(np.abs(g_d - g_t)))
@@ -108,7 +108,7 @@ def test_degeneracy_reports_wrong_ranks(monkeypatch):
 
 # a route whose output turns NaN, and the checks that read it
 NAN_ROUTES = {
-    "tilde_metric_batch": (verify, {"three_way_agreement"}),
+    "derivative_metric_batch": (verify, {"three_way_agreement"}),
     "tilde_by_adjoint": (liealg, {"adjoint_equivalence"}),
     "metric_stack": (verify, {"three_way_agreement", "sphere_metrics", "degeneracy",
                               "spin1_superposition", "oracle_quality"}),
